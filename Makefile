@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test fmt goldens bench bench-json bench-file test-backends test-disks test-async test-async-stress faults serve-smoke telemetry-smoke soak cluster clean
+.PHONY: all build test fmt goldens bench bench-json bench-file test-backends test-disks test-async test-async-stress smoke faults serve-smoke telemetry-smoke soak cluster clean
 
 all: build
 
@@ -67,6 +67,10 @@ test-async:
 # private pool with worker-side latency jitter) at 50 iterations.
 test-async-stress:
 	EM_ASYNC_STRESS_ITERS=50 dune exec test/test_main.exe -- test async
+
+# Every end-to-end smoke in one go: the fault runs and the four golden
+# transcripts (serve, telemetry, soak, cluster).  CI's main job runs this.
+smoke: faults serve-smoke telemetry-smoke soak cluster
 
 # Fault-injection smoke: one recoverable run per algorithm family, plus a
 # crash-restart run.  Each exits non-zero on an unexpected failure (exit 2:

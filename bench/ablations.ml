@@ -217,8 +217,8 @@ let workloads () =
   List.rev !artifacts
 
 (* Where do the I/Os go?  Per-phase attribution for three representative
-   algorithms (the Em.Phase labels inside the library; keys are full
-   phase paths now that attribution is path-keyed). *)
+   algorithms (the Em.Phase labels inside the library, keyed on full phase
+   paths), derived from an attached span profiler. *)
 let phases () =
   let n = Exp.scaled (1 lsl 18) in
   let machine = Exp.default_machine in
@@ -227,6 +227,8 @@ let phases () =
        (Exp.machine_name machine));
   let show label f =
     let ctx : int Em.Ctx.t = Em.Ctx.create (Exp.params machine) in
+    let profiler = Em.Profile.create () in
+    Em.Profile.attach profiler ctx.Em.Ctx.stats;
     let v = Core.Workload.vec ctx Core.Workload.Pi_hard ~seed ~n in
     f ctx v;
     let total = Em.Stats.ios ctx.Em.Ctx.stats in
@@ -235,7 +237,7 @@ let phases () =
       (fun (phase, ios) ->
         Printf.printf "    %-28s %7d  (%4.1f%%)\n" phase ios
           (100. *. float_of_int ios /. float_of_int total))
-      (Em.Phase.report ctx)
+      (Em.Profile.phase_report profiler)
   in
   show "multi-select (K=8)" (fun _ctx v ->
       let ranks = Array.init 8 (fun i -> (i + 1) * (n / 8)) in

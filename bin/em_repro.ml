@@ -808,6 +808,7 @@ let run_metrics c algo n k a b ranks format =
     (Em.Metrics.gauge reg ~help:"I/Os the tracer classified as random" "seeks_total")
     (float_of_int seeks);
   Em.Profile.publish reg profiler;
+  Em.Profile.publish_phase_ios reg profiler;
   (match table1_row with
   | Some (row, spec) ->
       ignore
@@ -854,7 +855,7 @@ let run_profile c algo n k a b ranks =
     (fun i s ->
       if i < 10 then
         Printf.printf "  %8d I/O  %9d cmp  x%-4d %s\n" (Em.Profile.span_ios s)
-          s.Em.Profile.comparisons s.Em.Profile.calls
+          s.Em.Profile.cost.Em.Stats.d_comparisons s.Em.Profile.calls
           (Em.Profile.path_name s.Em.Profile.path))
     (Em.Profile.spans profiler)
 

@@ -352,6 +352,7 @@ let summary_json srv =
 let metrics_json srv =
   let reg = srv.registry in
   Em.Metrics.publish_stats reg srv.ctx.Em.Ctx.stats;
+  Em.Profile.publish_phase_ios reg srv.profiler;
   let s = Emalg.Online_select.summary srv.session in
   let g name help v =
     Em.Metrics.set (Em.Metrics.gauge reg ~help name) (float_of_int v)
@@ -402,7 +403,8 @@ let profile_json srv =
       (fun s ->
         Printf.sprintf "{\"path\":\"%s\",\"ios\":%d,\"calls\":%d,\"comparisons\":%d}"
           (json_escape (Em.Profile.path_name s.Em.Profile.path))
-          (Em.Profile.span_ios s) s.Em.Profile.calls s.Em.Profile.comparisons)
+          (Em.Profile.span_ios s) s.Em.Profile.calls
+          s.Em.Profile.cost.Em.Stats.d_comparisons)
       (Em.Profile.spans srv.profiler)
   in
   Printf.sprintf "{\"spans\":[%s]}" (String.concat "," spans)

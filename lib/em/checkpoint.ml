@@ -2,16 +2,18 @@
 
    Restartable drivers persist their progress here between steps.  The slot
    models a fixed, reliable region of the disk (checkpoint area): saving and
-   loading are metered as real block I/Os — ceil(words/B) of them — charged
-   to the shared stats under dedicated phase labels, but the region is
-   outside the faulted device, so the injector never touches it and its
-   contents survive crashes.  Trace events for the region use negative block
-   ids, keeping it visibly disjoint from the data device's id space. *)
+   loading are metered as real block I/Os — ceil(words/B) of them, striped
+   over the D disks — charged to the shared stats under dedicated phase
+   labels, but the region is outside the faulted device, so the injector
+   never touches it and its contents survive crashes.  Trace events for the
+   region use negative block ids, keeping it visibly disjoint from the data
+   device's id space. *)
 
 type 's t = {
   stats : Stats.t;
   trace : Trace.t;
   block : int;
+  disks : int;
   mutable slot : 's option;
   mutable slot_words : int;
   mutable saves : int;
@@ -25,6 +27,7 @@ let create ctx =
     stats = ctx.Ctx.stats;
     trace = ctx.Ctx.trace;
     block = Ctx.block_size ctx;
+    disks = Ctx.disks ctx;
     slot = None;
     slot_words = 0;
     saves = 0;
@@ -39,10 +42,7 @@ let charge t (op : Trace.op) ~label n =
   let s = t.stats in
   Stats.push_phase s label;
   for i = 0 to n - 1 do
-    (match op with
-    | Trace.Read -> s.Stats.reads <- s.Stats.reads + 1
-    | Trace.Write -> s.Stats.writes <- s.Stats.writes + 1);
-    Stats.record_phase_io s;
+    Stats.record_io s ~write:(op = Trace.Write) ~disk:(i mod t.disks);
     (* The checkpoint region lives at negative "addresses". *)
     Trace.emit t.trace op ~block:(-1 - i) ~phase:s.Stats.phase_stack
   done;
@@ -70,7 +70,6 @@ let load t =
       t.load_ios <- t.load_ios + n;
       Some state
 
-let peek t = t.slot
 let saves t = t.saves
 let loads t = t.loads
 let save_ios t = t.save_ios

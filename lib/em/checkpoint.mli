@@ -5,7 +5,10 @@
     contents survive a {!Em_error.Crashed} crash.  Durability is not free:
     {!save} charges [ceil(words/B)] metered writes under a ["checkpoint"]
     phase label, {!load} the same number of reads under ["resume"], where
-    [words] is the caller-declared serialized size of the state.  Trace
+    [words] is the caller-declared serialized size of the state.  The
+    region's blocks stripe over the machine's D disks and go through the
+    same ledger update as device I/Os ({!Stats.record_io}), so they count
+    rounds like any other I/O.  Trace
     events for the region carry negative block ids, so it stays visibly
     disjoint from the data device's id space.
 
@@ -31,9 +34,6 @@ val install : 's t -> words:int -> 's -> unit
 val load : 's t -> 's option
 (** The last saved state, charging [ceil(words/B)] reads (at least one);
     [None] — and no charge — if nothing was ever saved. *)
-
-val peek : 's t -> 's option
-(** The slot without any I/O charge: for assertions and tests only. *)
 
 val saves : 's t -> int
 val loads : 's t -> int

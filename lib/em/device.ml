@@ -231,8 +231,8 @@ let unmetered_read d id =
 (* Metered attempts.
 
    Every attempt — including faulted ones and retries — charges one I/O to
-   the stats and the current phase, and emits one trace event whose [kind]
-   says what happened.  [attempt] > 1 marks a recovery re-attempt. *)
+   the stats and emits one trace event whose [kind] says what happened.
+   [attempt] > 1 marks a recovery re-attempt. *)
 
 let trace_kind fault attempt =
   match fault with
@@ -243,9 +243,6 @@ let disk_of_slot d p = p mod d.params.Params.disks
 let disk_of_block d id = disk_of_slot d (phys d id)
 
 let charge ?cache d (op : Trace.op) ~block ~fault ~attempt =
-  (match op with
-  | Trace.Read -> d.stats.Stats.reads <- d.stats.Stats.reads + 1
-  | Trace.Write -> d.stats.Stats.writes <- d.stats.Stats.writes + 1);
   if attempt > 1 then d.stats.Stats.retries <- d.stats.Stats.retries + 1;
   if fault <> None then d.stats.Stats.faults <- d.stats.Stats.faults + 1;
   (* Hit/miss accounting covers exactly the metered reads, so the invariant
@@ -260,8 +257,7 @@ let charge ?cache d (op : Trace.op) ~block ~fault ~attempt =
      [rounds], and every I/O inside one scheduling window shares the round
      counter as it stood when the window opened. *)
   let round = d.stats.Stats.rounds in
-  Stats.record_io d.stats ~disk;
-  Stats.record_phase_io d.stats;
+  Stats.record_io d.stats ~write:(op = Trace.Write) ~disk;
   let multi = d.params.Params.disks > 1 in
   Trace.emit ~kind:(trace_kind fault attempt) ~backend:d.backend.Backend.name ?cache
     ?disk:(if multi then Some disk else None)

@@ -361,11 +361,4 @@ let publish_stats t (s : Stats.t) =
              "shard_recv_words")
           (float_of_int words))
       (Stats.recv_report s)
-  end;
-  List.iter
-    (fun (path, ios) ->
-      set
-        (gauge t ~help:"I/Os attributed per phase path" ~labels:[ ("path", path) ]
-           "phase_ios")
-        (float_of_int ios))
-    (Stats.phase_report s)
+  end

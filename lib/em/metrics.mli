@@ -77,8 +77,9 @@ val to_json : t -> string
 val publish_stats : t -> Stats.t -> unit
 (** Publish the machine's native counters ({!Stats.t}) into the registry:
     [reads_total], [writes_total], [ios_total], [comparisons_total],
-    [faults_total], [retries_total], [mem_peak_words], and one
-    [phase_ios{path=...}] gauge per phase path.  When a cached backend has
+    [faults_total], [retries_total] and [mem_peak_words].  Per-phase
+    [phase_ios{path=...}] gauges come from an attached profiler
+    ({!Profile.publish_phase_ios}), not from the machine.  When a cached backend has
     been active (any nonzero cache counter), additionally
     [cache_hits_total], [cache_misses_total] and [cache_evictions_total].
     When the communication ledger is live (a {!Core.Cluster} has been

@@ -8,5 +8,3 @@ let with_label ctx label f =
   | exception e ->
       Stats.pop_phase s;
       raise e
-
-let report ctx = Stats.phase_report ctx.Ctx.stats

@@ -1,17 +1,14 @@
-(** Per-phase I/O attribution.
+(** Phase labels.
 
-    Algorithms label their passes ([with_label ctx "distribute" f]); every
-    block read/write performed while a label is active is attributed to the
-    full path of active labels, outermost first and joined with ["/"]
-    (so ["sort/merge"] and ["multiselect/merge"] stay distinct).  The report
-    makes the cost structure of a composed algorithm visible (the benchmarks
-    print it), at zero simulated cost. *)
+    Algorithms label their passes ([with_label ctx "distribute" f]); labels
+    nest into full paths, outermost first and joined with ["/"] (so
+    ["sort/merge"] and ["multiselect/merge"] stay distinct).  Labelling is
+    free in the simulated cost model and the machine keeps no per-phase
+    counters: an attached {!Profile} turns each labelled bracket into a
+    span, and {!Profile.phase_report} derives the per-path I/O breakdown
+    from those spans.  Without a profiler there is no phase report. *)
 
 val with_label : 'a Ctx.t -> string -> (unit -> 'b) -> 'b
 (** Push a label around a computation (restored on exceptions too).  Entering
     and leaving the label also fires any {!Stats.span_hooks} attached to the
     machine, which is how {!Profile} sees span boundaries. *)
-
-val report : 'a Ctx.t -> (string * int) list
-(** Per-phase-path I/O counts since the last {!Stats.reset}, largest first;
-    unlabeled I/O appears as ["(other)"]. *)

@@ -8,21 +8,14 @@
 type span = {
   path : string list;  (* outermost label first *)
   mutable calls : int;
-  mutable reads : int;
-  mutable writes : int;
-  mutable rounds : int;
-  mutable comparisons : int;
-  mutable faults : int;
-  mutable retries : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
+  mutable cost : Stats.delta;
   mutable wall_ns : float;
   mutable mem_peak : int;
 }
 
 type frame = {
   span : span;
-  snap : Stats.snapshot;
+  snap : Stats.delta;
   start : float;  (* host seconds *)
   mutable peak : int;
   counted : bool;
@@ -41,28 +34,14 @@ let create () = { spans = Hashtbl.create 32; open_frames = []; source = None }
 
 let now () = Unix.gettimeofday ()
 
-let span_ios s = s.reads + s.writes
+let span_ios s = Stats.delta_ios s.cost
+let zero_span path = { path; calls = 0; cost = Stats.zero; wall_ns = 0.; mem_peak = 0 }
 
 let find_span t path =
   match Hashtbl.find_opt t.spans path with
   | Some s -> s
   | None ->
-      let s =
-        {
-          path;
-          calls = 0;
-          reads = 0;
-          writes = 0;
-          rounds = 0;
-          comparisons = 0;
-          faults = 0;
-          retries = 0;
-          cache_hits = 0;
-          cache_misses = 0;
-          wall_ns = 0.;
-          mem_peak = 0;
-        }
-      in
+      let s = zero_span path in
       Hashtbl.add t.spans path s;
       s
 
@@ -90,15 +69,7 @@ let on_pop t stats _stack =
       let s = frame.span in
       s.calls <- s.calls + 1;
       if frame.counted then begin
-        let d = Stats.delta stats frame.snap in
-        s.reads <- s.reads + d.Stats.d_reads;
-        s.writes <- s.writes + d.Stats.d_writes;
-        s.rounds <- s.rounds + d.Stats.d_rounds;
-        s.comparisons <- s.comparisons + d.Stats.d_comparisons;
-        s.faults <- s.faults + d.Stats.d_faults;
-        s.retries <- s.retries + d.Stats.d_retries;
-        s.cache_hits <- s.cache_hits + d.Stats.d_cache_hits;
-        s.cache_misses <- s.cache_misses + d.Stats.d_cache_misses;
+        s.cost <- Stats.add s.cost (Stats.delta stats frame.snap);
         s.wall_ns <- s.wall_ns +. ((now () -. frame.start) *. 1e9);
         if frame.peak > s.mem_peak then s.mem_peak <- frame.peak
       end;
@@ -160,38 +131,24 @@ let tree t =
     (List.sort (fun a b -> compare a.path b.path) (spans t));
   root
 
-let zero_like path =
-  {
-    path;
-    calls = 0;
-    reads = 0;
-    writes = 0;
-    rounds = 0;
-    comparisons = 0;
-    faults = 0;
-    retries = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    wall_ns = 0.;
-    mem_peak = 0;
-  }
-
-let node_span node = match node.span with Some s -> s | None -> zero_like []
+let node_span node = match node.span with Some s -> s | None -> zero_span []
 
 let rec pp_node ppf ~depth node =
   let s = node_span node in
+  let c = s.cost in
   if depth > 0 then begin
     Format.fprintf ppf "%s%-*s %8d I/O (r %d / w %d)  %9d cmp  %8.2f ms  x%d"
       (String.make (2 * (depth - 1)) ' ')
       (max 1 (28 - (2 * (depth - 1))))
-      node.label (span_ios s) s.reads s.writes s.comparisons (s.wall_ns /. 1e6) s.calls;
+      node.label (span_ios s) c.Stats.d_reads c.Stats.d_writes c.Stats.d_comparisons
+      (s.wall_ns /. 1e6) s.calls;
     (* Round compression only when parallel disks actually shortened the
        schedule, so single-disk profiles keep their exact shape. *)
-    if s.rounds < span_ios s then Format.fprintf ppf "  [rounds %d]" s.rounds;
-    if s.faults > 0 || s.retries > 0 then
-      Format.fprintf ppf "  [faulted %d / retried %d]" s.faults s.retries;
-    if s.cache_hits > 0 || s.cache_misses > 0 then
-      Format.fprintf ppf "  [hit %d / miss %d]" s.cache_hits s.cache_misses;
+    if c.Stats.d_rounds < span_ios s then Format.fprintf ppf "  [rounds %d]" c.Stats.d_rounds;
+    if c.Stats.d_faults > 0 || c.Stats.d_retries > 0 then
+      Format.fprintf ppf "  [faulted %d / retried %d]" c.Stats.d_faults c.Stats.d_retries;
+    if c.Stats.d_cache_hits > 0 || c.Stats.d_cache_misses > 0 then
+      Format.fprintf ppf "  [hit %d / miss %d]" c.Stats.d_cache_hits c.Stats.d_cache_misses;
     Format.fprintf ppf "@."
   end;
   List.iter
@@ -202,28 +159,58 @@ let rec pp_node ppf ~depth node =
 
 let pp ppf t = pp_node ppf ~depth:0 (tree t)
 
+(* ---- per-path report ---- *)
+
+(* Spans are inclusive, so a path's own I/Os are its span's minus those of
+   its direct children; whatever no top-level span covers is "(other)". *)
+let phase_report t =
+  let below = Hashtbl.create 16 in
+  let below_of path = Option.value (Hashtbl.find_opt below path) ~default:0 in
+  Hashtbl.iter
+    (fun path s ->
+      let parent = List.rev (List.tl (List.rev path)) in
+      Hashtbl.replace below parent (below_of parent + span_ios s))
+    t.spans;
+  let total = match t.source with Some stats -> Stats.ios stats | None -> 0 in
+  Hashtbl.fold
+    (fun path s acc -> (path_name path, span_ios s - below_of path) :: acc)
+    t.spans
+    [ ("(other)", total - below_of []) ]
+  |> List.filter (fun (_, ios) -> ios <> 0)
+  |> List.sort (fun (pa, a) (pb, b) ->
+         match Int.compare b a with 0 -> String.compare pa pb | c -> c)
+
 (* ---- metrics bridge ---- *)
+
+let publish_phase_ios reg t =
+  List.iter
+    (fun (path, ios) ->
+      Metrics.set
+        (Metrics.gauge reg ~help:"I/Os attributed per phase path" ~labels:[ ("path", path) ]
+           "phase_ios")
+        (float_of_int ios))
+    (phase_report t)
 
 let publish reg t =
   List.iter
     (fun s ->
+      let c = s.cost in
       let labels = [ ("span", path_name s.path) ] in
       let g name help v = Metrics.set (Metrics.gauge reg ~help ~labels name) v in
-      g "span_ios" "I/Os inside the span (inclusive)" (float_of_int (span_ios s));
-      g "span_reads" "Reads inside the span" (float_of_int s.reads);
-      g "span_writes" "Writes inside the span" (float_of_int s.writes);
-      if s.rounds < span_ios s then
-        g "span_rounds" "Parallel I/O rounds inside the span" (float_of_int s.rounds);
-      g "span_comparisons" "Comparisons inside the span" (float_of_int s.comparisons);
-      g "span_faults" "Faulted attempts inside the span" (float_of_int s.faults);
-      g "span_retries" "Recovery re-attempts inside the span" (float_of_int s.retries);
-      if s.cache_hits > 0 || s.cache_misses > 0 then begin
-        g "span_cache_hits" "Buffer-pool hits inside the span" (float_of_int s.cache_hits);
-        g "span_cache_misses" "Buffer-pool misses inside the span"
-          (float_of_int s.cache_misses)
+      let gi name help v = g name help (float_of_int v) in
+      gi "span_ios" "I/Os inside the span (inclusive)" (span_ios s);
+      gi "span_reads" "Reads inside the span" c.Stats.d_reads;
+      gi "span_writes" "Writes inside the span" c.Stats.d_writes;
+      if c.Stats.d_rounds < span_ios s then
+        gi "span_rounds" "Parallel I/O rounds inside the span" c.Stats.d_rounds;
+      gi "span_comparisons" "Comparisons inside the span" c.Stats.d_comparisons;
+      gi "span_faults" "Faulted attempts inside the span" c.Stats.d_faults;
+      gi "span_retries" "Recovery re-attempts inside the span" c.Stats.d_retries;
+      if c.Stats.d_cache_hits > 0 || c.Stats.d_cache_misses > 0 then begin
+        gi "span_cache_hits" "Buffer-pool hits inside the span" c.Stats.d_cache_hits;
+        gi "span_cache_misses" "Buffer-pool misses inside the span" c.Stats.d_cache_misses
       end;
-      g "span_mem_peak_words" "Peak memory words while the span was open"
-        (float_of_int s.mem_peak);
+      gi "span_mem_peak_words" "Peak memory words while the span was open" s.mem_peak;
       g "span_wall_ns" "Host wall-clock nanoseconds inside the span" s.wall_ns;
-      g "span_calls" "Times the span was entered" (float_of_int s.calls))
+      gi "span_calls" "Times the span was entered" s.calls)
     (spans t)

@@ -29,7 +29,6 @@ type t = {
   mutable pool_words : int;
   mutable mem_peak : int;
   mutable phase_stack : string list;
-  phase_ios : (string, int) Hashtbl.t;
   mutable hooks : span_hooks option;
   mutable reclaim : (int -> unit) option;
   mutable reclaimers : (int -> int) option ref list;
@@ -61,41 +60,12 @@ let create () =
     pool_words = 0;
     mem_peak = 0;
     phase_stack = [];
-    phase_ios = Hashtbl.create 16;
     hooks = None;
     reclaim = None;
     reclaimers = [];
   }
 
-let reset s =
-  s.reads <- 0;
-  s.writes <- 0;
-  s.comparisons <- 0;
-  s.faults <- 0;
-  s.retries <- 0;
-  s.cache_hits <- 0;
-  s.cache_misses <- 0;
-  s.cache_evictions <- 0;
-  s.allocated_blocks <- 0;
-  s.freed_blocks <- 0;
-  s.rounds <- 0;
-  Hashtbl.reset s.disk_ios;
-  s.window_depth <- 0;
-  Hashtbl.reset s.window_counts;
-  s.comm_rounds <- 0;
-  s.comm_words <- 0;
-  Hashtbl.reset s.shard_sent;
-  Hashtbl.reset s.shard_recv;
-  s.comm_depth <- 0;
-  s.comm_pending <- 0;
-  s.mem_in_use <- 0;
-  s.pool_words <- 0;
-  s.mem_peak <- 0;
-  s.phase_stack <- [];
-  Hashtbl.reset s.phase_ios
-
 let set_hooks s hooks = s.hooks <- hooks
-let hooks s = s.hooks
 let set_reclaim s f = s.reclaim <- f
 
 (* Voluntary-release registry, consulted by [Mem] before declaring overflow:
@@ -147,24 +117,6 @@ let wipe_memory s =
     pop_phase s
   done
 
-let current_phase s =
-  match s.phase_stack with [] -> "(other)" | label :: _ -> label
-
-(* The attribution key is the full phase path, outermost label first, so two
-   distinct paths sharing a leaf name stay distinct. *)
-let join_path stack = String.concat "/" (List.rev stack)
-let current_path s = match s.phase_stack with [] -> "(other)" | st -> join_path st
-
-let record_phase_io s =
-  let path = current_path s in
-  let previous = Option.value (Hashtbl.find_opt s.phase_ios path) ~default:0 in
-  Hashtbl.replace s.phase_ios path (previous + 1)
-
-let phase_report s =
-  Hashtbl.fold (fun path ios acc -> (path, ios) :: acc) s.phase_ios []
-  |> List.sort (fun (pa, a) (pb, b) ->
-         match Int.compare b a with 0 -> String.compare pa pb | c -> c)
-
 let ios s = s.reads + s.writes
 
 (* Round accounting.  Outside a scheduling window every metered I/O is its
@@ -175,7 +127,8 @@ let ios s = s.reads + s.writes
 let tbl_incr tbl key =
   Hashtbl.replace tbl key (1 + Option.value (Hashtbl.find_opt tbl key) ~default:0)
 
-let record_io s ~disk =
+let record_io s ~write ~disk =
+  if write then s.writes <- s.writes + 1 else s.reads <- s.reads + 1;
   tbl_incr s.disk_ios disk;
   if s.window_depth > 0 then tbl_incr s.window_counts disk
   else s.rounds <- s.rounds + 1
@@ -257,36 +210,6 @@ let shard_report tbl =
 let sent_report s = shard_report s.shard_sent
 let recv_report s = shard_report s.shard_recv
 
-type snapshot = {
-  at_reads : int;
-  at_writes : int;
-  at_comparisons : int;
-  at_faults : int;
-  at_retries : int;
-  at_cache_hits : int;
-  at_cache_misses : int;
-  at_rounds : int;
-  at_comm_rounds : int;
-  at_comm_words : int;
-}
-
-let snapshot s =
-  {
-    at_reads = s.reads;
-    at_writes = s.writes;
-    at_comparisons = s.comparisons;
-    at_faults = s.faults;
-    at_retries = s.retries;
-    at_cache_hits = s.cache_hits;
-    at_cache_misses = s.cache_misses;
-    at_rounds = effective_rounds s;
-    at_comm_rounds = effective_comm_rounds s;
-    at_comm_words = s.comm_words;
-  }
-
-let ios_since s snap = s.reads + s.writes - snap.at_reads - snap.at_writes
-let comparisons_since s snap = s.comparisons - snap.at_comparisons
-
 type delta = {
   d_reads : int;
   d_writes : int;
@@ -300,33 +223,54 @@ type delta = {
   d_comm_words : int;
 }
 
-let delta s snap =
+(* A snapshot is the cost record of everything since [create]. *)
+let snapshot s =
   {
-    d_reads = s.reads - snap.at_reads;
-    d_writes = s.writes - snap.at_writes;
-    d_comparisons = s.comparisons - snap.at_comparisons;
-    d_faults = s.faults - snap.at_faults;
-    d_retries = s.retries - snap.at_retries;
-    d_cache_hits = s.cache_hits - snap.at_cache_hits;
-    d_cache_misses = s.cache_misses - snap.at_cache_misses;
-    d_rounds = effective_rounds s - snap.at_rounds;
-    d_comm_rounds = effective_comm_rounds s - snap.at_comm_rounds;
-    d_comm_words = s.comm_words - snap.at_comm_words;
+    d_reads = s.reads;
+    d_writes = s.writes;
+    d_comparisons = s.comparisons;
+    d_faults = s.faults;
+    d_retries = s.retries;
+    d_cache_hits = s.cache_hits;
+    d_cache_misses = s.cache_misses;
+    d_rounds = effective_rounds s;
+    d_comm_rounds = effective_comm_rounds s;
+    d_comm_words = s.comm_words;
   }
 
-let delta_ios d = d.d_reads + d.d_writes
+(* Written out field by field, not via [snapshot]: brackets close on every
+   online query and profiler span, so [delta] allocates one record only. *)
+let delta s snap =
+  {
+    d_reads = s.reads - snap.d_reads;
+    d_writes = s.writes - snap.d_writes;
+    d_comparisons = s.comparisons - snap.d_comparisons;
+    d_faults = s.faults - snap.d_faults;
+    d_retries = s.retries - snap.d_retries;
+    d_cache_hits = s.cache_hits - snap.d_cache_hits;
+    d_cache_misses = s.cache_misses - snap.d_cache_misses;
+    d_rounds = effective_rounds s - snap.d_rounds;
+    d_comm_rounds = effective_comm_rounds s - snap.d_comm_rounds;
+    d_comm_words = s.comm_words - snap.d_comm_words;
+  }
 
-let pp_delta ppf d =
-  Format.fprintf ppf "{ reads = %d; writes = %d; ios = %d; comparisons = %d }" d.d_reads
-    d.d_writes (delta_ios d) d.d_comparisons;
-  if d.d_faults > 0 || d.d_retries > 0 then
-    Format.fprintf ppf " [faults = %d; retries = %d]" d.d_faults d.d_retries;
-  if d.d_cache_hits > 0 || d.d_cache_misses > 0 then
-    Format.fprintf ppf " [cache hits = %d; misses = %d]" d.d_cache_hits d.d_cache_misses;
-  if d.d_rounds <> delta_ios d then
-    Format.fprintf ppf " [rounds = %d]" d.d_rounds;
-  if d.d_comm_rounds > 0 || d.d_comm_words > 0 then
-    Format.fprintf ppf " [comm rounds = %d; words = %d]" d.d_comm_rounds d.d_comm_words
+let add a b =
+  {
+    d_reads = a.d_reads + b.d_reads;
+    d_writes = a.d_writes + b.d_writes;
+    d_comparisons = a.d_comparisons + b.d_comparisons;
+    d_faults = a.d_faults + b.d_faults;
+    d_retries = a.d_retries + b.d_retries;
+    d_cache_hits = a.d_cache_hits + b.d_cache_hits;
+    d_cache_misses = a.d_cache_misses + b.d_cache_misses;
+    d_rounds = a.d_rounds + b.d_rounds;
+    d_comm_rounds = a.d_comm_rounds + b.d_comm_rounds;
+    d_comm_words = a.d_comm_words + b.d_comm_words;
+  }
+
+let zero = snapshot (create ())
+let delta_ios d = d.d_reads + d.d_writes
+let ios_since s snap = ios s - delta_ios snap
 
 let pp ppf s =
   Format.fprintf ppf

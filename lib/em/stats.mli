@@ -3,7 +3,11 @@
     The primary metric of the EM model is the number of block reads and
     writes.  We additionally count comparisons (the algorithms are
     comparison-based) and track the peak number of memory words in use, so
-    that violating the memory budget is observable. *)
+    that violating the memory budget is observable.
+
+    The ledger is machine-wide: it keeps no per-phase counters.  Per-phase
+    costs come from an attached {!Profile}, which snapshots the ledger at
+    span boundaries; every cost bracket is one {!delta} record. *)
 
 type span_hooks = {
   on_push : string list -> unit;
@@ -60,8 +64,6 @@ type t = {
           [mem_in_use] so "ledger drained" means what it says *)
   mutable mem_peak : int;  (** high-water mark of [mem_in_use + pool_words] *)
   mutable phase_stack : string list;  (** innermost phase label first *)
-  phase_ios : (string, int) Hashtbl.t;
-      (** I/Os attributed per full phase path (see {!current_path}) *)
   mutable hooks : span_hooks option;  (** attached profiler, if any *)
   mutable reclaim : (int -> unit) option;
       (** memory-pressure hook: called by {!Mem.charge} with the word
@@ -73,13 +75,9 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
-(** Zero every counter.  Configuration ([hooks], [reclaim]) survives. *)
 
 val set_hooks : t -> span_hooks option -> unit
 (** Attach (or detach, with [None]) span observer hooks. *)
-
-val hooks : t -> span_hooks option
 
 val set_reclaim : t -> (int -> unit) option -> unit
 (** Install (or clear) the memory-pressure reclaim hook. *)
@@ -115,10 +113,11 @@ val wipe_memory : t -> unit
 val ios : t -> int
 (** [ios s] is [s.reads + s.writes], the total I/O cost. *)
 
-val record_io : t -> disk:int -> unit
-(** Attribute one metered I/O to [disk] (called by {!Device}).  Outside a
-    window the I/O is its own round; inside, it joins the open window's
-    per-disk tally.  Invariants per window: [ceil (sum / D) <= cost <= sum],
+val record_io : t -> write:bool -> disk:int -> unit
+(** Charge one metered I/O — a write if [write], else a read — landing on
+    [disk].  The one ledger update shared by {!Device} and {!Checkpoint}.
+    Outside a window the I/O is its own round; inside, it joins the open
+    window's per-disk tally.  Invariants per window: [ceil (sum / D) <= cost <= sum],
     with [cost = sum] when all I/Os hit one disk (in particular at D = 1). *)
 
 val begin_window : t -> unit
@@ -185,26 +184,6 @@ val effective_rounds : t -> int
     [d_rounds] instead of deferring the whole window to whichever bracket
     straddles the close. *)
 
-type snapshot = {
-  at_reads : int;
-  at_writes : int;
-  at_comparisons : int;
-  at_faults : int;
-  at_retries : int;
-  at_cache_hits : int;
-  at_cache_misses : int;
-  at_rounds : int;
-  at_comm_rounds : int;
-  at_comm_words : int;
-}
-
-val snapshot : t -> snapshot
-
-val ios_since : t -> snapshot -> int
-(** I/Os performed since the snapshot was taken. *)
-
-val comparisons_since : t -> snapshot -> int
-
 type delta = {
   d_reads : int;
   d_writes : int;
@@ -217,29 +196,25 @@ type delta = {
   d_comm_rounds : int;
   d_comm_words : int;
 }
-(** Cost of a bracketed computation, as reported by {!Ctx.measured}.
-    [d_reads]/[d_writes] already include retry I/Os; [d_faults]/[d_retries]
-    break out how many of the attempts faulted or were re-attempts;
-    [d_cache_hits]/[d_cache_misses] how many of the reads were served by a
-    {!Backend.Cached} buffer pool. *)
+(** The one cost record: a bracketed computation's cost as reported by
+    {!Ctx.measured}, a {!Profile} span's accumulated cost, and — as
+    {!snapshot} — the counters since {!create}.  [d_reads]/[d_writes]
+    already include retry I/Os; [d_faults]/[d_retries] break out how many of
+    the attempts faulted or were re-attempts; [d_cache_hits]/[d_cache_misses]
+    how many of the reads were served by a {!Backend.Cached} buffer pool. *)
 
-val delta : t -> snapshot -> delta
+val snapshot : t -> delta
+(** The machine's counters now, as a cost record (rounds via
+    {!effective_rounds}).  Pass it to {!delta} to cost a bracket. *)
+
+val delta : t -> delta -> delta
+(** [delta s snap] is the cost incurred since [snap] was taken. *)
+
+val zero : delta
+val add : delta -> delta -> delta
 val delta_ios : delta -> int
-val pp_delta : Format.formatter -> delta -> unit
 
-val current_phase : t -> string
-(** Innermost active phase label, or ["(other)"]. *)
-
-val current_path : t -> string
-(** Full active phase path joined with ["/"], outermost label first, or
-    ["(other)"] when no phase is active.  This is the attribution key of
-    [phase_ios]: two paths sharing a leaf label (e.g. ["sort/merge"] vs
-    ["multiselect/merge"]) are kept distinct. *)
-
-val record_phase_io : t -> unit
-(** Attribute one I/O to the current phase path (called by {!Device}). *)
-
-val phase_report : t -> (string * int) list
-(** Per-phase-path I/O counts, largest first (ties by path).  See {!Phase}. *)
+val ios_since : t -> delta -> int
+(** I/Os performed since the snapshot was taken. *)
 
 val pp : Format.formatter -> t -> unit

@@ -79,7 +79,7 @@ type 'a t = {
   mutable pending_free : (unit -> unit) list;
   (* per-query I/O budget *)
   mutable budget : int option;
-  mutable budget_base : Em.Stats.snapshot option;
+  mutable budget_base : Em.Stats.delta option;
 }
 
 let make_session ?batch_plan ?prefetch ?store ?every_splits cmp ctx v root

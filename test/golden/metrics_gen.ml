@@ -1,12 +1,13 @@
 (* Golden exporter-output generator.
 
-   Builds one deterministic registry — machine counters from a fixed scan,
-   a synthetic histogram, a labelled counter, and one Table-1 bound gauge
-   triple with a pinned measured I/O count (nothing wall-clock-derived) —
-   and prints it in the format named by argv: [prom] or [json].  The
-   committed metrics.prom.expected / metrics.json.expected pin the exact
-   exposition formats; re-bless with `make goldens` after intentional
-   exporter changes. *)
+   Builds one deterministic registry — machine counters and the profiler's
+   per-phase I/O gauges from a fixed scan, a synthetic histogram, a
+   labelled counter, and one Table-1 bound gauge triple with a pinned
+   measured I/O count (nothing wall-clock-derived) — and prints it in the
+   format named by argv: [prom] or [json].  The committed
+   metrics.prom.expected / metrics.json.expected pin the exact exposition
+   formats; re-bless with `make goldens` after intentional exporter
+   changes. *)
 
 let () =
   let reg = Em.Metrics.create () in
@@ -18,10 +19,13 @@ let () =
     Em.Ctx.create ~backend:Em.Backend.Sim ~disks:1
       (Em.Params.create ~mem:256 ~block:16)
   in
+  let profiler = Em.Profile.create () in
+  Em.Profile.attach profiler ctx.Em.Ctx.stats;
   let v = Em.Vec.of_array ctx (Array.init 160 (fun i -> i)) in
   Em.Phase.with_label ctx "scan" (fun () -> Emalg.Scan.iter (fun _ -> ()) v);
   Em.Phase.with_label ctx "copy" (fun () -> ignore (Emalg.Scan.copy v));
   Em.Metrics.publish_stats reg ctx.Em.Ctx.stats;
+  Em.Profile.publish_phase_ios reg profiler;
   let h = Em.Metrics.histogram reg ~help:"Synthetic run lengths" "run_length" in
   List.iter (Em.Metrics.observe h) [ 1.; 2.; 3.; 5.; 8.; 13.; 21. ];
   let c =

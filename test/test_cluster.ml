@@ -69,12 +69,12 @@ let test_comm_snapshot_mid_window () =
          round, exactly like {!Stats.rounds} sees an open I/O window. *)
       let snap = Em.Stats.snapshot s in
       Tu.check_int "pending round visible in snapshot" 1
-        snap.Em.Stats.at_comm_rounds;
+        snap.Em.Stats.d_comm_rounds;
       Tu.check_int "pending words visible in snapshot" 4
-        snap.Em.Stats.at_comm_words);
+        snap.Em.Stats.d_comm_words);
   let snap = Em.Stats.snapshot s in
   Tu.check_int "closed superstep settles to one round" 1
-    snap.Em.Stats.at_comm_rounds
+    snap.Em.Stats.d_comm_rounds
 
 (* ---- placement and collectives ---- *)
 

@@ -12,7 +12,7 @@ let measure_reads f =
   let v = Tu.int_vec ctx (Core.Workload.generate Core.Workload.Pi_hard ~seed:3 ~n ~block:machine_block) in
   let snap = Em.Stats.snapshot ctx.Em.Ctx.stats in
   f ctx v n;
-  (ctx.Em.Ctx.stats.Em.Stats.reads - snap.Em.Stats.at_reads, n)
+  (ctx.Em.Ctx.stats.Em.Stats.reads - snap.Em.Stats.d_reads, n)
 
 (* Right-grounded splitters: the adversary forces N0 >= aK seen elements
    (Section 2.1's small-K argument), i.e. at least ceil(aK/B) block reads. *)

@@ -218,16 +218,19 @@ let test_json_export_canonical () =
 
 let test_publish_stats () =
   let ctx = Tu.ctx ~mem:256 ~block:16 () in
+  let profiler = Em.Profile.create () in
+  Em.Profile.attach profiler ctx.Em.Ctx.stats;
   let v = Tu.int_vec ctx (Array.init 160 (fun i -> i)) in
   Em.Phase.with_label ctx "copying" (fun () -> ignore (Emalg.Scan.copy v));
   let reg = Em.Metrics.create () in
   Em.Metrics.publish_stats reg ctx.Em.Ctx.stats;
+  Em.Profile.publish_phase_ios reg profiler;
   let g name = Em.Metrics.gauge_value (Em.Metrics.gauge reg name) in
   Alcotest.check feps "ios_total matches stats"
     (float_of_int (Em.Stats.ios ctx.Em.Ctx.stats))
     (g "ios_total");
   Alcotest.check feps "phase gauge carries the path label"
-    (float_of_int (List.assoc "copying" (Em.Phase.report ctx)))
+    (float_of_int (List.assoc "copying" (Em.Profile.phase_report profiler)))
     (Em.Metrics.gauge_value
        (Em.Metrics.gauge reg ~labels:[ ("path", "copying") ] "phase_ios"))
 

@@ -56,7 +56,7 @@ let test_packed_avoids_partial_blocks () =
     let v = Tu.int_vec ctx (Tu.random_perm ~seed:7 n) in
     let snap = Em.Stats.snapshot ctx.Em.Ctx.stats in
     solve v;
-    ctx.Em.Ctx.stats.Em.Stats.writes - snap.Em.Stats.at_writes
+    ctx.Em.Ctx.stats.Em.Stats.writes - snap.Em.Stats.d_writes
   in
   let packed_writes =
     measure (fun v -> ignore (Core.Partitioning.solve_packed Tu.icmp v spec))

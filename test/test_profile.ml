@@ -26,7 +26,7 @@ let test_span_attribution () =
     (Em.Profile.span_ios outer);
   Tu.check_int "inner covers only its own scan" scan_ios (Em.Profile.span_ios inner);
   Tu.check_int "outer entered once" 1 outer.Em.Profile.calls;
-  Tu.check_int "all reads, no writes" (2 * scan_ios) outer.Em.Profile.reads;
+  Tu.check_int "all reads, no writes" (2 * scan_ios) outer.Em.Profile.cost.Em.Stats.d_reads;
   Tu.check_bool "wall clock is non-negative" true (outer.Em.Profile.wall_ns >= 0.);
   Tu.check_bool "spans saw the memory ledger" true (outer.Em.Profile.mem_peak > 0)
 

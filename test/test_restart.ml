@@ -5,10 +5,13 @@
 let mem_ok what (ctx : _ Em.Ctx.t) =
   Tu.check_bool what true (ctx.Em.Ctx.stats.Em.Stats.mem_peak <= ctx.Em.Ctx.params.Em.Params.mem)
 
-(* Run the restartable sort on a fresh armed machine under [plan]; return
-   (outcome, sorted-array-or-None, total ios, ctx). *)
-let run_sort ?plan data =
-  let ctx = Tu.ctx () in
+(* Run the restartable sort on a fresh armed machine under [plan], with a
+   span profiler attached; return (outcome, sorted-array-or-None, total
+   ios, ctx, profiler). *)
+let run_sort ?plan ?disks ?mem ?block data =
+  let ctx : int Em.Ctx.t = Em.Ctx.create ?disks (Tu.params ?mem ?block ()) in
+  let profiler = Em.Profile.create () in
+  Em.Profile.attach profiler ctx.Em.Ctx.stats;
   Em.Ctx.arm ctx;
   (match plan with Some p -> Em.Ctx.inject ctx p | None -> ());
   let v = Tu.int_vec ctx data in
@@ -22,11 +25,11 @@ let run_sort ?plan data =
     | Error _ -> None
   in
   Em.Vec.free v;
-  (out, sorted, Em.Stats.ios ctx.Em.Ctx.stats, ctx)
+  (out, sorted, Em.Stats.ios ctx.Em.Ctx.stats, ctx, profiler)
 
 let test_sort_crash_free () =
   let data = Tu.random_ints ~seed:11 ~bound:10_000 600 in
-  let out, sorted, _, ctx = run_sort data in
+  let out, sorted, _, ctx, _ = run_sort data in
   (match sorted with
   | None -> Alcotest.fail "crash-free sort must succeed"
   | Some a -> Tu.check_int_array "sorted output" (Tu.sorted_copy data) a);
@@ -38,13 +41,13 @@ let test_sort_crash_free () =
 
 let test_sort_survives_crashes () =
   let data = Tu.random_ints ~seed:12 ~bound:10_000 600 in
-  let _, _, crash_free_ios, _ = run_sort data in
+  let _, _, crash_free_ios, _, _ = run_sort data in
   (* Crash three times mid-computation, spread across the run. *)
   let plan =
     Em.Fault.crash_at
       [ crash_free_ios / 4; crash_free_ios / 2; (3 * crash_free_ios) / 4 ]
   in
-  let out, sorted, _, ctx = run_sort ~plan data in
+  let out, sorted, _, ctx, _ = run_sort ~plan data in
   (match sorted with
   | None -> Alcotest.fail "sort must survive crashes"
   | Some a -> Tu.check_int_array "sorted output after crashes" (Tu.sorted_copy data) a);
@@ -57,7 +60,7 @@ let test_sort_survives_crashes () =
 
 let test_sort_crash_cost_bound () =
   let data = Tu.random_ints ~seed:13 ~bound:10_000 600 in
-  let _, _, crash_free_ios, _ = run_sort data in
+  let _, _, crash_free_ios, _, _ = run_sort data in
   (* Property: for k crashes, total I/O <= crash-free I/O (which already
      includes checkpoint saves) + k * (one step's I/O) + resume reads.
      Exercise many crash schedules. *)
@@ -68,7 +71,7 @@ let test_sort_crash_cost_bound () =
       let schedule =
         List.init k (fun _ -> 1 + Em.Fault.Rng.int rng crash_free_ios)
       in
-      let out, sorted, total_ios, _ = run_sort ~plan:(Em.Fault.crash_at schedule) data in
+      let out, sorted, total_ios, _, _ = run_sort ~plan:(Em.Fault.crash_at schedule) data in
       (match sorted with
       | None -> Alcotest.fail "sort must survive crash schedule"
       | Some a -> Tu.check_int_array "oracle-identical" (Tu.sorted_copy data) a);
@@ -172,14 +175,35 @@ let test_select_matches_multi_select () =
 
 let test_checkpoint_ios_metered () =
   let data = Tu.random_ints ~seed:24 ~bound:1_000 400 in
-  let out, _, _, ctx = run_sort ~plan:(Em.Fault.crash_after_ios 60) data in
+  let out, _, _, _, profiler = run_sort ~plan:(Em.Fault.crash_after_ios 60) data in
   (* Checkpoint saves and resume reads run under their own phase labels and
      are charged to the global meters. *)
-  let report = Em.Phase.report ctx in
+  let report = Em.Profile.phase_report profiler in
   Tu.check_bool "checkpoint phase metered" true (List.mem_assoc "checkpoint" report);
   Tu.check_bool "resume phase metered" true (List.mem_assoc "resume" report);
   Tu.check_bool "save ios counted" true (out.Emalg.Restart.save_ios > 0);
   Tu.check_bool "load ios counted" true (out.Emalg.Restart.load_ios > 0)
+
+(* Checkpoint I/Os go through the same ledger update as device I/Os, so the
+   single-disk identity rounds = ios survives checkpointing. *)
+let test_rounds_equal_ios_at_d1 () =
+  let rounds_eq_ios what (ctx : int Em.Ctx.t) =
+    let st = ctx.Em.Ctx.stats in
+    Tu.check_bool (what ^ ": I/Os happened") true (Em.Stats.ios st > 0);
+    Tu.check_int (what ^ ": rounds = ios at D = 1") (Em.Stats.ios st) st.Em.Stats.rounds
+  in
+  let data = Tu.random_perm ~seed:25 4_000 in
+  let out, _, _, ctx, _ = run_sort ~disks:1 ~mem:1024 ~block:16 data in
+  Tu.check_bool "restartable sort saved checkpoints" true (out.Emalg.Restart.save_ios > 0);
+  rounds_eq_ios "restartable sort" ctx;
+  let ctx : int Em.Ctx.t = Em.Ctx.create ~disks:1 (Tu.params ~mem:1024 ~block:16 ()) in
+  let s = Emalg.Online_select.open_session Tu.icmp ctx (Tu.int_vec ctx data) in
+  Emalg.Online_select.enable_checkpoints ~every_splits:2 s;
+  List.iter (fun k -> ignore (Emalg.Online_select.select s k)) [ 2_000; 17; 3_990 ];
+  (match Emalg.Online_select.checkpoint_store s with
+  | Some store -> Tu.check_bool "session saved checkpoints" true (Em.Checkpoint.save_ios store > 0)
+  | None -> Alcotest.fail "checkpointed session has no store");
+  rounds_eq_ios "checkpointed online session" ctx
 
 let suite =
   [
@@ -195,4 +219,6 @@ let suite =
       test_select_matches_multi_select;
     Alcotest.test_case "checkpoint/resume I/Os are metered" `Quick
       test_checkpoint_ios_metered;
+    Alcotest.test_case "rounds = ios at D = 1 with checkpoints" `Quick
+      test_rounds_equal_ios_at_d1;
   ]
