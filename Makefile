@@ -17,8 +17,9 @@ test:
 fmt:
 	dune build @fmt
 
-# Regenerate test/golden/costs.expected deterministically (fixed seed) and
-# bless the result. Run after any intentional change to I/O costs.
+# Regenerate the dune-gated goldens (costs, metrics exports, serve and
+# telemetry transcripts) deterministically and bless the result. Run after
+# any intentional change to I/O costs or reply shapes.
 goldens:
 	dune build @golden --auto-promote
 
@@ -82,39 +83,20 @@ faults:
 	dune exec bin/em_repro.exe -- faults splitters -n 20000 -k 16 --fault-seed 7
 	dune exec bin/em_repro.exe -- faults sort -n 20000 --restartable --crash-every 800
 
-# Serve-mode smoke: pipe the fixed query script through `em_repro serve` on
-# a pinned machine (sim backend, D = 1, fixed seed) and diff the NDJSON
-# transcript against the golden.  Every emitted number is a simulated cost
-# except inside "wall":{...} objects (the only wall-clock compartment), which
-# the sed below empties before the byte-diff.  Regenerate after an
-# intentional cost change with:
-#   dune exec bin/em_repro.exe -- serve -n 20000 --mem 4096 --block 64 \
-#     --backend sim --disks 1 --seed 42 < test/golden/serve.script \
-#     | sed -E 's/"wall":\{[^}]*\}/"wall":{}/g' > test/golden/serve.expected
+# Serve-mode smoke: the fixed query script through `em_repro serve` on a
+# pinned machine (sim backend, D = 1, fixed seed), diffed against the NDJSON
+# golden after emptying the "wall":{...} objects (the only wall-clock
+# compartment).  The pipeline lives in test/golden/dune under the @golden
+# alias, so `dune runtest` runs it too; `make goldens` re-blesses it.
 serve-smoke:
-	dune exec bin/em_repro.exe -- serve -n 20000 --mem 4096 --block 64 \
-	  --backend sim --disks 1 --seed 42 \
-	  < test/golden/serve.script \
-	  | sed -E 's/"wall":\{[^}]*\}/"wall":{}/g' \
-	  | diff test/golden/serve.expected -
+	dune build @test/golden/serve-golden
 	@echo "serve-smoke: transcript matches the golden."
 
-# Telemetry smoke: same pinned serve run streaming --telemetry frames to a
-# file; the frames' "cost" objects are byte-deterministic, so after emptying
-# each frame's "wall":{...} compartment the stream diffs against its golden.
-# Regenerate with:
-#   dune exec bin/em_repro.exe -- serve -n 20000 --mem 4096 --block 64 \
-#     --backend sim --disks 1 --seed 42 --telemetry /tmp/telemetry.ndjson \
-#     < test/golden/serve.script > /dev/null \
-#   && sed -E 's/"wall":\{[^}]*\}/"wall":{}/g' /tmp/telemetry.ndjson \
-#     > test/golden/telemetry.expected
+# Telemetry smoke: the same pinned session's --telemetry frame stream,
+# normalised the same way and diffed against its golden (also under
+# @golden).
 telemetry-smoke:
-	dune exec bin/em_repro.exe -- serve -n 20000 --mem 4096 --block 64 \
-	  --backend sim --disks 1 --seed 42 \
-	  --telemetry _build/telemetry-smoke.ndjson \
-	  < test/golden/serve.script > /dev/null
-	sed -E 's/"wall":\{[^}]*\}/"wall":{}/g' _build/telemetry-smoke.ndjson \
-	  | diff test/golden/telemetry.expected -
+	dune build @test/golden/telemetry-golden
 	@echo "telemetry-smoke: frame stream matches the golden."
 
 # Chaos-soak smoke: a seeded adversarial query stream on a pinned small

@@ -20,6 +20,8 @@
    Every run's concatenated output is byte-compared against the sorted
    oracle, so a sharding bug fails the bench before any ratio is read. *)
 
+module J = Em.Json
+
 let icmp = Exp.icmp
 let n_default = 1 lsl 16
 let seed = 2014
@@ -119,42 +121,42 @@ let all () =
   let rows =
     List.map
       (fun (((p, _, reads, writes, c, rounds, words, ag) as r), (rr, sr)) ->
-        Exp.Obj
+        J.Obj
           [
-            ("row", Exp.Str "cluster_partition");
-            ("label", Exp.Str (Printf.sprintf "P=%d" p));
+            ("row", J.Str "cluster_partition");
+            ("label", J.Str (Printf.sprintf "P=%d" p));
             ( "geometry",
-              Exp.Obj
+              J.Obj
                 [
-                  ("n", Exp.Int n);
-                  ("k", Exp.Int k);
-                  ("shards", Exp.Int p);
-                  ("mem", Exp.Int machine.Exp.mem);
-                  ("block", Exp.Int machine.Exp.block);
+                  ("n", J.Int n);
+                  ("k", J.Int k);
+                  ("shards", J.Int p);
+                  ("mem", J.Int machine.Exp.mem);
+                  ("block", J.Int machine.Exp.block);
                 ] );
             ( "measured",
-              Exp.Obj
+              J.Obj
                 ([
-                   ("ios", Exp.Int (ios r));
-                   ("reads", Exp.Int reads);
-                   ("writes", Exp.Int writes);
-                   ("comparisons", Exp.Int c);
-                   ("comm_rounds", Exp.Int rounds);
-                   ("comm_words", Exp.Int words);
+                   ("ios", J.Int (ios r));
+                   ("reads", J.Int reads);
+                   ("writes", J.Int writes);
+                   ("comparisons", J.Int c);
+                   ("comm_rounds", J.Int rounds);
+                   ("comm_words", J.Int words);
                  ]
                 @
                 match ag with
                 | None -> []
                 | Some ag ->
                     [
-                      ("agree_iterations", Exp.Int ag.Core.Cluster.iterations);
-                      ("agree_samples", Exp.Int ag.Core.Cluster.samples);
-                      ("agree_gathered", Exp.Int ag.Core.Cluster.gathered);
+                      ("agree_iterations", J.Int ag.Core.Cluster.iterations);
+                      ("agree_samples", J.Int ag.Core.Cluster.samples);
+                      ("agree_gathered", J.Int ag.Core.Cluster.gathered);
                     ]) );
-            ("round_ratio", Exp.Float rr);
-            ("sample_ratio", Exp.Float sr);
+            ("round_ratio", J.Float rr);
+            ("sample_ratio", J.Float sr);
             ( "work_ratio",
-              Exp.Float
+              J.Float
                 (Float.max
                    (float_of_int (ios r) /. float_of_int base_ios)
                    (float_of_int c /. float_of_int base_cmp)) );

@@ -116,77 +116,12 @@ let expect_ok what = function
 
 (* ---- machine-readable artifacts ---- *)
 
-(* Minimal JSON value builder: enough for the BENCH_*.json schema, with
-   deterministic field order (rows keep insertion order). *)
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float x =
-  if Float.is_nan x then "null"
-  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.12g" x
-
-let rec json_to_buf buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float x -> Buffer.add_string buf (json_float x)
-  | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (json_escape s);
-      Buffer.add_char buf '"'
-  | List items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          json_to_buf buf item)
-        items;
-      Buffer.add_char buf ']'
-  | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (json_escape k);
-          Buffer.add_string buf "\":";
-          json_to_buf buf v)
-        fields;
-      Buffer.add_char buf '}'
-
-let json_to_string j =
-  let buf = Buffer.create 4096 in
-  json_to_buf buf j;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
-
 (* One artifact row in the stable BENCH_*.json schema.  [row] is the
    machine key (e.g. a Table 1 row name), [label] the human-readable
    sweep-point description. *)
 let artifact_row ~row ~label ~machine ~n ?(extra_geometry = []) ?(predicted = nan)
     (m : measurement) =
+  let open Em.Json in
   Obj
     [
       ("row", Str row);
@@ -222,17 +157,15 @@ let artifact_row ~row ~label ~machine ~n ?(extra_geometry = []) ?(predicted = na
 let write_artifact ~bench rows =
   if !json_mode then begin
     let doc =
-      Obj
-        [
-          ("bench", Str bench);
-          ("schema", Int 1);
-          ("small", Bool !small_mode);
-          ("rows", List rows);
-        ]
+      Em.Json.(
+        Obj
+          [ ("bench", Str bench); ("schema", Int 1); ("small", Bool !small_mode);
+            ("rows", List rows) ])
     in
     let path = Printf.sprintf "BENCH_%s.json" bench in
     let oc = open_out path in
-    output_string oc (json_to_string doc);
+    output_string oc (Em.Json.to_string doc);
+    output_char oc '\n';
     close_out oc;
     Printf.printf "  [json] wrote %s (%d rows)\n%!" path (List.length rows)
   end

@@ -16,6 +16,8 @@
      when fed the same stream — calibrates the serve-mode drift ceiling
      against the offline amortized envelope [sort(n) + 2q]. *)
 
+module J = Em.Json
+
 let icmp = Exp.icmp
 let n_default = 1 lsl 18
 let seed = 2014
@@ -87,32 +89,32 @@ let all () =
       (fun ((q, cum, sum) as mark) ->
         let batch = batch_ios q in
         rows :=
-          Exp.Obj
+          J.Obj
             [
-              ("row", Exp.Str "online_session");
-              ("label", Exp.Str (Printf.sprintf "q=%d" q));
+              ("row", J.Str "online_session");
+              ("label", J.Str (Printf.sprintf "q=%d" q));
               ( "geometry",
-                Exp.Obj
+                J.Obj
                   [
-                    ("n", Exp.Int n);
-                    ("mem", Exp.Int machine.Exp.mem);
-                    ("block", Exp.Int machine.Exp.block);
-                    ("queries", Exp.Int q);
+                    ("n", J.Int n);
+                    ("mem", J.Int machine.Exp.mem);
+                    ("block", J.Int machine.Exp.block);
+                    ("queries", J.Int q);
                   ] );
               ( "measured",
-                Exp.Obj
+                J.Obj
                   [
-                    ("cum_ios", Exp.Int cum);
-                    ("amortized", Exp.Float (amortized mark));
-                    ("refine_ios", Exp.Int sum.Emalg.Online_select.refine_ios);
-                    ("answer_ios", Exp.Int sum.Emalg.Online_select.answer_ios);
-                    ("splits", Exp.Int sum.Emalg.Online_select.splits);
-                    ("sorted_leaves", Exp.Int sum.Emalg.Online_select.sorted_leaves);
-                    ("leaves", Exp.Int sum.Emalg.Online_select.leaves);
-                    ("mem_peak", Exp.Int session_peak);
+                    ("cum_ios", J.Int cum);
+                    ("amortized", J.Float (amortized mark));
+                    ("refine_ios", J.Int sum.Emalg.Online_select.refine_ios);
+                    ("answer_ios", J.Int sum.Emalg.Online_select.answer_ios);
+                    ("splits", J.Int sum.Emalg.Online_select.splits);
+                    ("sorted_leaves", J.Int sum.Emalg.Online_select.sorted_leaves);
+                    ("leaves", J.Int sum.Emalg.Online_select.leaves);
+                    ("mem_peak", J.Int session_peak);
                   ] );
-              ("batch_rerun_ios", Exp.Int batch);
-              ("ratio", Exp.Float (float_of_int cum /. float_of_int batch));
+              ("batch_rerun_ios", J.Int batch);
+              ("ratio", J.Float (float_of_int cum /. float_of_int batch));
             ]
           :: !rows;
         (mark, batch))
@@ -155,16 +157,16 @@ let all () =
     drift_worst
     (Core.Drift.predicted drift ~queries:0);
   rows :=
-    Exp.Obj
+    J.Obj
       [
-        ("row", Exp.Str "online_drift");
-        ("label", Exp.Str "serve-mode drift watchdog over the same stream");
+        ("row", J.Str "online_drift");
+        ("label", J.Str "serve-mode drift watchdog over the same stream");
         ( "measured",
-          Exp.Obj
+          J.Obj
             [
-              ("worst_ratio", Exp.Float drift_worst);
-              ("predicted_base", Exp.Float (Core.Drift.predicted drift ~queries:0));
-              ("per_query", Exp.Float 2.0);
+              ("worst_ratio", J.Float drift_worst);
+              ("predicted_base", J.Float (Core.Drift.predicted drift ~queries:0));
+              ("per_query", J.Float 2.0);
             ] );
       ]
     :: !rows;

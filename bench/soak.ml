@@ -16,6 +16,8 @@
      stay <= 1; an answer mismatch or a memory-ledger breach forces it to
      infinity, so correctness failures trip the same gate. *)
 
+module J = Em.Json
+
 let n_default = 1 lsl 16
 let queries = 96
 
@@ -57,35 +59,35 @@ let all () =
           else infinity
         in
         rows :=
-          Exp.Obj
+          J.Obj
             [
-              ("row", Exp.Str name);
+              ("row", J.Str name);
               ( "geometry",
-                Exp.Obj
+                J.Obj
                   [
-                    ("n", Exp.Int cfg.Core.Soak.n);
-                    ("mem", Exp.Int cfg.Core.Soak.mem);
-                    ("block", Exp.Int cfg.Core.Soak.block);
-                    ("queries", Exp.Int cfg.Core.Soak.queries);
-                    ("crashes", Exp.Int o.Core.Soak.crashes);
-                    ("fault_p", Exp.Float cfg.Core.Soak.fault_p);
+                    ("n", J.Int cfg.Core.Soak.n);
+                    ("mem", J.Int cfg.Core.Soak.mem);
+                    ("block", J.Int cfg.Core.Soak.block);
+                    ("queries", J.Int cfg.Core.Soak.queries);
+                    ("crashes", J.Int o.Core.Soak.crashes);
+                    ("fault_p", J.Float cfg.Core.Soak.fault_p);
                   ] );
               ( "measured",
-                Exp.Obj
+                J.Obj
                   [
-                    ("oracle_ios", Exp.Int o.Core.Soak.oracle_ios);
-                    ("chaos_ios", Exp.Int o.Core.Soak.chaos_ios);
-                    ("allowed_ios", Exp.Int o.Core.Soak.allowed_ios);
-                    ("saves", Exp.Int o.Core.Soak.saves);
-                    ("save_ios", Exp.Int o.Core.Soak.save_ios);
-                    ("loads", Exp.Int o.Core.Soak.loads);
-                    ("load_ios", Exp.Int o.Core.Soak.load_ios);
-                    ("resort_allowance", Exp.Int o.Core.Soak.resort_allowance);
-                    ("retries", Exp.Int o.Core.Soak.retries);
-                    ("answers_match", Exp.Bool o.Core.Soak.answers_match);
-                    ("mem_ok", Exp.Bool o.Core.Soak.mem_ok);
+                    ("oracle_ios", J.Int o.Core.Soak.oracle_ios);
+                    ("chaos_ios", J.Int o.Core.Soak.chaos_ios);
+                    ("allowed_ios", J.Int o.Core.Soak.allowed_ios);
+                    ("saves", J.Int o.Core.Soak.saves);
+                    ("save_ios", J.Int o.Core.Soak.save_ios);
+                    ("loads", J.Int o.Core.Soak.loads);
+                    ("load_ios", J.Int o.Core.Soak.load_ios);
+                    ("resort_allowance", J.Int o.Core.Soak.resort_allowance);
+                    ("retries", J.Int o.Core.Soak.retries);
+                    ("answers_match", J.Bool o.Core.Soak.answers_match);
+                    ("mem_ok", J.Bool o.Core.Soak.mem_ok);
                   ] );
-              ("ratio", Exp.Float ratio);
+              ("ratio", J.Float ratio);
             ]
           :: !rows;
         (name, o, ratio))

@@ -20,6 +20,8 @@
 open Bechamel
 open Toolkit
 
+module J = Em.Json
+
 let icmp = Exp.icmp
 let machine = Exp.default_machine
 let seed = 5
@@ -179,45 +181,45 @@ let all () =
      ride alongside.  The gate row records the speedup measurement that
      ratios.expected bounds. *)
   let geometry =
-    Exp.Obj
+    J.Obj
       [
-        ("n", Exp.Int n);
-        ("mem", Exp.Int machine.Exp.mem);
-        ("block", Exp.Int machine.Exp.block);
+        ("n", J.Int n);
+        ("mem", J.Int machine.Exp.mem);
+        ("block", J.Int machine.Exp.block);
       ]
   in
   Exp.write_artifact ~bench:"timing"
     (List.map
        (fun (name, t_sim) ->
-         Exp.Obj
+         J.Obj
            [
-             ("row", Exp.Str "timing");
-             ("label", Exp.Str name);
+             ("row", J.Str "timing");
+             ("label", J.Str name);
              ("geometry", geometry);
-             ("wall_ns", Exp.Int (int_of_float t_sim));
-             ("wall_ns_sim", Exp.Int (int_of_float t_sim));
-             ("wall_ns_file", Exp.Int (int_of_float (time_of "file" name)));
-             ("wall_ns_file_async", Exp.Int (int_of_float (time_of "file-async" name)));
-             ("wall_ns_cached", Exp.Int (int_of_float (time_of "cached" name)));
+             ("wall_ns", J.Int (int_of_float t_sim));
+             ("wall_ns_sim", J.Int (int_of_float t_sim));
+             ("wall_ns_file", J.Int (int_of_float (time_of "file" name)));
+             ("wall_ns_file_async", J.Int (int_of_float (time_of "file-async" name)));
+             ("wall_ns_cached", J.Int (int_of_float (time_of "cached" name)));
            ])
        sim
     @ [
-        Exp.Obj
+        J.Obj
           [
-            ("row", Exp.Str "timing");
-            ("label", Exp.Str "async-file-speedup (external-sort)");
+            ("row", J.Str "timing");
+            ("label", J.Str "async-file-speedup (external-sort)");
             ( "geometry",
-              Exp.Obj
+              J.Obj
                 [
-                  ("n", Exp.Int n);
-                  ("mem", Exp.Int machine.Exp.mem);
-                  ("block", Exp.Int machine.Exp.block);
-                  ("disks", Exp.Int gate_disks);
-                  ("latency_us", Exp.Float gate_latency_us);
+                  ("n", J.Int n);
+                  ("mem", J.Int machine.Exp.mem);
+                  ("block", J.Int machine.Exp.block);
+                  ("disks", J.Int gate_disks);
+                  ("latency_us", J.Float gate_latency_us);
                 ] );
-            ("wall_ns_file", Exp.Int (int_of_float (wall_sync *. 1e9)));
-            ("wall_ns_file_async", Exp.Int (int_of_float (wall_async *. 1e9)));
-            ("ratio", Exp.Float ratio);
+            ("wall_ns_file", J.Int (int_of_float (wall_sync *. 1e9)));
+            ("wall_ns_file_async", J.Int (int_of_float (wall_async *. 1e9)));
+            ("ratio", J.Float ratio);
           ];
       ]);
   [ ("async_file_speedup", ratio) ]

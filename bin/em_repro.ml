@@ -39,6 +39,13 @@ let ranks_opt_t =
     & info [ "ranks" ] ~docv:"R1,R2,..."
         ~doc:"Ranks for multiselect (default: the K quantile ranks).")
 
+(* The "problem:" line of a K-splitters / K-partitioning spec. *)
+let spec_problem what spec =
+  Printf.sprintf "%s %s, %s"
+    (Core.Problem.variant_name (Core.Problem.classify spec))
+    what
+    (Format.asprintf "%a" Core.Problem.pp_spec spec)
+
 (* ---- splitters ---- *)
 
 let run_splitters c n k a b baseline =
@@ -47,9 +54,7 @@ let run_splitters c n k a b baseline =
   let ctx = make_ctx c in
   let v = workload_vec c ctx ~n in
   describe c ctx;
-  Printf.printf "problem:      %s K-splitters, %s\n"
-    (Core.Problem.variant_name (Core.Problem.classify spec))
-    (Format.asprintf "%a" Core.Problem.pp_spec spec);
+  Printf.printf "problem:      %s\n" (spec_problem "K-splitters" spec);
   let cmp = Em.Ctx.counted ctx icmp in
   let out, cost =
     Em.Ctx.measured ctx (fun () ->
@@ -77,9 +82,7 @@ let run_partition c n k a b baseline =
   let ctx = make_ctx c in
   let v = workload_vec c ctx ~n in
   describe c ctx;
-  Printf.printf "problem:      %s K-partitioning, %s\n"
-    (Core.Problem.variant_name (Core.Problem.classify spec))
-    (Format.asprintf "%a" Core.Problem.pp_spec spec);
+  Printf.printf "problem:      %s\n" (spec_problem "K-partitioning" spec);
   let cmp = Em.Ctx.counted ctx icmp in
   let parts, cost =
     Em.Ctx.measured ctx (fun () ->
@@ -390,22 +393,77 @@ let reduce_cmd =
   let doc = "Precise partitioning via the Section 3 reduction." in
   Cmd.v (Cmd.info "reduce" ~doc) Term.(const run_reduce $ common_t $ n_t $ chunk_t)
 
-(* ---- trace ---- *)
+(* ---- one algorithm dispatch: trace, metrics and profile ---- *)
 
-let traceable_conv =
-  Arg.enum
-    [
-      ("splitters", `Splitters);
-      ("partition", `Partition);
-      ("multiselect", `Multiselect);
-      ("quantiles", `Quantiles);
-    ]
-
-let trace_algo_t =
+let observed_algo_t =
   Arg.(
     required
-    & pos 0 (some traceable_conv) None
-    & info [] ~docv:"ALGO" ~doc:"Algorithm to trace: splitters, partition, multiselect or quantiles.")
+    & pos 0
+        (some
+           (enum
+              [
+                ("splitters", `Splitters);
+                ("partition", `Partition);
+                ("multiselect", `Multiselect);
+                ("quantiles", `Quantiles);
+                ("sort", `Sort);
+              ]))
+        None
+    & info [] ~docv:"ALGO"
+        ~doc:"Algorithm to run: splitters, partition, multiselect, quantiles or sort.")
+
+type job = {
+  name : string;
+  problem : string;  (** what [trace] prints on its "problem:" line *)
+  row : (Core.Bound_track.row * Core.Problem.spec) option;
+      (** the Table 1 row and spec, when the algorithm has one *)
+  run : unit -> unit;  (** the measured computation; frees its output *)
+}
+
+let job_of ctx v ~algo ~n ~k ~a ~b ~ranks =
+  let cmp = Em.Ctx.counted ctx icmp in
+  let table1_row ~right ~left ~two_sided spec =
+    match Core.Problem.classify spec with
+    | Core.Problem.Right_grounded -> Some (right, spec)
+    | Core.Problem.Left_grounded -> Some (left, spec)
+    | Core.Problem.Two_sided | Core.Problem.Unconstrained -> Some (two_sided, spec)
+  in
+  match algo with
+  | `Splitters ->
+      let spec = spec_of ~n ~k ~a ~b in
+      let row =
+        table1_row ~right:Core.Bound_track.Splitters_right ~left:Core.Bound_track.Splitters_left
+          ~two_sided:Core.Bound_track.Splitters_two_sided spec
+      in
+      { name = "splitters"; problem = spec_problem "K-splitters" spec; row;
+        run = (fun () -> Em.Vec.free (Core.Splitters.solve cmp v spec)) }
+  | `Partition ->
+      let spec = spec_of ~n ~k ~a ~b in
+      let row =
+        table1_row ~right:Core.Bound_track.Partition_right ~left:Core.Bound_track.Partition_left
+          ~two_sided:Core.Bound_track.Partition_two_sided spec
+      in
+      { name = "partition"; problem = spec_problem "K-partitioning" spec; row;
+        run = (fun () -> Array.iter Em.Vec.free (Core.Partitioning.solve cmp v spec)) }
+  | `Multiselect ->
+      let ranks =
+        match ranks with
+        | Some rs -> Array.of_list rs
+        | None -> Core.Splitters.quantile_ranks ~n ~k
+      in
+      let problem =
+        Printf.sprintf "multi-selection of %d ranks from %d elements" (Array.length ranks) n
+      in
+      { name = "multiselect"; problem; row = None;
+        run = (fun () -> ignore (Core.Multi_select.select cmp v ~ranks)) }
+  | `Quantiles ->
+      { name = "quantiles"; problem = Printf.sprintf "exact (1/%d)-quantiles of %d elements" k n;
+        row = None; run = (fun () -> Em.Vec.free (Core.Splitters.exact_quantiles cmp v ~k)) }
+  | `Sort ->
+      { name = "sort"; problem = Printf.sprintf "external sort of %d elements" n; row = None;
+        run = (fun () -> Em.Vec.free (Emalg.External_sort.sort cmp v)) }
+
+(* ---- trace ---- *)
 
 let jsonl_t =
   Arg.(
@@ -423,41 +481,12 @@ let run_trace c algo n k a b ranks jsonl =
   let ctx = make_ctx ~trace c in
   let v = workload_vec c ctx ~n in
   describe c ctx;
-  let cmp = Em.Ctx.counted ctx icmp in
-  let name, ((), cost) =
-    match algo with
-    | `Splitters ->
-        let spec = spec_of ~n ~k ~a ~b in
-        Printf.printf "problem:      %s K-splitters, %s\n"
-          (Core.Problem.variant_name (Core.Problem.classify spec))
-          (Format.asprintf "%a" Core.Problem.pp_spec spec);
-        ("splitters", Em.Ctx.measured ctx (fun () -> ignore (Core.Splitters.solve cmp v spec)))
-    | `Partition ->
-        let spec = spec_of ~n ~k ~a ~b in
-        Printf.printf "problem:      %s K-partitioning, %s\n"
-          (Core.Problem.variant_name (Core.Problem.classify spec))
-          (Format.asprintf "%a" Core.Problem.pp_spec spec);
-        ( "partition",
-          Em.Ctx.measured ctx (fun () -> ignore (Core.Partitioning.solve cmp v spec)) )
-    | `Multiselect ->
-        let ranks =
-          match ranks with
-          | Some rs -> Array.of_list rs
-          | None -> Core.Splitters.quantile_ranks ~n ~k
-        in
-        Printf.printf "problem:      multi-selection of %d ranks from %d elements\n"
-          (Array.length ranks) n;
-        ( "multiselect",
-          Em.Ctx.measured ctx (fun () -> ignore (Core.Multi_select.select cmp v ~ranks)) )
-    | `Quantiles ->
-        Printf.printf "problem:      exact (1/%d)-quantiles of %d elements\n" k n;
-        ( "quantiles",
-          Em.Ctx.measured ctx (fun () ->
-              ignore (Core.Splitters.exact_quantiles cmp v ~k)) )
-  in
+  let job = job_of ctx v ~algo ~n ~k ~a ~b ~ranks in
+  Printf.printf "problem:      %s\n" job.problem;
+  let (), cost = Em.Ctx.measured ctx job.run in
   report_cost ctx cost;
   let events = collected () in
-  Printf.printf "\nper-phase I/O tree (%s):\n" name;
+  Printf.printf "\nper-phase I/O tree (%s):\n" job.name;
   Format.printf "%a" Em.Trace_report.pp_tree events;
   Format.printf "@.%a" Em.Trace_report.pp_summary events;
   Option.iter
@@ -475,7 +504,7 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace" ~doc)
     Term.(
-      const run_trace $ common_t $ trace_algo_t $ n_t $ k_opt_t $ a_t $ b_opt_t $ ranks_opt_t
+      const run_trace $ common_t $ observed_algo_t $ n_t $ k_opt_t $ a_t $ b_opt_t $ ranks_opt_t
       $ jsonl_t)
 
 (* ---- faults ---- *)
@@ -711,26 +740,9 @@ let soak_cmd =
 
 (* ---- metrics & profile ---- *)
 
-let observed_algo_t =
-  Arg.(
-    required
-    & pos 0
-        (some
-           (enum
-              [
-                ("splitters", `Splitters);
-                ("partition", `Partition);
-                ("multiselect", `Multiselect);
-                ("quantiles", `Quantiles);
-                ("sort", `Sort);
-              ]))
-        None
-    & info [] ~docv:"ALGO"
-        ~doc:"Algorithm to observe: splitters, partition, multiselect, quantiles or sort.")
-
 (* Run [algo] with a span profiler and a seek-counting trace sink attached.
    Returns the machine, the profiler, the measured cost delta, the seek
-   count and — when the algorithm has a Table 1 row — its (row, spec). *)
+   count and the job. *)
 let run_observed c ~algo ~n ~k ~a ~b ~ranks () =
   let trace = make_trace c in
   let seek_sink, seeks =
@@ -741,54 +753,9 @@ let run_observed c ~algo ~n ~k ~a ~b ~ranks () =
   let profiler = Em.Profile.create () in
   Em.Profile.attach profiler ctx.Em.Ctx.stats;
   let v = workload_vec c ctx ~n in
-  let cmp = Em.Ctx.counted ctx icmp in
-  let table1_row, (name, ((), cost)) =
-    match algo with
-    | `Splitters ->
-        let spec = spec_of ~n ~k ~a ~b in
-        let row =
-          match Core.Problem.classify spec with
-          | Core.Problem.Right_grounded -> Core.Bound_track.Splitters_right
-          | Core.Problem.Left_grounded -> Core.Bound_track.Splitters_left
-          | Core.Problem.Two_sided | Core.Problem.Unconstrained ->
-              Core.Bound_track.Splitters_two_sided
-        in
-        ( Some (row, spec),
-          ( "splitters",
-            Em.Ctx.measured ctx (fun () -> Em.Vec.free (Core.Splitters.solve cmp v spec)) ) )
-    | `Partition ->
-        let spec = spec_of ~n ~k ~a ~b in
-        let row =
-          match Core.Problem.classify spec with
-          | Core.Problem.Right_grounded -> Core.Bound_track.Partition_right
-          | Core.Problem.Left_grounded -> Core.Bound_track.Partition_left
-          | Core.Problem.Two_sided | Core.Problem.Unconstrained ->
-              Core.Bound_track.Partition_two_sided
-        in
-        ( Some (row, spec),
-          ( "partition",
-            Em.Ctx.measured ctx (fun () ->
-                Array.iter Em.Vec.free (Core.Partitioning.solve cmp v spec)) ) )
-    | `Multiselect ->
-        let ranks =
-          match ranks with
-          | Some rs -> Array.of_list rs
-          | None -> Core.Splitters.quantile_ranks ~n ~k
-        in
-        ( None,
-          ( "multiselect",
-            Em.Ctx.measured ctx (fun () -> ignore (Core.Multi_select.select cmp v ~ranks)) ) )
-    | `Quantiles ->
-        ( None,
-          ( "quantiles",
-            Em.Ctx.measured ctx (fun () ->
-                Em.Vec.free (Core.Splitters.exact_quantiles cmp v ~k)) ) )
-    | `Sort ->
-        ( None,
-          ( "sort",
-            Em.Ctx.measured ctx (fun () -> Em.Vec.free (Emalg.External_sort.sort cmp v)) ) )
-  in
-  (ctx, profiler, cost, seeks (), table1_row, name)
+  let job = job_of ctx v ~algo ~n ~k ~a ~b ~ranks in
+  let (), cost = Em.Ctx.measured ctx job.run in
+  (ctx, profiler, cost, seeks (), job)
 
 let format_t =
   Arg.(
@@ -799,9 +766,7 @@ let format_t =
 
 let run_metrics c algo n k a b ranks format =
   setup_logs c;
-  let ctx, profiler, cost, seeks, table1_row, _name =
-    run_observed c ~algo ~n ~k ~a ~b ~ranks ()
-  in
+  let ctx, profiler, cost, seeks, job = run_observed c ~algo ~n ~k ~a ~b ~ranks () in
   let reg = Em.Metrics.create () in
   Em.Metrics.publish_stats reg ctx.Em.Ctx.stats;
   Em.Metrics.set
@@ -809,17 +774,16 @@ let run_metrics c algo n k a b ranks format =
     (float_of_int seeks);
   Em.Profile.publish reg profiler;
   Em.Profile.publish_phase_ios reg profiler;
-  (match table1_row with
+  (match job.row with
   | Some (row, spec) ->
       ignore
         (Core.Bound_track.publish_values reg ctx.Em.Ctx.params row spec
            ~measured_rounds:cost.Em.Stats.d_rounds
            ~measured_ios:(Em.Stats.delta_ios cost))
   | None -> ());
-  print_string
-    (match format with
-    | `Prom -> Em.Metrics.to_prometheus reg
-    | `Json -> Em.Metrics.to_json reg)
+  match format with
+  | `Prom -> print_string (Em.Metrics.to_prometheus reg)
+  | `Json -> print_endline (Em.Json.to_string (Em.Metrics.to_json reg))
 
 let metrics_cmd =
   let doc =
@@ -835,20 +799,18 @@ let metrics_cmd =
 
 let run_profile c algo n k a b ranks =
   setup_logs c;
-  let ctx, profiler, cost, seeks, table1_row, name =
-    run_observed c ~algo ~n ~k ~a ~b ~ranks ()
-  in
+  let ctx, profiler, cost, seeks, job = run_observed c ~algo ~n ~k ~a ~b ~ranks () in
   describe c ctx;
   report_cost ctx cost;
   Printf.printf "random seeks: %d\n" seeks;
-  (match table1_row with
+  (match job.row with
   | Some (row, spec) ->
       let pred = Core.Bound_track.predicted row ctx.Em.Ctx.params spec in
       let measured = Em.Stats.delta_ios cost in
       Printf.printf "Table 1 row:  %s — measured %d / predicted %.1f = ratio %.2f\n"
         (Core.Bound_track.name row) measured pred (float_of_int measured /. pred)
   | None -> ());
-  Printf.printf "\nspan tree (%s), children sorted by inclusive I/O:\n" name;
+  Printf.printf "\nspan tree (%s), children sorted by inclusive I/O:\n" job.name;
   Format.printf "%a" Em.Profile.pp profiler;
   Printf.printf "\nheaviest spans:\n";
   List.iteri

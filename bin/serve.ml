@@ -250,19 +250,19 @@ let run c n socket state restore checkpoint_every io_budget fault_p fault_seed f
   Sys.set_signal Sys.sigterm (on_signal "sigterm");
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let should_stop () = !stop_reason <> None in
-  let greeting = Core.Serve.greeting_json srv in
+  let greeting = Em.Json.to_string (Core.Serve.greeting_json srv) in
   (match socket with
   | None ->
       print_endline greeting;
       flush Stdlib.stdout;
       ignore (Core.Serve.serve_channels ~should_stop srv Stdlib.stdin Stdlib.stdout);
       Core.Serve.shutdown_checkpoint srv;
-      print_endline (Core.Serve.finalize ?shutdown:!stop_reason srv)
+      print_endline (Em.Json.to_string (Core.Serve.finalize ?shutdown:!stop_reason srv))
   | Some path ->
       Printf.eprintf "%s\n%!" greeting;
       serve_socket ~should_stop srv path;
       Core.Serve.shutdown_checkpoint srv;
-      Printf.eprintf "%s\n%!" (Core.Serve.finalize ?shutdown:!stop_reason srv));
+      Printf.eprintf "%s\n%!" (Em.Json.to_string (Core.Serve.finalize ?shutdown:!stop_reason srv)));
   let tripped = Core.Drift.tripped (Core.Serve.drift srv) in
   Core.Serve.close srv;
   Em.Ctx.close ctx;

@@ -36,23 +36,17 @@
 
 let icmp = Int.compare
 
-(* ---- tiny JSON emitters (NDJSON; no dependency) ---- *)
+module Os = Emalg.Online_select
+module J = Em.Json
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* bench/perf escapes its own JSON output through this name. *)
+let json_escape = J.escape
 
-let json_ints a =
-  "[" ^ String.concat "," (Array.to_list (Array.map string_of_int a)) ^ "]"
+let ints a = J.List (Array.fold_right (fun x acc -> J.Int x :: acc) a [])
+
+(* Field shorthands for the JSON views. *)
+let int key v = (key, J.Int v)
+let str key v = (key, J.Str v)
 
 (* ---- the server ---- *)
 
@@ -67,7 +61,7 @@ type meta = {
 
 type t = {
   ctx : int Em.Ctx.t;
-  mutable session : int Emalg.Online_select.t;
+  mutable session : int Os.t;
   profiler : Em.Profile.t;
   registry : Em.Metrics.t;
   input : int Em.Vec.t;
@@ -129,51 +123,151 @@ type persisted = {
   p_leaves : (int * int * payload) list;
 }
 
-let state_magic = "em_repro-serve-state-v2"
+let state_magic = "em_repro-serve-state-v3"
 
 let persisted_of_session meta by_kind session =
-  let snap = Emalg.Online_select.snapshot session in
+  let snap = Os.snapshot session in
   let leaves =
     List.map
       (fun (lo, len, h) ->
         let payload =
           match h with
-          | Emalg.Online_select.H_raw -> P_raw
-          | Emalg.Online_select.H_unsorted tv -> P_unsorted (Em.Vec.Oracle.to_array tv)
-          | Emalg.Online_select.H_sorted sv -> P_sorted (Em.Vec.Oracle.to_array sv)
+          | Os.H_raw -> P_raw
+          | Os.H_unsorted tv -> P_unsorted (Em.Vec.Oracle.to_array tv)
+          | Os.H_sorted sv -> P_sorted (Em.Vec.Oracle.to_array sv)
         in
         (lo, len, payload))
-      snap.Emalg.Online_select.s_leaves
+      snap.Os.s_leaves
   in
   {
     p_meta = meta;
-    p_queries = snap.Emalg.Online_select.s_queries;
-    p_refine_ios = snap.Emalg.Online_select.s_refine_ios;
-    p_answer_ios = snap.Emalg.Online_select.s_answer_ios;
-    p_splits = snap.Emalg.Online_select.s_splits;
+    p_queries = snap.Os.s_queries;
+    p_refine_ios = snap.Os.s_refine_ios;
+    p_answer_ios = snap.Os.s_answer_ios;
+    p_splits = snap.Os.s_splits;
     p_by_kind = by_kind;
     p_leaves = leaves;
   }
+
+let by_kind_json (select, quantile, range) =
+  J.Obj [ int "select" select; int "quantile" quantile; int "range" range ]
+
+(* Format v3: one JSON document.  Leaves carry their payload under
+   "sorted" (keys) or "unsorted" (flattened key/index pairs); a raw leaf
+   carries neither. *)
+let state_to_json (p : persisted) =
+  let m = p.p_meta in
+  let payload = function
+    | P_raw -> []
+    | P_sorted keys -> [ ("sorted", ints keys) ]
+    | P_unsorted pairs ->
+        let flat = Array.fold_right (fun (k, i) acc -> J.Int k :: J.Int i :: acc) pairs [] in
+        [ ("unsorted", J.List flat) ]
+  in
+  let leaf (lo, len, p) = J.Obj (int "lo" lo :: int "len" len :: payload p) in
+  J.Obj
+    [
+      str "magic" state_magic;
+      ( "meta",
+        J.Obj
+          [ int "n" m.m_n; int "mem" m.m_mem; int "block" m.m_block; int "disks" m.m_disks;
+            str "workload" m.m_workload; int "seed" m.m_seed ] );
+      int "queries" p.p_queries; int "refine_ios" p.p_refine_ios;
+      int "answer_ios" p.p_answer_ios; int "splits" p.p_splits;
+      ("by_kind", by_kind_json p.p_by_kind);
+      ("leaves", J.List (List.map leaf p.p_leaves));
+    ]
+
+(* The decoder trusts nothing: wrong magic, a missing or mistyped field and
+   a payload whose length disagrees with its leaf are all [Error]s.  Leaf
+   tiling is checked by [Online_select.restore]. *)
+let state_of_json v : (persisted, string) result =
+  let ( let* ) = Result.bind in
+  let field conv key v =
+    match Option.bind (J.member key v) conv with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "missing or mistyped field %S" key)
+  in
+  let obj = function J.Obj _ as o -> Some o | _ -> None in
+  let int_array = function
+    | J.List l ->
+        let a = Array.of_list (List.filter_map J.int l) in
+        if Array.length a = List.length l then Some a else None
+    | _ -> None
+  in
+  let rec all f = function
+    | [] -> Ok []
+    | x :: rest ->
+        let* y = f x in
+        let* ys = all f rest in
+        Ok (y :: ys)
+  in
+  let leaf l =
+    let* lo = field J.int "lo" l in
+    let* len = field J.int "len" l in
+    let* payload =
+      match (J.member "sorted" l, J.member "unsorted" l) with
+      | None, None -> Ok P_raw
+      | Some keys, None -> (
+          match int_array keys with
+          | Some a when Array.length a = len -> Ok (P_sorted a)
+          | _ -> Error "bad sorted payload")
+      | None, Some pairs -> (
+          match int_array pairs with
+          | Some a when Array.length a = 2 * len ->
+              Ok (P_unsorted (Array.init len (fun i -> (a.(2 * i), a.((2 * i) + 1)))))
+          | _ -> Error "bad unsorted payload")
+      | Some _, Some _ -> Error "leaf with two payloads"
+    in
+    Ok (lo, len, payload)
+  in
+  let* magic = field J.str "magic" v in
+  if magic <> state_magic then Error "not a serve state file"
+  else
+    let* m = field obj "meta" v in
+    let* m_n = field J.int "n" m in
+    let* m_mem = field J.int "mem" m in
+    let* m_block = field J.int "block" m in
+    let* m_disks = field J.int "disks" m in
+    let* m_workload = field J.str "workload" m in
+    let* m_seed = field J.int "seed" m in
+    let* p_queries = field J.int "queries" v in
+    let* p_refine_ios = field J.int "refine_ios" v in
+    let* p_answer_ios = field J.int "answer_ios" v in
+    let* p_splits = field J.int "splits" v in
+    let* k = field obj "by_kind" v in
+    let* select = field J.int "select" k in
+    let* quantile = field J.int "quantile" k in
+    let* range = field J.int "range" k in
+    let* leaves = field (function J.List l -> Some l | _ -> None) "leaves" v in
+    let* p_leaves = all leaf leaves in
+    Ok
+      {
+        p_meta = { m_n; m_mem; m_block; m_disks; m_workload; m_seed };
+        p_queries;
+        p_refine_ios;
+        p_answer_ios;
+        p_splits;
+        p_by_kind = (select, quantile, range);
+        p_leaves;
+      }
 
 let write_state path (p : persisted) =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Marshal.to_channel oc (state_magic, p) []);
+    (fun () -> output_string oc (J.to_string (state_to_json p)));
   Sys.rename tmp path
 
 let read_state path : (persisted, string) result =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match (Marshal.from_channel ic : string * persisted) with
-          | magic, p when magic = state_magic -> Ok p
-          | _ -> Error (path ^ ": not a serve state file")
-          | exception _ -> Error (path ^ ": unreadable or corrupt state file"))
+  | text ->
+      (match J.parse text with
+      | Error msg -> Error (Printf.sprintf "not a serve state file (%s)" msg)
+      | Ok v -> state_of_json v)
+      |> Result.map_error (fun msg -> path ^ ": " ^ msg)
 
 let meta_mismatch a b =
   if a.m_n <> b.m_n then Some "n"
@@ -196,16 +290,16 @@ let session_of_persisted ?batch_plan ?every_splits ctx v (p : persisted) =
       (fun (lo, len, payload) ->
         let h =
           match payload with
-          | P_raw -> Emalg.Online_select.H_raw
-          | P_unsorted pairs -> Emalg.Online_select.H_unsorted (Em.Vec.of_array pctx pairs)
-          | P_sorted keys -> Emalg.Online_select.H_sorted (Em.Vec.of_array ctx keys)
+          | P_raw -> Os.H_raw
+          | P_unsorted pairs -> Os.H_unsorted (Em.Vec.of_array pctx pairs)
+          | P_sorted keys -> Os.H_sorted (Em.Vec.of_array ctx keys)
         in
         (lo, len, h))
       p.p_leaves
   in
   let snap =
     {
-      Emalg.Online_select.s_leaves = leaves;
+      Os.s_leaves = leaves;
       s_queries = p.p_queries;
       s_refine_ios = p.p_refine_ios;
       s_answer_ios = p.p_answer_ios;
@@ -213,8 +307,8 @@ let session_of_persisted ?batch_plan ?every_splits ctx v (p : persisted) =
     }
   in
   let store = Em.Checkpoint.create ctx in
-  Em.Checkpoint.install store ~words:(Emalg.Online_select.snapshot_words snap) snap;
-  Emalg.Online_select.restore ?batch_plan ?every_splits cmp ctx v store
+  Em.Checkpoint.install store ~words:(Os.snapshot_words snap) snap;
+  Os.restore ?batch_plan ?every_splits cmp ctx v store
 
 let by_kind srv = (srv.n_select, srv.n_quantile, srv.n_range)
 
@@ -223,7 +317,7 @@ let save_state srv =
   | None -> ()
   | Some path ->
       write_state path (persisted_of_session srv.meta (by_kind srv) srv.session);
-      (match Emalg.Online_select.checkpoint_store srv.session with
+      (match Os.checkpoint_store srv.session with
       | Some store -> srv.last_saves <- Em.Checkpoint.saves store
       | None -> ())
 
@@ -231,7 +325,7 @@ let save_state srv =
    state file whenever the store's save counter has advanced, so the file
    on disk is as fresh as the in-process checkpoint. *)
 let mirror_state srv =
-  match (srv.state_path, Emalg.Online_select.checkpoint_store srv.session) with
+  match (srv.state_path, Os.checkpoint_store srv.session) with
   | Some _, Some store when Em.Checkpoint.saves store > srv.last_saves -> save_state srv
   | _ -> ()
 
@@ -255,17 +349,21 @@ let create ?checkpoint_every ?io_budget ?(max_retries = 3) ?state_path
                   (Printf.sprintf
                      "serve --restore: state file %s was written for a different %s" path
                      field)
-            | None ->
-                restored := true;
-                restored_by_kind := p.p_by_kind;
-                session_of_persisted ?every_splits:checkpoint_every ctx v p))
+            | None -> (
+                match session_of_persisted ?every_splits:checkpoint_every ctx v p with
+                | session ->
+                    restored := true;
+                    restored_by_kind := p.p_by_kind;
+                    session
+                | exception Invalid_argument msg ->
+                    failwith (Printf.sprintf "serve --restore: %s: %s" path msg))))
     | _ ->
-        let s = Emalg.Online_select.open_session cmp ctx v in
+        let s = Os.open_session cmp ctx v in
         if checkpoint_every <> None || state_path <> None then
-          Emalg.Online_select.enable_checkpoints ?every_splits:checkpoint_every s;
+          Os.enable_checkpoints ?every_splits:checkpoint_every s;
         s
   in
-  Emalg.Online_select.set_io_budget session io_budget;
+  Os.set_io_budget session io_budget;
   let registry = Em.Metrics.create () in
   let wall_registry = Em.Metrics.create () in
   let n_select, n_quantile, n_range = !restored_by_kind in
@@ -313,35 +411,31 @@ let restored srv = srv.restored
 
 (* ---- JSON views ---- *)
 
-let reply_json ~id label (r : int Emalg.Online_select.reply) =
-  let d = r.Emalg.Online_select.cost in
-  Printf.sprintf
-    "{\"id\":%d,\"query\":\"%s\",\"values\":%s,\"cost\":{\"ios\":%d,\"reads\":%d,\"writes\":%d,\"rounds\":%d,\"comparisons\":%d,\"refine_ios\":%d,\"answer_ios\":%d,\"splits\":%d}}"
-    id (json_escape label)
-    (json_ints r.Emalg.Online_select.values)
-    (Em.Stats.delta_ios d) d.Em.Stats.d_reads d.Em.Stats.d_writes d.Em.Stats.d_rounds
-    d.Em.Stats.d_comparisons
-    (Em.Stats.delta_ios r.Emalg.Online_select.refine)
-    r.Emalg.Online_select.answer_ios r.Emalg.Online_select.splits
-
-let by_kind_json srv =
-  Printf.sprintf "{\"select\":%d,\"quantile\":%d,\"range\":%d}" srv.n_select
-    srv.n_quantile srv.n_range
+let reply_json ~id label (r : int Os.reply) =
+  let d = r.Os.cost in
+  let cost =
+    (int "ios" (Em.Stats.delta_ios d) :: Em.Stats.json_fields d)
+    @ [ int "refine_ios" (Em.Stats.delta_ios r.Os.refine); int "answer_ios" r.Os.answer_ios;
+        int "splits" r.Os.splits ]
+  in
+  J.Obj [ int "id" id; str "query" label; ("values", ints r.Os.values); ("cost", J.Obj cost) ]
 
 let uptime_ms srv = (srv.clock () -. srv.started) *. 1000.
+let wall_uptime srv = ("wall", J.Obj [ ("uptime_ms", J.Fixed (0, uptime_ms srv)) ])
 
 let summary_json srv =
-  let s = Emalg.Online_select.summary srv.session in
+  let s = Os.summary srv.session in
   let st = srv.ctx.Em.Ctx.stats in
-  Printf.sprintf
-    "{\"session\":{\"queries\":%d,\"by_kind\":%s,\"refine_ios\":%d,\"answer_ios\":%d,\"total_ios\":%d,\"splits\":%d,\"leaves\":%d,\"sorted_leaves\":%d},\"machine\":{\"reads\":%d,\"writes\":%d,\"rounds\":%d,\"comparisons\":%d,\"mem_peak\":%d},\"wall\":{\"uptime_ms\":%.0f}}"
-    s.Emalg.Online_select.queries (by_kind_json srv)
-    s.Emalg.Online_select.refine_ios s.Emalg.Online_select.answer_ios
-    (s.Emalg.Online_select.refine_ios + s.Emalg.Online_select.answer_ios)
-    s.Emalg.Online_select.splits s.Emalg.Online_select.leaves
-    s.Emalg.Online_select.sorted_leaves st.Em.Stats.reads st.Em.Stats.writes
-    (Em.Stats.effective_rounds st) st.Em.Stats.comparisons st.Em.Stats.mem_peak
-    (uptime_ms srv)
+  let session =
+    [ int "queries" s.Os.queries; ("by_kind", by_kind_json (by_kind srv));
+      int "refine_ios" s.Os.refine_ios; int "answer_ios" s.Os.answer_ios;
+      int "total_ios" (s.Os.refine_ios + s.Os.answer_ios); int "splits" s.Os.splits;
+      int "leaves" s.Os.leaves; int "sorted_leaves" s.Os.sorted_leaves ]
+  in
+  let machine =
+    Em.Stats.json_fields (Em.Stats.snapshot st) @ [ int "mem_peak" st.Em.Stats.mem_peak ]
+  in
+  J.Obj [ ("session", J.Obj session); ("machine", J.Obj machine); wall_uptime srv ]
 
 (* Per-session Metrics accounting: the machine's native counters plus the
    session's own gauges and the simulated-cost per-query histograms, dumped
@@ -353,16 +447,16 @@ let metrics_json srv =
   let reg = srv.registry in
   Em.Metrics.publish_stats reg srv.ctx.Em.Ctx.stats;
   Em.Profile.publish_phase_ios reg srv.profiler;
-  let s = Emalg.Online_select.summary srv.session in
+  let s = Os.summary srv.session in
   let g name help v =
     Em.Metrics.set (Em.Metrics.gauge reg ~help name) (float_of_int v)
   in
-  g "session_queries" "queries answered by this session" s.Emalg.Online_select.queries;
-  g "session_refine_ios" "cumulative refinement I/Os" s.Emalg.Online_select.refine_ios;
-  g "session_answer_ios" "cumulative lookup I/Os" s.Emalg.Online_select.answer_ios;
-  g "session_splits" "cumulative interval splits" s.Emalg.Online_select.splits;
-  g "session_leaves" "current leaf intervals" s.Emalg.Online_select.leaves;
-  g "session_sorted_leaves" "leaves holding sorted runs" s.Emalg.Online_select.sorted_leaves;
+  g "session_queries" "queries answered by this session" s.Os.queries;
+  g "session_refine_ios" "cumulative refinement I/Os" s.Os.refine_ios;
+  g "session_answer_ios" "cumulative lookup I/Os" s.Os.answer_ios;
+  g "session_splits" "cumulative interval splits" s.Os.splits;
+  g "session_leaves" "current leaf intervals" s.Os.leaves;
+  g "session_sorted_leaves" "leaves holding sorted runs" s.Os.sorted_leaves;
   let kind_gauge kind v =
     Em.Metrics.set
       (Em.Metrics.gauge reg ~help:"admitted queries by kind"
@@ -376,7 +470,7 @@ let metrics_json srv =
     (Em.Metrics.gauge reg ~help:"running measured/predicted amortized-bound ratio"
        "session_drift_ratio")
     (Drift.ratio srv.drift);
-  (match Emalg.Online_select.checkpoint_store srv.session with
+  (match Os.checkpoint_store srv.session with
   | None -> ()
   | Some store ->
       g "session_checkpoint_saves" "checkpoint saves taken" (Em.Checkpoint.saves store);
@@ -384,46 +478,36 @@ let metrics_json srv =
         (Em.Checkpoint.save_ios store);
       g "session_resume_loads" "checkpoint resume loads" (Em.Checkpoint.loads store);
       g "session_resume_load_ios" "metered resume reads" (Em.Checkpoint.load_ios store));
-  String.trim (Em.Metrics.to_json reg)
+  Em.Metrics.to_json reg
 
 let intervals_json srv =
-  let items =
-    List.map
-      (fun (lo, len, sorted) ->
-        Printf.sprintf "{\"lo\":%d,\"len\":%d,\"sorted\":%b}" lo len sorted)
-      (Emalg.Online_select.intervals srv.session)
+  let interval (lo, len, sorted) =
+    J.Obj [ int "lo" lo; int "len" len; ("sorted", J.Bool sorted) ]
   in
-  Printf.sprintf "{\"intervals\":[%s]}" (String.concat "," items)
+  J.Obj [ ("intervals", J.List (List.map interval (Os.intervals srv.session))) ]
 
 (* Span tree of the attached profiler, I/O counts only (wall-clock excluded
    so transcripts stay deterministic). *)
 let profile_json srv =
-  let spans =
-    List.map
-      (fun s ->
-        Printf.sprintf "{\"path\":\"%s\",\"ios\":%d,\"calls\":%d,\"comparisons\":%d}"
-          (json_escape (Em.Profile.path_name s.Em.Profile.path))
-          (Em.Profile.span_ios s) s.Em.Profile.calls
-          s.Em.Profile.cost.Em.Stats.d_comparisons)
-      (Em.Profile.spans srv.profiler)
+  let span (s : Em.Profile.span) =
+    J.Obj
+      [ str "path" (Em.Profile.path_name s.path); int "ios" (Em.Profile.span_ios s);
+        int "calls" s.calls; int "comparisons" s.cost.Em.Stats.d_comparisons ]
   in
-  Printf.sprintf "{\"spans\":[%s]}" (String.concat "," spans)
+  J.Obj [ ("spans", J.List (List.map span (Em.Profile.spans srv.profiler))) ]
 
 let checkpoint_json srv =
-  match Emalg.Online_select.checkpoint_store srv.session with
-  | None -> "{\"checkpointed\":false}"
+  match Os.checkpoint_store srv.session with
+  | None -> J.Obj [ ("checkpointed", J.Bool false) ]
   | Some store ->
-      let s = Emalg.Online_select.summary srv.session in
-      Printf.sprintf
-        "{\"checkpointed\":true,\"saves\":%d,\"save_ios\":%d,\"leaves\":%d%s}"
-        (Em.Checkpoint.saves store) (Em.Checkpoint.save_ios store)
-        s.Emalg.Online_select.leaves
-        (match srv.state_path with
-        | Some path -> Printf.sprintf ",\"state_file\":\"%s\"" (json_escape path)
-        | None -> "")
+      J.Obj
+        ([ ("checkpointed", J.Bool true); int "saves" (Em.Checkpoint.saves store);
+           int "save_ios" (Em.Checkpoint.save_ios store);
+           int "leaves" (Os.summary srv.session).Os.leaves ]
+        @ Option.to_list (Option.map (str "state_file") srv.state_path))
 
 let checkpoint_now srv =
-  Emalg.Online_select.checkpoint srv.session;
+  Os.checkpoint srv.session;
   save_state srv
 
 let error_code = function
@@ -435,22 +519,22 @@ let error_code = function
   | Em.Em_error.Budget_exceeded _ -> "budget_exceeded"
 
 let em_error_json ~id ~retries e =
-  match e with
-  | Em.Em_error.Budget_exceeded { budget; spent } ->
-      Printf.sprintf "{\"id\":%d,\"error\":\"budget_exceeded\",\"budget\":%d,\"spent\":%d}"
-        id budget spent
-  | e ->
-      Printf.sprintf "{\"id\":%d,\"error\":\"%s\",\"detail\":\"%s\",\"retries\":%d}" id
-        (error_code e)
-        (json_escape (Em.Em_error.to_string e))
-        retries
+  J.Obj
+    (int "id" id
+    ::
+    (match e with
+    | Em.Em_error.Budget_exceeded { budget; spent } ->
+        [ str "error" "budget_exceeded"; int "budget" budget; int "spent" spent ]
+    | e ->
+        [ str "error" (error_code e); str "detail" (Em.Em_error.to_string e);
+          int "retries" retries ]))
 
 (* ---- telemetry frames ---- *)
 
 (* The "cost" payload of a telemetry frame: cumulative session/machine
    simulated costs — byte-deterministic by construction. *)
 let cost_json srv =
-  let s = Emalg.Online_select.summary srv.session in
+  let s = Os.summary srv.session in
   let st = srv.ctx.Em.Ctx.stats in
   (* Communication counters are simulated costs, so they belong in this
      compartment — but a serve session's machine only accrues them when it
@@ -459,32 +543,31 @@ let cost_json srv =
      single-machine session byte-identical. *)
   let comm =
     if st.Em.Stats.comm_rounds > 0 || st.Em.Stats.comm_words > 0 then
-      Printf.sprintf ",\"comm_rounds\":%d,\"comm_words\":%d"
-        (Em.Stats.effective_comm_rounds st) st.Em.Stats.comm_words
-    else ""
+      [ int "comm_rounds" (Em.Stats.effective_comm_rounds st);
+        int "comm_words" st.Em.Stats.comm_words ]
+    else []
   in
-  Printf.sprintf
-    "{\"ios\":%d,\"refine_ios\":%d,\"answer_ios\":%d,\"splits\":%d,\"leaves\":%d,\"sorted_leaves\":%d,\"reads\":%d,\"writes\":%d,\"rounds\":%d,\"comparisons\":%d,\"cache_hits\":%d,\"cache_misses\":%d%s,\"by_kind\":%s,\"drift_ratio\":%.4f}"
-    (s.Emalg.Online_select.refine_ios + s.Emalg.Online_select.answer_ios)
-    s.Emalg.Online_select.refine_ios s.Emalg.Online_select.answer_ios
-    s.Emalg.Online_select.splits s.Emalg.Online_select.leaves
-    s.Emalg.Online_select.sorted_leaves st.Em.Stats.reads st.Em.Stats.writes
-    (Em.Stats.effective_rounds st) st.Em.Stats.comparisons
-    st.Em.Stats.cache_hits st.Em.Stats.cache_misses comm (by_kind_json srv)
-    (Drift.ratio srv.drift)
+  J.Obj
+    ([ int "ios" (s.Os.refine_ios + s.Os.answer_ios); int "refine_ios" s.Os.refine_ios;
+       int "answer_ios" s.Os.answer_ios; int "splits" s.Os.splits; int "leaves" s.Os.leaves;
+       int "sorted_leaves" s.Os.sorted_leaves ]
+    @ Em.Stats.json_fields (Em.Stats.snapshot st)
+    @ [ int "cache_hits" st.Em.Stats.cache_hits; int "cache_misses" st.Em.Stats.cache_misses ]
+    @ comm
+    @ [ ("by_kind", by_kind_json (by_kind srv));
+        ("drift_ratio", J.Fixed (4, Drift.ratio srv.drift)) ])
 
 (* The "wall" payload: everything wall-clock-derived, and nothing else. *)
 let wall_json srv =
-  let up_s = (srv.clock () -. srv.started) in
+  let up_s = srv.clock () -. srv.started in
   let quant p =
     let v = Em.Metrics.quantile srv.lat_hist p in
-    if Float.is_nan v then 0. else v /. 1e6
+    J.Fixed (3, if Float.is_nan v then 0. else v /. 1e6)
   in
-  Printf.sprintf
-    "{\"ts_ms\":%.0f,\"uptime_ms\":%.0f,\"qps\":%.2f,\"p50_ms\":%.3f,\"p99_ms\":%.3f}"
-    (srv.clock () *. 1000.) (up_s *. 1000.)
-    (if up_s > 0. then float_of_int (queries_admitted srv) /. up_s else 0.)
-    (quant 0.5) (quant 0.99)
+  J.Obj
+    [ ("ts_ms", J.Fixed (0, srv.clock () *. 1000.)); ("uptime_ms", J.Fixed (0, up_s *. 1000.));
+      ("qps", J.Fixed (2, if up_s > 0. then float_of_int (queries_admitted srv) /. up_s else 0.));
+      ("p50_ms", quant 0.5); ("p99_ms", quant 0.99) ]
 
 let telemetry_tick srv =
   match srv.telemetry with
@@ -521,7 +604,7 @@ let flight_dump srv ~reason =
 (* ---- protocol ---- *)
 
 type command =
-  | Query of Emalg.Online_select.query
+  | Query of Os.query
   | Stats
   | Metrics
   | Intervals
@@ -536,20 +619,20 @@ let parse_command str =
   match words with
   | [ "select"; k ] -> (
       match int_of_string_opt k with
-      | Some k -> Ok (Query (Emalg.Online_select.Select k))
+      | Some k -> Ok (Query (Os.Select k))
       | None -> Error "select needs an integer rank")
   | [ "quantile"; phi ] -> (
       (* float_of_string_opt happily parses "nan" and "inf"; reject anything
          outside (0, 1] here so malformed input never reaches the session. *)
       match float_of_string_opt phi with
       | Some phi when Float.is_finite phi && phi > 0. && phi <= 1. ->
-          Ok (Query (Emalg.Online_select.Quantile phi))
+          Ok (Query (Os.Quantile phi))
       | Some _ -> Error "quantile must satisfy 0 < phi <= 1"
       | None -> Error "quantile needs a float")
   | [ "range"; a; b ] -> (
       match (int_of_string_opt a, int_of_string_opt b) with
       | Some a, Some b when b < a -> Error "range needs a <= b"
-      | Some a, Some b -> Ok (Query (Emalg.Online_select.Range (a, b)))
+      | Some a, Some b -> Ok (Query (Os.Range (a, b)))
       | _ -> Error "range needs two integer ranks")
   | [ "stats" ] -> Ok Stats
   | [ "metrics" ] -> Ok Metrics
@@ -561,9 +644,9 @@ let parse_command str =
   | w :: _ -> Error (Printf.sprintf "unknown query %S" w)
 
 let query_kind = function
-  | Emalg.Online_select.Select _ -> "select"
-  | Emalg.Online_select.Quantile _ -> "quantile"
-  | Emalg.Online_select.Range _ -> "range"
+  | Os.Select _ -> "select"
+  | Os.Quantile _ -> "quantile"
+  | Os.Range _ -> "range"
 
 (* One query, with Resilient-style bounded retries at the query level: a
    typed failure that escapes the per-I/O recovery re-runs the query (each
@@ -573,42 +656,35 @@ let exec_query srv ~retries q =
   Em.Resilient.with_retries ~max_retries:srv.max_retries
     ~on_retry:(fun ~attempt:_ _ -> incr retries)
     srv.ctx.Em.Ctx.dev
-    (fun () -> Emalg.Online_select.query srv.session q)
+    (fun () -> Os.query srv.session q)
 
-let run_command srv emit str =
-  match parse_command str with
-  | Error msg ->
-      emit (Printf.sprintf "{\"error\":\"%s\"}" (json_escape msg));
-      true
+let run_command srv emit line =
+  let reply v =
+    emit (J.to_string v);
+    true
+  in
+  match parse_command line with
+  | Error msg -> reply (J.Obj [ str "error" msg ])
   | Ok Quit -> false
-  | Ok Stats ->
-      emit (summary_json srv);
-      true
-  | Ok Metrics ->
-      emit (metrics_json srv);
-      true
-  | Ok Intervals ->
-      emit (intervals_json srv);
-      true
-  | Ok Profile ->
-      emit (profile_json srv);
-      true
+  | Ok Stats -> reply (summary_json srv)
+  | Ok Metrics -> reply (metrics_json srv)
+  | Ok Intervals -> reply (intervals_json srv)
+  | Ok Profile -> reply (profile_json srv)
   | Ok Checkpoint ->
       checkpoint_now srv;
-      emit (checkpoint_json srv);
-      true
+      reply (checkpoint_json srv)
   | Ok (Query q) -> (
       (* Admit the query: assign its id and open its request span. *)
       let id = srv.next_id in
       srv.next_id <- id + 1;
       (match q with
-      | Emalg.Online_select.Select _ -> srv.n_select <- srv.n_select + 1
-      | Emalg.Online_select.Quantile _ -> srv.n_quantile <- srv.n_quantile + 1
-      | Emalg.Online_select.Range _ -> srv.n_range <- srv.n_range + 1);
-      let label = String.trim str in
+      | Os.Select _ -> srv.n_select <- srv.n_select + 1
+      | Os.Quantile _ -> srv.n_quantile <- srv.n_quantile + 1
+      | Os.Range _ -> srv.n_range <- srv.n_range + 1);
+      let label = String.trim line in
       let seq_lo = Em.Trace.total srv.ctx.Em.Ctx.trace in
       let before = Em.Stats.snapshot srv.ctx.Em.Ctx.stats in
-      let splits0 = (Emalg.Online_select.summary srv.session).Emalg.Online_select.splits in
+      let splits0 = (Os.summary srv.session).Os.splits in
       let t0 = srv.clock () in
       (* Close the span: flight record + histograms + drift fold + telemetry
          tick.  Runs on every admitted outcome, success or not. *)
@@ -621,11 +697,11 @@ let run_command srv emit str =
         Em.Metrics.observe srv.ios_hist (float_of_int ios);
         Em.Metrics.observe srv.rounds_hist (float_of_int rounds);
         Em.Metrics.observe srv.lat_hist (float_of_int wall_ns);
-        let s = Emalg.Online_select.summary srv.session in
+        let s = Os.summary srv.session in
         let verdict =
           Drift.observe srv.drift ~queries:(queries_admitted srv)
             ~total_ios:
-              (s.Emalg.Online_select.refine_ios + s.Emalg.Online_select.answer_ios)
+              (s.Os.refine_ios + s.Os.answer_ios)
         in
         (match (verdict, srv.telemetry) with
         | Drift.Alert _, Some tel when Drift.alerts srv.drift = 1 ->
@@ -640,7 +716,7 @@ let run_command srv emit str =
       let err_span ~outcome =
         let d = Em.Stats.delta srv.ctx.Em.Ctx.stats before in
         let splits =
-          (Emalg.Online_select.summary srv.session).Emalg.Online_select.splits - splits0
+          (Os.summary srv.session).Os.splits - splits0
         in
         finish ~ios:(Em.Stats.delta_ios d) ~rounds:d.Em.Stats.d_rounds ~splits ~outcome
       in
@@ -648,16 +724,15 @@ let run_command srv emit str =
       match exec_query srv ~retries q with
       | r ->
           finish
-            ~ios:(Em.Stats.delta_ios r.Emalg.Online_select.cost)
-            ~rounds:r.Emalg.Online_select.cost.Em.Stats.d_rounds
-            ~splits:r.Emalg.Online_select.splits ~outcome:"ok";
-          emit (reply_json ~id label r);
+            ~ios:(Em.Stats.delta_ios r.Os.cost)
+            ~rounds:r.Os.cost.Em.Stats.d_rounds
+            ~splits:r.Os.splits ~outcome:"ok";
+          let ok = reply (reply_json ~id label r) in
           mirror_state srv;
-          true
+          ok
       | exception Invalid_argument msg ->
           err_span ~outcome:"invalid";
-          emit (Printf.sprintf "{\"id\":%d,\"error\":\"%s\"}" id (json_escape msg));
-          true
+          reply (J.Obj [ int "id" id; str "error" msg ])
       | exception Em.Em_error.Error (Em.Em_error.Crashed _ as e) ->
           (* A crash halts the machine: reply, then stop serving.  The state
              file (if any) still holds the last checkpoint for --restore;
@@ -666,23 +741,21 @@ let run_command srv emit str =
              does get to leave its post-mortem. *)
           err_span ~outcome:(error_code e);
           ignore (flight_dump srv ~reason:(error_code e));
-          emit (em_error_json ~id ~retries:!retries e);
+          ignore (reply (em_error_json ~id ~retries:!retries e));
           srv.crashed <- true;
           false
       | exception Em.Em_error.Error e ->
           err_span ~outcome:(error_code e);
           ignore (flight_dump srv ~reason:(error_code e));
-          emit (em_error_json ~id ~retries:!retries e);
+          let ok = reply (em_error_json ~id ~retries:!retries e) in
           mirror_state srv;
-          true
+          ok
       | exception e ->
           (* Programming errors must not kill the loop either; reply and
              keep serving. *)
           err_span ~outcome:"internal";
-          emit
-            (Printf.sprintf "{\"id\":%d,\"error\":\"internal\",\"detail\":\"%s\"}" id
-               (json_escape (Printexc.to_string e)));
-          true)
+          reply
+            (J.Obj [ int "id" id; str "error" "internal"; str "detail" (Printexc.to_string e) ]))
 
 (* One input line = one batch.  Multi-query batches share a scheduling
    window, so a D-disk machine overlaps their I/Os into parallel rounds.
@@ -718,19 +791,19 @@ let serve_channels ?(should_stop = fun () -> false) srv ic oc =
   loop ()
 
 let final_json ?shutdown srv =
-  let s = Emalg.Online_select.summary srv.session in
-  Printf.sprintf
-    "{\"closed\":true,\"queries\":%d,\"total_ios\":%d,\"pool_pages\":%d,\"drift\":{\"ratio\":%.4f,\"tripped\":%b}%s,\"wall\":{\"uptime_ms\":%.0f}}"
-    s.Emalg.Online_select.queries
-    (s.Emalg.Online_select.refine_ios + s.Emalg.Online_select.answer_ios)
-    (match Em.Ctx.backend_pool srv.ctx with
-    | Some pool -> Em.Backend.Pool.resident pool
-    | None -> 0)
-    (Drift.ratio srv.drift) (Drift.tripped srv.drift)
-    (match shutdown with
-    | Some reason -> Printf.sprintf ",\"shutdown\":\"%s\"" (json_escape reason)
-    | None -> "")
-    (uptime_ms srv)
+  let s = Os.summary srv.session in
+  let pool_pages =
+    Option.fold ~none:0 ~some:Em.Backend.Pool.resident (Em.Ctx.backend_pool srv.ctx)
+  in
+  let drift =
+    [ ("ratio", J.Fixed (4, Drift.ratio srv.drift)); ("tripped", J.Bool (Drift.tripped srv.drift)) ]
+  in
+  J.Obj
+    ([ ("closed", J.Bool true); int "queries" s.Os.queries;
+       int "total_ios" (s.Os.refine_ios + s.Os.answer_ios); int "pool_pages" pool_pages;
+       ("drift", J.Obj drift) ]
+    @ Option.to_list (Option.map (str "shutdown") shutdown)
+    @ [ wall_uptime srv ])
 
 (* End-of-session telemetry: the final frame, the shutdown post-mortem, and
    the closing summary line.  Kept apart from {!close} so the caller can
@@ -751,21 +824,24 @@ let finalize ?shutdown srv =
   final_json ?shutdown srv
 
 let greeting_json srv =
-  Printf.sprintf
-    "{\"serving\":{\"n\":%d,\"mem\":%d,\"block\":%d,\"disks\":%d,\"backend\":\"%s\",\"workload\":\"%s\",\"seed\":%d%s}}"
-    srv.meta.m_n srv.meta.m_mem srv.meta.m_block srv.meta.m_disks
-    (Em.Ctx.backend_name srv.ctx) srv.meta.m_workload srv.meta.m_seed
-    (if srv.restored then
-       Printf.sprintf ",\"restored\":true,\"queries\":%d,\"leaves\":%d"
-         (Emalg.Online_select.summary srv.session).Emalg.Online_select.queries
-         (Emalg.Online_select.summary srv.session).Emalg.Online_select.leaves
-     else "")
+  let m = srv.meta and s = Os.summary srv.session in
+  let restored =
+    if not srv.restored then []
+    else [ ("restored", J.Bool true); int "queries" s.Os.queries; int "leaves" s.Os.leaves ]
+  in
+  J.Obj
+    [ ( "serving",
+        J.Obj
+          ([ int "n" m.m_n; int "mem" m.m_mem; int "block" m.m_block; int "disks" m.m_disks;
+             str "backend" (Em.Ctx.backend_name srv.ctx); str "workload" m.m_workload;
+             int "seed" m.m_seed ]
+          @ restored) ) ]
 
 (* Graceful shutdown, step one: persist (unless the machine crashed — then
    the last pre-crash checkpoint is the truth).  Kept separate from {!close}
    so the final summary can still read the live session in between. *)
 let shutdown_checkpoint srv =
-  if (not srv.crashed) && Emalg.Online_select.checkpoint_store srv.session <> None then
+  if (not srv.crashed) && Os.checkpoint_store srv.session <> None then
     checkpoint_now srv
 
-let close srv = Emalg.Online_select.close ~drop_cache:true srv.session
+let close srv = Os.close ~drop_cache:true srv.session

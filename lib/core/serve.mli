@@ -68,7 +68,7 @@ val create :
   t
 (** [create ~meta ctx v] wraps [v] in a fresh session.  [checkpoint_every]
     enables the automatic every-k-splits checkpoint policy; [state_path]
-    mirrors every checkpoint to a Marshal state file (and by itself enables
+    mirrors every checkpoint to a JSON state file (and by itself enables
     explicit-only checkpointing); [restore = true] resumes from the state
     file if it exists (fresh start otherwise), including the admitted
     query-id/by-kind counters; [io_budget] bounds any single query's
@@ -85,8 +85,10 @@ val create :
     [Unix.gettimeofday]) is the wall clock, injectable for deterministic
     tests.  With none of the optional arguments the server's protocol
     behaviour is unchanged.
-    @raise Failure if the state file is corrupt or bound to a different
-    machine/workload. *)
+    @raise Failure if the state file is not a well-formed format-v3
+    document (wrong magic, missing or mistyped field, payload of the wrong
+    length, leaves that do not partition the input) or is bound to a
+    different machine/workload. *)
 
 val session : t -> int Emalg.Online_select.t
 val ctx : t -> int Em.Ctx.t
@@ -134,7 +136,7 @@ val parse_command : string -> (command, string) result
     [a <= b]. *)
 
 val run_command : t -> (string -> unit) -> string -> bool
-(** [run_command srv emit str] parses and executes one query, calling [emit]
+(** [run_command srv emit line] parses and executes one query, calling [emit]
     with exactly one reply line.  Never raises: every failure — parse error,
     [Invalid_argument], typed fault after retries, budget abort, even a
     programming error — becomes an error reply.  Returns [false] when the
@@ -153,21 +155,22 @@ val serve_channels : ?should_stop:(unit -> bool) -> t -> in_channel -> out_chann
 
 (** {2 JSON views} *)
 
-val greeting_json : t -> string
-val summary_json : t -> string
+val greeting_json : t -> Em.Json.t
+val summary_json : t -> Em.Json.t
 
-val final_json : ?shutdown:string -> t -> string
+val final_json : ?shutdown:string -> t -> Em.Json.t
 (** The closing summary line, including the drift verdict and a
     wall-uptime object.  Pure view — see {!finalize} for the effectful
     end-of-session sequence. *)
 
-val finalize : ?shutdown:string -> t -> string
+val finalize : ?shutdown:string -> t -> Em.Json.t
 (** End-of-session telemetry: emit (and close) the final telemetry frame,
     write the shutdown post-mortem (reason ["shutdown"],
     ["shutdown:<reason>"] or ["shutdown:crashed"]), then return
     {!final_json}. *)
 
 val json_escape : string -> string
+(** {!Em.Json.escape}, kept under this name for bench/perf. *)
 
 (** {2 Checkpoint state file} *)
 

@@ -53,43 +53,36 @@ let retained t = t.len
 let dumps t = t.dumps
 
 let record_to_json r =
-  Printf.sprintf
-    "{\"id\":%d,\"kind\":%S,\"query\":%S,\"outcome\":%S,\"cost\":{\"ios\":%d,\"rounds\":%d,\"splits\":%d},\"trace\":{\"lo\":%d,\"hi\":%d},\"wall\":{\"ns\":%d}}"
-    r.id r.kind r.query r.outcome r.ios r.rounds r.splits r.seq_lo r.seq_hi
-    r.wall_ns
+  let int k v = (k, Json.Int v) and str k v = (k, Json.Str v) in
+  Json.Obj
+    [ int "id" r.id; str "kind" r.kind; str "query" r.query; str "outcome" r.outcome;
+      ("cost", Json.Obj [ int "ios" r.ios; int "rounds" r.rounds; int "splits" r.splits ]);
+      ("trace", Json.Obj [ int "lo" r.seq_lo; int "hi" r.seq_hi ]);
+      ("wall", Json.Obj [ int "ns" r.wall_ns ]) ]
 
 let dump ?trace ?metrics ?(now = Unix.gettimeofday) ~reason t =
   t.dumps <- t.dumps + 1;
   let rs = records t in
-  let queries = String.concat "," (List.map record_to_json rs) in
   (* Slice the trace ring to the events that belong to retained queries:
      everything at or after the oldest retained record's start. *)
-  let trace_json =
+  let events, dropped =
     match trace with
-    | None -> "\"trace_events\":[],\"trace_dropped\":0"
+    | None -> ([], 0)
     | Some tr ->
-        let lo =
-          List.fold_left (fun acc r -> min acc r.seq_lo) max_int rs
-        in
-        let evs =
-          Trace.events tr
+        let lo = List.fold_left (fun acc r -> min acc r.seq_lo) max_int rs in
+        ( Trace.events tr
           |> List.filter (fun (e : Trace.event) -> rs = [] || e.seq >= lo)
-          |> List.map Trace.event_to_json
-        in
-        Printf.sprintf "\"trace_events\":[%s],\"trace_dropped\":%d"
-          (String.concat "," evs) (Trace.dropped tr)
+          |> List.map Trace.event_to_json,
+          Trace.dropped tr )
   in
-  let metrics_json =
-    match metrics with
-    | None -> "null"
-    | Some reg ->
-        (* Metrics.to_json ends with a newline; a post-mortem is one line. *)
-        String.trim (Metrics.to_json reg)
+  let postmortem =
+    [ ("reason", Json.Str reason); ("recorded", Json.Int t.total); ("retained", Json.Int t.len);
+      ("queries", Json.List (List.map record_to_json rs)); ("trace_events", Json.List events);
+      ("trace_dropped", Json.Int dropped);
+      ("metrics", Option.fold ~none:Json.Null ~some:Metrics.to_json metrics);
+      ("wall", Json.Obj [ ("ts_ms", Json.Fixed (0, now () *. 1000.)) ]) ]
   in
-  Printf.sprintf
-    "{\"postmortem\":{\"reason\":%S,\"recorded\":%d,\"retained\":%d,\"queries\":[%s],%s,\"metrics\":%s,\"wall\":{\"ts_ms\":%.0f}}}"
-    reason t.total t.len queries trace_json metrics_json
-    (now () *. 1000.)
+  Json.to_string (Json.Obj [ ("postmortem", Json.Obj postmortem) ])
 
 let dump_to_file ?trace ?metrics ?now ~reason t ~path =
   let oc = open_out path in

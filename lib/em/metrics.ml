@@ -242,55 +242,31 @@ let to_prometheus t =
 
 (* ---- canonical JSON ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
-
 let json_float x =
-  if Float.is_nan x then "null"
-  else if x = infinity then json_str "+Inf"
-  else if x = neg_infinity then json_str "-Inf"
-  else fmt_float x
-
-let json_labels labels =
-  Printf.sprintf "{%s}"
-    (String.concat ","
-       (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (json_str k) (json_str v)) labels))
+  if x = infinity then Json.Str "+Inf"
+  else if x = neg_infinity then Json.Str "-Inf"
+  else Json.Float x
 
 let to_json t =
   let metric m =
-    let common =
-      Printf.sprintf "\"name\":%s,\"type\":%s,\"labels\":%s"
-        (json_str (t.namespace ^ "_" ^ m.name))
-        (json_str (kind_name m.value))
-        (json_labels m.labels)
+    let value =
+      match m.value with
+      | Counter r -> [ ("value", Json.Int !r) ]
+      | Gauge r -> [ ("value", json_float !r) ]
+      | Histogram h ->
+          let bucket (le, cum) = Json.Obj [ ("le", json_float le); ("count", Json.Int cum) ] in
+          [ ("count", Json.Int h.count); ("sum", json_float h.sum);
+            ("buckets", Json.List (List.map bucket (hist_buckets h))) ]
     in
-    match m.value with
-    | Counter r -> Printf.sprintf "{%s,\"value\":%d}" common !r
-    | Gauge r -> Printf.sprintf "{%s,\"value\":%s}" common (json_float !r)
-    | Histogram h ->
-        Printf.sprintf "{%s,\"count\":%d,\"sum\":%s,\"buckets\":[%s]}" common h.count
-          (json_float h.sum)
-          (String.concat ","
-             (List.map
-                (fun (le, cum) ->
-                  Printf.sprintf "{\"le\":%s,\"count\":%d}" (json_float le) cum)
-                (hist_buckets h)))
+    Json.Obj
+      (("name", Json.Str (t.namespace ^ "_" ^ m.name))
+      :: ("type", Json.Str (kind_name m.value))
+      :: ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) m.labels))
+      :: value)
   in
-  Printf.sprintf "{\"namespace\":%s,\"metrics\":[%s]}\n" (json_str t.namespace)
-    (String.concat "," (List.map metric (sorted_metrics t)))
+  Json.Obj
+    [ ("namespace", Json.Str t.namespace);
+      ("metrics", Json.List (List.map metric (sorted_metrics t))) ]
 
 (* ---- bridging from the simulator's native counters ---- *)
 

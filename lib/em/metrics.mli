@@ -68,11 +68,12 @@ val to_prometheus : t -> string
 (** Prometheus text exposition format (one [# TYPE] header per metric name,
     [_bucket]/[_sum]/[_count] series for histograms, with a [+Inf] bucket). *)
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** Canonical JSON document:
     [{"namespace": ..., "metrics": [{"name", "type", "labels", ...}]}] with
     one object per metric; counters and gauges carry ["value"], histograms
-    carry ["count"], ["sum"] and cumulative ["buckets"]. *)
+    carry ["count"], ["sum"] and cumulative ["buckets"].  NaN prints as
+    [null], infinities as the strings ["+Inf"] and ["-Inf"]. *)
 
 val publish_stats : t -> Stats.t -> unit
 (** Publish the machine's native counters ({!Stats.t}) into the registry:

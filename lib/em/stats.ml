@@ -272,6 +272,10 @@ let zero = snapshot (create ())
 let delta_ios d = d.d_reads + d.d_writes
 let ios_since s snap = ios s - delta_ios snap
 
+let json_fields d =
+  [ ("reads", Json.Int d.d_reads); ("writes", Json.Int d.d_writes);
+    ("rounds", Json.Int d.d_rounds); ("comparisons", Json.Int d.d_comparisons) ]
+
 let pp ppf s =
   Format.fprintf ppf
     "{ reads = %d; writes = %d; ios = %d; comparisons = %d; mem_peak = %d }"

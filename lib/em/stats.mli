@@ -217,4 +217,9 @@ val delta_ios : delta -> int
 val ios_since : t -> delta -> int
 (** I/Os performed since the snapshot was taken. *)
 
+val json_fields : delta -> (string * Json.t) list
+(** [reads], [writes], [rounds], [comparisons] in that order: the cost
+    fields every serve reply, session summary and telemetry frame
+    shares. *)
+
 val pp : Format.formatter -> t -> unit

@@ -15,190 +15,13 @@
      {"frame":"final",    "seq":S,"queries":Q,"cost":{...},"wall":{...}}
 
    The cost/wall payloads are provided by the caller (Core.Serve) as
-   pre-rendered JSON objects; the wall side is a thunk so frames that are
-   not due never touch the clock.
+   {!Json.t} objects; the wall side is a thunk so frames that are not due
+   never touch the clock.  `em_repro top` reads frames back with
+   {!Json.parse}. *)
 
-   The [Json] submodule is a minimal recursive-descent JSON reader — just
-   enough for `em_repro top` to consume its own frames (the repo
-   deliberately has no JSON dependency). *)
-
-(* ---- minimal JSON reader ---- *)
-
-module Json = struct
-  type v =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of v list
-    | Obj of (string * v) list
-
-  exception Bad of string
-
-  let utf8_add b code =
-    if code < 0x80 then Buffer.add_char b (Char.chr code)
-    else if code < 0x800 then begin
-      Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else begin
-      Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-    end
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %C" c)
-    in
-    let literal word value =
-      String.iter (fun c -> expect c) word;
-      value
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-            advance ();
-            match peek () with
-            | None -> fail "unterminated escape"
-            | Some c ->
-                advance ();
-                (match c with
-                | '"' -> Buffer.add_char b '"'
-                | '\\' -> Buffer.add_char b '\\'
-                | '/' -> Buffer.add_char b '/'
-                | 'n' -> Buffer.add_char b '\n'
-                | 't' -> Buffer.add_char b '\t'
-                | 'r' -> Buffer.add_char b '\r'
-                | 'b' -> Buffer.add_char b '\b'
-                | 'f' -> Buffer.add_char b '\012'
-                | 'u' ->
-                    if !pos + 4 > n then fail "truncated \\u escape";
-                    let hex = String.sub s !pos 4 in
-                    pos := !pos + 4;
-                    let code =
-                      match int_of_string_opt ("0x" ^ hex) with
-                      | Some c -> c
-                      | None -> fail "invalid \\u escape"
-                    in
-                    utf8_add b code
-                | _ -> fail "unknown escape");
-                go ())
-        | Some c ->
-            advance ();
-            Buffer.add_char b c;
-            go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_number () =
-      let start = !pos in
-      let num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> num_char c | None -> false) do
-        advance ()
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> fail "invalid number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
-            Obj []
-          end
-          else
-            let rec members acc =
-              skip_ws ();
-              let key = parse_string () in
-              skip_ws ();
-              expect ':';
-              let value = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  members ((key, value) :: acc)
-              | Some '}' ->
-                  advance ();
-                  Obj (List.rev ((key, value) :: acc))
-              | _ -> fail "expected ',' or '}'"
-            in
-            members []
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
-            List []
-          end
-          else
-            let rec items acc =
-              let value = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  items (value :: acc)
-              | Some ']' ->
-                  advance ();
-                  List (List.rev (value :: acc))
-              | _ -> fail "expected ',' or ']'"
-            in
-            items []
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> parse_number ()
-    in
-    match parse_value () with
-    | v ->
-        skip_ws ();
-        if !pos <> n then Error (Printf.sprintf "trailing input at offset %d" !pos)
-        else Ok v
-    | exception Bad msg -> Error msg
-
-  let member key = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
-
-  let num = function Num f -> Some f | _ -> None
-  let str = function Str s -> Some s | _ -> None
-
-  let path keys v =
-    List.fold_left
-      (fun acc key -> match acc with Some v -> member key v | None -> None)
-      (Some v) keys
-end
+(* Em.Telemetry.Json is kept as an alias of the codec for bench/perf,
+   which reads BENCHMARK.json and checks serve replies through it. *)
+module Json = Json
 
 (* ---- sinks ---- *)
 
@@ -268,8 +91,10 @@ let emit_frame t ~kind ~queries ~cost ~wall =
   if not t.closed then begin
     t.seq <- t.seq + 1;
     write t
-      (Printf.sprintf "{\"frame\":%S,\"seq\":%d,\"queries\":%d,\"cost\":%s,\"wall\":%s}"
-         kind t.seq queries cost (wall ()))
+      (Json.to_string
+         (Json.Obj
+            [ ("frame", Json.Str kind); ("seq", Json.Int t.seq); ("queries", Json.Int queries);
+              ("cost", cost); ("wall", wall ()) ]))
   end
 
 let due t ~queries =

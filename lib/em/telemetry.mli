@@ -21,8 +21,8 @@
     simulated costs and therefore belong to the ["cost"] compartment;
     emitters include them gated — absent when zero — so single-machine
     frame streams stay byte-identical.  Both payloads are supplied by the
-    caller as pre-rendered JSON object strings; the wall payload is a
-    thunk, evaluated only for frames that are actually emitted. *)
+    caller as {!Json.t} objects; the wall payload is a thunk, evaluated
+    only for frames that are actually emitted. *)
 
 type t
 type sink
@@ -53,15 +53,15 @@ val create :
     @raise Invalid_argument on a non-positive cadence. *)
 
 val tick :
-  t -> queries:int -> cost:string -> wall:(unit -> string) -> unit
+  t -> queries:int -> cost:Json.t -> wall:(unit -> Json.t) -> unit
 (** Emit a ["telemetry"] frame if one is due; otherwise do nothing. *)
 
 val alert :
-  t -> queries:int -> cost:string -> wall:(unit -> string) -> unit
+  t -> queries:int -> cost:Json.t -> wall:(unit -> Json.t) -> unit
 (** Emit an ["alert"] frame unconditionally (cadence-exempt). *)
 
 val final :
-  t -> queries:int -> cost:string -> wall:(unit -> string) -> unit
+  t -> queries:int -> cost:Json.t -> wall:(unit -> Json.t) -> unit
 (** Emit a ["final"] frame unconditionally. *)
 
 val frames : t -> int
@@ -78,29 +78,6 @@ val summarize : ?prev:string -> string -> (string, string) result
     used to compute an interval qps instead of the session average.
     Returns [Error] with a parse diagnostic for non-frame input. *)
 
-(** Minimal JSON reader — just enough for [summarize] and `em_repro top`
-    to consume the frames this module writes (the project deliberately
-    carries no JSON-parsing dependency). *)
-module Json : sig
-  type v =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of v list
-    | Obj of (string * v) list
-
-  val parse : string -> (v, string) result
-  (** Parse a complete JSON document; [Error] carries an offset-annotated
-      diagnostic.  Numbers are floats; strings decode the standard
-      escapes including [\uXXXX] (as UTF-8). *)
-
-  val member : string -> v -> v option
-  (** Field lookup on an object; [None] on missing field or non-object. *)
-
-  val path : string list -> v -> v option
-  (** Nested {!member} lookup. *)
-
-  val num : v -> float option
-  val str : v -> string option
-end
+module Json = Json
+(** The codec, under its old name: bench/perf reads JSON through
+    [Em.Telemetry.Json]. *)

@@ -86,29 +86,21 @@ let kind_name = function
   | Retry -> "retry"
   | Faulted k -> "fault:" ^ Fault.kind_name k
 
-(* Phase labels are plain ASCII identifiers, for which OCaml's %S escaping
-   coincides with JSON string escaping.  Backend annotations are only
-   emitted when they carry information ([sim] with no cache outcome is the
-   counted-model default), so sim-backed traces keep the historical shape. *)
+(* Backend annotations are only emitted when they carry information
+   ([sim] with no cache outcome is the counted-model default), so
+   sim-backed traces keep the historical shape. *)
 let event_to_json e =
-  Printf.sprintf "{\"seq\":%d,\"op\":%S,\"kind\":%S,\"block\":%d,\"phase\":[%s],\"locality\":%S%s%s}"
-    e.seq (op_name e.op) (kind_name e.kind) e.block
-    (String.concat "," (List.map (Printf.sprintf "%S") e.phase))
-    (locality_name e.locality)
-    (if e.backend = "sim" then "" else Printf.sprintf ",\"backend\":%S" e.backend)
-    ((match e.cache with
-     | None -> ""
-     | Some c -> Printf.sprintf ",\"cache\":%S" (cache_name c))
-    ^ (match e.disk with
-      | None -> ""
-      | Some d ->
-          Printf.sprintf ",\"disk\":%d%s" d
-            (match e.round with
-            | None -> ""
-            | Some r -> Printf.sprintf ",\"round\":%d" r))
-    ^ (match e.shard with
-      | None -> ""
-      | Some s -> Printf.sprintf ",\"shard\":%d" s))
+  let opt key f = function None -> [] | Some x -> [ (key, f x) ] in
+  let int i = Json.Int i and str s = Json.Str s in
+  Json.Obj
+    ([ ("seq", int e.seq); ("op", str (op_name e.op)); ("kind", str (kind_name e.kind));
+       ("block", int e.block); ("phase", Json.List (List.map str e.phase));
+       ("locality", str (locality_name e.locality)) ]
+    @ (if e.backend = "sim" then [] else [ ("backend", str e.backend) ])
+    @ opt "cache" (fun c -> str (cache_name c)) e.cache
+    @ opt "disk" int e.disk
+    @ (if e.disk = None then [] else opt "round" int e.round)
+    @ opt "shard" int e.shard)
 
 let ring_push r e =
   if Array.length r.buf = 0 then r.buf <- Array.make r.capacity e;
@@ -140,7 +132,7 @@ let emit ?(kind = Io) ?(backend = "sim") ?cache ?disk ?round ?shard t op ~block 
     (function
       | Ring r -> ring_push r e
       | Jsonl oc ->
-          output_string oc (event_to_json e);
+          output_string oc (Json.to_string (event_to_json e));
           output_char oc '\n'
       | Custom c -> c.push e)
     t.sinks

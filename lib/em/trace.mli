@@ -115,7 +115,7 @@ val locality_name : locality -> string
 val kind_name : kind -> string
 val cache_name : cache -> string
 
-val event_to_json : event -> string
+val event_to_json : event -> Json.t
 (** One JSON object.  The [backend], [cache], [disk]/[round] and [shard]
     fields are omitted when they carry no information (backend ["sim"],
     cache [None], disk [None] — i.e. a single-disk machine — shard [None]

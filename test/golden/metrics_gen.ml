@@ -39,5 +39,5 @@ let () =
   let spec = Core.Bound_track.default_spec row ~n:4_096 in
   ignore (Core.Bound_track.publish_values reg p row spec ~measured_ios:2_048);
   match if Array.length Sys.argv > 1 then Sys.argv.(1) else "prom" with
-  | "json" -> print_string (Em.Metrics.to_json reg)
+  | "json" -> print_endline (Em.Json.to_string (Em.Metrics.to_json reg))
   | _ -> print_string (Em.Metrics.to_prometheus reg)

@@ -4,7 +4,7 @@
    post-mortem artifact holding that query's trace events. *)
 
 module Fr = Em.Flight_recorder
-module J = Em.Telemetry.Json
+module J = Em.Json
 
 let mk_record ?(id = 1) ?(kind = "select") ?(query = "select 1") ?(ios = 3)
     ?(rounds = 3) ?(splits = 0) ?(outcome = "ok") ?(seq_lo = 0) ?(seq_hi = 0) () =

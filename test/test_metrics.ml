@@ -202,7 +202,7 @@ let test_json_export_canonical () =
       (fun (name, labels, v) ->
         Em.Metrics.set (Em.Metrics.gauge reg ~labels name) v)
       order;
-    Em.Metrics.to_json reg
+    Em.Json.to_string (Em.Metrics.to_json reg)
   in
   let a =
     make [ ("z", [], 1.); ("a", [ ("k", "v") ], 2.); ("a", [ ("k", "u") ], 3.) ]
@@ -211,10 +211,7 @@ let test_json_export_canonical () =
     make [ ("a", [ ("k", "u") ], 3.); ("z", [], 1.); ("a", [ ("k", "v") ], 2.) ]
   in
   Alcotest.(check string) "registration order is invisible" a b;
-  Tu.check_bool "single line + trailing newline" true
-    (String.length a > 0
-    && a.[String.length a - 1] = '\n'
-    && not (String.contains (String.sub a 0 (String.length a - 1)) '\n'))
+  Tu.check_bool "single line" true (String.length a > 0 && not (String.contains a '\n'))
 
 let test_publish_stats () =
   let ctx = Tu.ctx ~mem:256 ~block:16 () in

@@ -288,6 +288,81 @@ let test_state_file_mismatch () =
             (contains ~sub:"seed" msg));
       Em.Ctx.close ctx2)
 
+(* ---- the state-file decoder: foreign or damaged files are typed errors ---- *)
+
+let write_file contents path =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+let marshalled v path = Out_channel.with_open_bin path (fun oc -> Marshal.to_channel oc v [])
+
+(* [--restore] against the file [write] leaves must fail with the typed
+   [Failure "serve --restore: ..."], never crash or restore. *)
+let expect_restore_failure what write =
+  let state = Filename.temp_file "serve_state" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove state with Sys_error _ -> ())
+    (fun () ->
+      write state;
+      let ctx : int Em.Ctx.t = Em.Ctx.create (Em.Params.create ~mem ~block) in
+      let v = Em.Vec.of_array ctx (Tu.random_perm ~seed:5 n) in
+      (match Core.Serve.create ~state_path:state ~restore:true ~meta ctx v with
+      | _ -> Alcotest.failf "%s: restore must refuse the file" what
+      | exception Failure msg ->
+          Tu.check_bool (what ^ " is a typed restore failure") true
+            (has_prefix ~prefix:"serve --restore:" msg));
+      Em.Ctx.close ctx)
+
+let test_state_file_foreign () =
+  expect_restore_failure "marshalled tuple" (marshalled (42, [| 1; 2; 3 |]));
+  expect_restore_failure "marshalled v2 magic" (marshalled ("em_repro-serve-state-v2", 7));
+  expect_restore_failure "other JSON" (write_file "{\"magic\":\"something-else\"}");
+  expect_restore_failure "v3 magic, no fields"
+    (write_file "{\"magic\":\"em_repro-serve-state-v3\"}")
+
+let test_state_file_damaged () =
+  let state = Filename.temp_file "serve_state" ".json" in
+  let good =
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove state with Sys_error _ -> ())
+      (fun () ->
+        let ctx, srv = make_server ~checkpoint_every:2 ~state_path:state () in
+        let emit, _ = collector () in
+        ignore (Core.Serve.run_batch srv emit "select 3000;range 40 45");
+        Core.Serve.shutdown_checkpoint srv;
+        teardown ctx srv;
+        In_channel.with_open_bin state In_channel.input_all)
+  in
+  let len = String.length good in
+  List.iter
+    (fun cut ->
+      expect_restore_failure
+        (Printf.sprintf "truncated to %d of %d bytes" cut len)
+        (write_file (String.sub good 0 cut)))
+    [ 0; 1; len / 3; len / 2; len - 2 ];
+  (* Well-formed JSON whose sorted payload lost a key. *)
+  let module J = Em.Json in
+  let shorten = function
+    | J.Obj fields ->
+        J.Obj
+          (List.map
+             (function
+               | "sorted", J.List (_ :: keys) -> ("sorted", J.List keys) | field -> field)
+             fields)
+    | leaf -> leaf
+  in
+  match J.parse good with
+  | Ok (J.Obj fields) ->
+      let damaged =
+        List.map
+          (function
+            | "leaves", J.List leaves -> ("leaves", J.List (List.map shorten leaves))
+            | field -> field)
+          fields
+      in
+      Tu.check_bool "the checkpoint holds a sorted leaf" true (J.Obj damaged <> J.Obj fields);
+      expect_restore_failure "short sorted payload" (write_file (J.to_string (J.Obj damaged)))
+  | _ -> Alcotest.fail "the state file must be a JSON object"
+
 (* ---- request spans: ids, cost objects, by-kind counters ---- *)
 
 (* Every admitted query — success, typed error, budget abort — carries a
@@ -338,7 +413,7 @@ let test_reply_cost_object () =
   teardown ctx srv
 
 (* summary_json counts admitted queries by kind, and the counters survive
-   the state-file round trip (persisted format v2). *)
+   the state-file round trip. *)
 let test_by_kind_counters () =
   let state = Filename.temp_file "serve_state" ".bin" in
   Fun.protect
@@ -407,5 +482,7 @@ let suite =
     Alcotest.test_case "by-kind counters" `Quick test_by_kind_counters;
     Alcotest.test_case "state file round trip" `Quick test_state_file_round_trip;
     Alcotest.test_case "state file mismatch" `Quick test_state_file_mismatch;
+    Alcotest.test_case "state file foreign" `Quick test_state_file_foreign;
+    Alcotest.test_case "state file damaged" `Quick test_state_file_damaged;
     Alcotest.test_case "serve_channels stop" `Quick test_serve_channels_stop;
   ]

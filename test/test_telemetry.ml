@@ -1,67 +1,14 @@
-(* Telemetry emitter (Em.Telemetry): the bundled JSON reader, the frame
-   cadence policy under an injected clock, the frame grammar's
-   cost/wall compartment split, and the `em_repro top` summariser. *)
+(* Telemetry emitter (Em.Telemetry): the frame cadence policy under an
+   injected clock, the frame grammar's cost/wall compartment split, and the
+   `em_repro top` summariser. *)
 
 module T = Em.Telemetry
-module J = Em.Telemetry.Json
-
-(* ---- the minimal JSON reader ---- *)
+module J = Em.Json
 
 let parse_ok s =
   match J.parse s with
   | Ok v -> v
   | Error msg -> Alcotest.failf "%S should parse, got: %s" s msg
-
-let parse_err s =
-  match J.parse s with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.failf "%S should be rejected" s
-
-let test_json_values () =
-  Tu.check_bool "null" true (parse_ok "null" = J.Null);
-  Tu.check_bool "true" true (parse_ok "true" = J.Bool true);
-  Tu.check_bool "false" true (parse_ok " false " = J.Bool false);
-  Tu.check_bool "int" true (parse_ok "42" = J.Num 42.);
-  Tu.check_bool "negative float" true (parse_ok "-2.5e2" = J.Num (-250.));
-  Tu.check_bool "string" true (parse_ok "\"hi\"" = J.Str "hi");
-  Tu.check_bool "escapes" true
-    (parse_ok "\"a\\n\\t\\\\\\\"b\\/\"" = J.Str "a\n\t\\\"b/");
-  Tu.check_bool "unicode escape decodes to UTF-8" true
-    (parse_ok "\"\\u00e9\"" = J.Str "\xc3\xa9");
-  Tu.check_bool "empty list" true (parse_ok "[]" = J.List []);
-  Tu.check_bool "empty object" true (parse_ok "{}" = J.Obj []);
-  Tu.check_bool "nested" true
-    (parse_ok "{\"a\":[1,2],\"b\":{\"c\":null}}"
-    = J.Obj
-        [ ("a", J.List [ J.Num 1.; J.Num 2. ]); ("b", J.Obj [ ("c", J.Null) ]) ])
-
-let test_json_rejects () =
-  List.iter parse_err
-    [
-      "";
-      "{";
-      "[1,2";
-      "{\"a\":}";
-      "{\"a\" 1}";
-      "\"unterminated";
-      "\"bad \\q escape\"";
-      "tru";
-      "1 2";
-      "nan";
-      "{\"a\":1,}";
-    ]
-
-let test_json_lookups () =
-  let v = parse_ok "{\"cost\":{\"ios\":7,\"name\":\"x\"},\"seq\":2}" in
-  Tu.check_bool "path hits nested number" true
-    (Option.bind (J.path [ "cost"; "ios" ] v) J.num = Some 7.);
-  Tu.check_bool "member + str" true
-    (Option.bind (J.path [ "cost"; "name" ] v) J.str = Some "x");
-  Tu.check_bool "missing member is None" true (J.member "nope" v = None);
-  Tu.check_bool "path through a non-object is None" true
-    (J.path [ "seq"; "deep" ] v = None);
-  Tu.check_bool "num on a string is None" true
-    (Option.bind (J.member "cost" v) J.num = None)
 
 (* ---- cadence policy ---- *)
 
@@ -76,12 +23,13 @@ let fake_emitter ?every_queries ?every_seconds () =
   in
   (t, clock, fun () -> List.rev !lines)
 
-let wall () = "{}"
+let empty = J.Obj []
+let wall () = empty
 
 let test_cadence_every_queries () =
   let t, _, lines = fake_emitter ~every_queries:3 () in
   for q = 1 to 10 do
-    T.tick t ~queries:q ~cost:"{}" ~wall
+    T.tick t ~queries:q ~cost:empty ~wall
   done;
   Tu.check_int "every 3rd query emits" 3 (List.length (lines ()));
   Tu.check_int "frames counter agrees" 3 (T.frames t);
@@ -92,31 +40,31 @@ let test_cadence_every_queries () =
 
 let test_cadence_every_seconds () =
   let t, clock, lines = fake_emitter ~every_seconds:10. () in
-  T.tick t ~queries:1 ~cost:"{}" ~wall;
+  T.tick t ~queries:1 ~cost:empty ~wall;
   Tu.check_int "too early: nothing" 0 (List.length (lines ()));
   clock := 10.;
-  T.tick t ~queries:2 ~cost:"{}" ~wall;
+  T.tick t ~queries:2 ~cost:empty ~wall;
   Tu.check_int "interval elapsed: frame" 1 (List.length (lines ()));
   clock := 15.;
-  T.tick t ~queries:3 ~cost:"{}" ~wall;
+  T.tick t ~queries:3 ~cost:empty ~wall;
   Tu.check_int "interval restarts at emission" 1 (List.length (lines ()));
   clock := 20.;
-  T.tick t ~queries:4 ~cost:"{}" ~wall;
+  T.tick t ~queries:4 ~cost:empty ~wall;
   Tu.check_int "next interval fires" 2 (List.length (lines ()))
 
 let test_cadence_either () =
   (* Both cadences set: whichever comes first wins. *)
   let t, clock, lines = fake_emitter ~every_queries:100 ~every_seconds:5. () in
   clock := 6.;
-  T.tick t ~queries:1 ~cost:"{}" ~wall;
+  T.tick t ~queries:1 ~cost:empty ~wall;
   Tu.check_int "time cadence fires before the query one" 1 (List.length (lines ()));
-  T.tick t ~queries:101 ~cost:"{}" ~wall;
+  T.tick t ~queries:101 ~cost:empty ~wall;
   Tu.check_int "query cadence fires on its own" 2 (List.length (lines ()))
 
 let test_cadence_default_and_validation () =
   let t, _, lines = fake_emitter () in
-  T.tick t ~queries:1 ~cost:"{}" ~wall;
-  T.tick t ~queries:2 ~cost:"{}" ~wall;
+  T.tick t ~queries:1 ~cost:empty ~wall;
+  T.tick t ~queries:2 ~cost:empty ~wall;
   Tu.check_int "no cadence flags -> a frame per query" 2 (List.length (lines ()));
   (match T.create ~every_queries:0 (T.fn_sink ignore) with
   | _ -> Alcotest.fail "every_queries 0 must raise"
@@ -133,11 +81,12 @@ let test_frame_shape () =
   let wall_calls = ref 0 in
   let wall () =
     incr wall_calls;
-    "{\"ts_ms\":1500}"
+    J.Obj [ ("ts_ms", J.Int 1500) ]
   in
-  T.tick t ~queries:1 ~cost:"{\"ios\":42}" ~wall;
-  T.alert t ~queries:1 ~cost:"{\"ios\":42}" ~wall;
-  T.final t ~queries:1 ~cost:"{\"ios\":42}" ~wall;
+  let ios42 = J.Obj [ ("ios", J.Int 42) ] in
+  T.tick t ~queries:1 ~cost:ios42 ~wall;
+  T.alert t ~queries:1 ~cost:ios42 ~wall;
+  T.final t ~queries:1 ~cost:ios42 ~wall;
   (match lines () with
   | [ tick_l; alert_l; final_l ] ->
       Alcotest.(check string) "tick frame is canonical"
@@ -153,15 +102,15 @@ let test_frame_shape () =
   Tu.check_int "wall thunk evaluated once per emitted frame" 3 !wall_calls;
   T.close t;
   T.close t;
-  T.tick t ~queries:9 ~cost:"{}" ~wall;
-  T.alert t ~queries:9 ~cost:"{}" ~wall;
+  T.tick t ~queries:9 ~cost:empty ~wall;
+  T.alert t ~queries:9 ~cost:empty ~wall;
   Tu.check_int "frames after close are dropped" 3 (List.length (lines ()))
 
 let test_wall_thunk_lazy () =
   let t, _, _ = fake_emitter ~every_queries:5 () in
   let wall () = Alcotest.fail "wall thunk must not run for a frame not due" in
-  T.tick t ~queries:1 ~cost:"{}" ~wall;
-  T.tick t ~queries:4 ~cost:"{}" ~wall
+  T.tick t ~queries:1 ~cost:empty ~wall;
+  T.tick t ~queries:4 ~cost:empty ~wall
 
 (* ---- summarize (the `em_repro top` renderer) ---- *)
 
@@ -220,8 +169,8 @@ let test_file_sink_round_trip () =
       let t =
         T.create ~every_queries:1 ~now:(fun () -> 0.) (T.file_sink path)
       in
-      T.tick t ~queries:1 ~cost:"{\"ios\":1}" ~wall:(fun () -> "{}");
-      T.final t ~queries:1 ~cost:"{\"ios\":1}" ~wall:(fun () -> "{}");
+      T.tick t ~queries:1 ~cost:(J.Obj [ ("ios", J.Int 1) ]) ~wall;
+      T.final t ~queries:1 ~cost:(J.Obj [ ("ios", J.Int 1) ]) ~wall;
       T.close t;
       let lines =
         In_channel.with_open_text path In_channel.input_all
@@ -233,9 +182,6 @@ let test_file_sink_round_trip () =
 
 let suite =
   [
-    Alcotest.test_case "json reader: values" `Quick test_json_values;
-    Alcotest.test_case "json reader: rejects" `Quick test_json_rejects;
-    Alcotest.test_case "json reader: lookups" `Quick test_json_lookups;
     Alcotest.test_case "cadence: every N queries" `Quick test_cadence_every_queries;
     Alcotest.test_case "cadence: every T seconds" `Quick test_cadence_every_seconds;
     Alcotest.test_case "cadence: either fires" `Quick test_cadence_either;
