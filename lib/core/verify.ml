@@ -24,6 +24,28 @@ let count_le cmp sorted x =
   done;
   !lo
 
+(* For every probe of the sorted array [probes]: how many input elements lie
+   strictly below it ([lt]) and how many do not lie above it ([le]).  One
+   pass over the unsorted input, locating each element among the probes by
+   binary search: element [x] is below exactly the probes from
+   [count_le probes x] on, and not above those from [count_lt probes x] on,
+   so bucketing those two indices and taking prefix sums gives both counts
+   in O(N log k) time and O(k) words. *)
+let probe_counts cmp input probes =
+  let k = Array.length probes in
+  let lt = Array.make (k + 1) 0 and le = Array.make (k + 1) 0 in
+  Array.iter
+    (fun x ->
+      let u = count_le cmp probes x and l = count_lt cmp probes x in
+      lt.(u) <- lt.(u) + 1;
+      le.(l) <- le.(l) + 1)
+    input;
+  for i = 1 to k do
+    lt.(i) <- lt.(i) + lt.(i - 1);
+    le.(i) <- le.(i) + le.(i - 1)
+  done;
+  (lt, le)
+
 let splitters cmp ~input spec proposed =
   let* () = Problem.validate spec in
   let { Problem.n; k; a; b } = spec in
@@ -31,8 +53,8 @@ let splitters cmp ~input spec proposed =
   else if Array.length proposed <> k - 1 then
     err "expected %d splitters, got %d" (k - 1) (Array.length proposed)
   else begin
-    let sorted = sorted_copy cmp input in
     let sp = sorted_copy cmp proposed in
+    let lt, le = probe_counts cmp input sp in
     (* Each splitter stands for an occurrence: its sorted position r_i must
        satisfy count_lt < r_i <= count_le (membership), positions strictly
        increase, and consecutive gaps lie in [a, b].  Greedy-minimal choice
@@ -43,8 +65,7 @@ let splitters cmp ~input spec proposed =
         if gap < a || gap > b then err "last bucket has %d elements (not in [%d, %d])" gap a b
         else Ok ()
       else begin
-        let x = sp.(i) in
-        let lo = count_lt cmp sorted x and hi = count_le cmp sorted x in
+        let lo = lt.(i) and hi = le.(i) in
         if hi = lo then err "splitter %d is not an element of the input" i
         else begin
           let r = max (lo + 1) (prev + a) in
@@ -88,11 +109,12 @@ let partitioning cmp ~input spec parts =
     let together = Array.concat (Array.to_list parts) in
     if Array.length together <> n then err "partitions hold %d elements, expected %d" (Array.length together) n
     else begin
-      let s1 = sorted_copy cmp together and s2 = sorted_copy cmp input in
+      Array.sort cmp together;
+      let sorted = sorted_copy cmp input in
       let mismatch = ref None in
       Array.iteri
-        (fun i e -> if !mismatch = None && cmp e s2.(i) <> 0 then mismatch := Some i)
-        s1;
+        (fun i e -> if !mismatch = None && cmp e sorted.(i) <> 0 then mismatch := Some i)
+        together;
       match !mismatch with
       | Some i -> err "partitions are not a permutation of the input (at sorted index %d)" i
       | None -> Ok ()
@@ -103,14 +125,17 @@ let multi_select cmp ~input ~ranks results =
   if Array.length ranks <> Array.length results then
     err "expected %d results, got %d" (Array.length ranks) (Array.length results)
   else begin
-    let sorted = sorted_copy cmp input in
-    let n = Array.length sorted in
+    (* The element of rank [r] equals [x] iff [#(< x) < r <= #(<= x)]. *)
+    let probes = sorted_copy cmp results in
+    let lt, le = probe_counts cmp input probes in
+    let n = Array.length input in
     let rec walk i =
       if i = Array.length ranks then Ok ()
       else begin
         let r = ranks.(i) in
+        let j = count_lt cmp probes results.(i) in
         if r < 1 || r > n then err "rank %d out of range" r
-        else if cmp results.(i) sorted.(r - 1) <> 0 then
+        else if r <= lt.(j) || r > le.(j) then
           err "result %d is not the element of rank %d" i r
         else walk (i + 1)
       end

@@ -1,7 +1,10 @@
 (** Solution checkers.
 
-    All checkers are in-memory oracles (they may sort the whole input) used
-    by tests and benchmarks; they never touch the I/O meters.  Under
+    All checkers are in-memory oracles used by tests and benchmarks; they
+    never touch the I/O meters.  [splitters] and [multi_select] never copy
+    the input: they count, for each of their k probes, the input elements
+    below and not above it in one O(N log k) pass.  The partition checkers
+    sort one copy of the input and the concatenated answer.  Under
     duplicate keys the splitter checker solves the induced interval-chain
     feasibility problem (each splitter value may stand for any of its
     occurrences), so a solution is accepted iff {e some} assignment of

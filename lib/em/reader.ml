@@ -1,23 +1,43 @@
 type 'a t = {
   vec : 'a Vec.t;
+  b : int;  (* block size *)
+  len : int;  (* vector length *)
   prefetch : int;  (* max extra blocks read ahead of the cursor *)
   mutable pos : int;  (* absolute index of the next element to deliver *)
   bufs : (int * 'a array) Queue.t;  (* (block_index, payload), consecutive *)
   mutable extra : int;  (* block buffers charged beyond the base B words *)
   mutable closed : bool;
+  (* The front buffer's payload and the absolute range [\[cur_lo, cur_hi)]
+     it holds, cached so [peek]/[next] inside a block are one bounds check
+     and one array read.  Valid while [pos < cur_hi]; [trim] and [close]
+     reset [cur_hi] to 0 whenever the front buffer leaves the queue. *)
+  mutable cur : 'a array;
+  mutable cur_lo : int;
+  mutable cur_hi : int;
 }
-
-let buffer_words r = Ctx.block_size (Vec.ctx r.vec)
 
 let open_vec ?(prefetch = 0) vec =
   if prefetch < 0 then invalid_arg "Reader.open_vec: negative prefetch";
   let ctx = Vec.ctx vec in
-  Mem.charge ctx.Ctx.params ctx.Ctx.stats (Ctx.block_size ctx);
-  { vec; prefetch; pos = 0; bufs = Queue.create (); extra = 0; closed = false }
+  let b = Ctx.block_size ctx in
+  Mem.charge ctx.Ctx.params ctx.Ctx.stats b;
+  {
+    vec;
+    b;
+    len = Vec.length vec;
+    prefetch;
+    pos = 0;
+    bufs = Queue.create ();
+    extra = 0;
+    closed = false;
+    cur = [||];
+    cur_lo = 0;
+    cur_hi = 0;
+  }
 
 let check_open r = if r.closed then invalid_arg "Reader: already closed"
-let has_next r = (not r.closed) && r.pos < Vec.length r.vec
-let remaining r = max 0 (Vec.length r.vec - r.pos)
+let has_next r = (not r.closed) && r.pos < r.len
+let remaining r = max 0 (r.len - r.pos)
 
 (* Drop (and un-charge) buffers the cursor has fully consumed.  The front
    buffer runs on the base B-word charge; only read-ahead buffers beyond it
@@ -25,12 +45,13 @@ let remaining r = max 0 (Vec.length r.vec - r.pos)
    the base charge before the caller charges memory for whatever it does
    with the elements (exactly as an unbuffered reader would leave it). *)
 let trim r =
-  let b = buffer_words r in
+  let b = r.b in
   let consumed = ref true in
   while !consumed && not (Queue.is_empty r.bufs) do
     let bi, _ = Queue.peek r.bufs in
     if r.pos / b > bi then begin
       ignore (Queue.pop r.bufs);
+      r.cur_hi <- 0;
       if r.extra > 0 then begin
         let ctx = Vec.ctx r.vec in
         Mem.release ctx.Ctx.params ctx.Ctx.stats b;
@@ -49,10 +70,9 @@ let trim r =
    unbuffered reader would read, in the same order, one I/O each. *)
 let refill r =
   let ctx = Vec.ctx r.vec in
-  let b = Ctx.block_size ctx in
+  let b = r.b in
   let bi = r.pos / b in
-  let ids = Vec.block_ids r.vec in
-  let want = min (1 + r.prefetch) (Array.length ids - bi) in
+  let want = min (1 + r.prefetch) (Vec.num_blocks r.vec - bi) in
   let extra = ref 0 in
   (try
      while !extra < want - 1 do
@@ -66,17 +86,17 @@ let refill r =
      worker domains now and the metered reads below consume the staged
      bytes; on a sync backend this is a no-op.  Counted I/Os, their order,
      and the window shape are identical either way. *)
-  Device.prefetch ctx.Ctx.dev (Array.sub ids bi batch);
+  Device.prefetch ctx.Ctx.dev (Array.init batch (fun i -> Vec.block_id r.vec (bi + i)));
   let read_all () =
-    for i = 0 to batch - 1 do
-      Queue.push (bi + i, Resilient.read ctx.Ctx.dev ids.(bi + i)) r.bufs
+    for i = bi to bi + batch - 1 do
+      Queue.push (i, Resilient.read ctx.Ctx.dev (Vec.block_id r.vec i)) r.bufs
     done
   in
   if batch > 1 then Stats.with_window ctx.Ctx.stats read_all else read_all ()
 
 let ensure_loaded r =
   check_open r;
-  if r.pos >= Vec.length r.vec then invalid_arg "Reader: end of input";
+  if r.pos >= r.len then invalid_arg "Reader: end of input";
   trim r;
   if Queue.is_empty r.bufs then refill r
 
@@ -111,27 +131,30 @@ let last_buffered r =
       (fun (_, payload) -> payload.(Array.length payload - 1))
       (queue_back r)
 
-(* First block that is neither consumed nor buffered, if any. *)
+(* First block that is neither consumed nor buffered, if any.  An exhausted
+   reader has none, even when [take] consumed a partial final block without
+   buffering it ([pos / b] would name that block again). *)
 let next_unread_block r =
-  if r.closed then None
+  if r.closed || r.pos >= r.len then None
   else begin
     let next =
       match queue_back r with
       | Some (bi, _) -> bi + 1
-      | None -> r.pos / buffer_words r
+      | None -> r.pos / r.b
     in
-    if next >= Array.length (Vec.block_ids r.vec) then None else Some next
+    if next >= Vec.num_blocks r.vec then None else Some next
   end
 
 let next_disk r =
   Option.map
     (fun bi ->
       let ctx = Vec.ctx r.vec in
-      Device.disk_of_block ctx.Ctx.dev (Vec.block_ids r.vec).(bi))
+      Device.disk_of_block ctx.Ctx.dev (Vec.block_id r.vec bi))
     (next_unread_block r)
 
 let pending_io r =
   has_next r
+  && r.pos >= r.cur_hi
   && begin
        trim r;
        Queue.is_empty r.bufs
@@ -151,7 +174,7 @@ let prefetch_next r =
            a refusal is not an error, the merge just reads it later). *)
         Queue.is_empty r.bufs
         ||
-        match Mem.charge ctx.Ctx.params ctx.Ctx.stats (buffer_words r) with
+        match Mem.charge ctx.Ctx.params ctx.Ctx.stats r.b with
         | () ->
             r.extra <- r.extra + 1;
             true
@@ -159,19 +182,33 @@ let prefetch_next r =
       in
       charged
       && begin
-           Queue.push (bi, Resilient.read ctx.Ctx.dev (Vec.block_ids r.vec).(bi)) r.bufs;
+           Queue.push (bi, Resilient.read ctx.Ctx.dev (Vec.block_id r.vec bi)) r.bufs;
            true
          end
 
-let peek r =
+(* Off the fast path: the cursor has left the cached block (or none is
+   cached yet).  Load through the queue, then cache the front buffer, which
+   after [ensure_loaded] is the cursor's block. *)
+let peek_slow r =
   ensure_loaded r;
   let bi, payload = Queue.peek r.bufs in
-  payload.(r.pos - (bi * buffer_words r))
+  r.cur <- payload;
+  r.cur_lo <- bi * r.b;
+  r.cur_hi <- r.cur_lo + Array.length payload;
+  payload.(r.pos - r.cur_lo)
 
+let peek r =
+  let pos = r.pos in
+  if pos < r.cur_hi then Array.unsafe_get r.cur (pos - r.cur_lo) else peek_slow r
+
+(* The cursor can only reach a multiple of [b] at the end of the cached
+   block, so testing [cur_hi] first still trims at every block boundary and
+   skips the division inside a block. *)
 let next r =
   let e = peek r in
-  r.pos <- r.pos + 1;
-  if r.pos mod buffer_words r = 0 then trim r;
+  let pos = r.pos + 1 in
+  r.pos <- pos;
+  if pos = r.cur_hi && pos mod r.b = 0 then trim r;
   e
 
 (* Bulk delivery.  Already-buffered blocks are blitted out (each block is
@@ -190,7 +227,7 @@ let take r n =
   if count = 0 then [||]
   else begin
     let ctx = Vec.ctx r.vec in
-    let b = buffer_words r in
+    let b = r.b in
     let out = ref [||] in
     let filled = ref 0 in
     let blit_payload payload off k =
@@ -210,12 +247,10 @@ let take r n =
     done;
     if !filled < count then begin
       (* Queue empty means the cursor sits on a block boundary. *)
-      let ids = Vec.block_ids r.vec in
-      let nblocks = Array.length ids in
-      let veclen = Vec.length r.vec in
+      let nblocks = Vec.num_blocks r.vec in
       let d = ctx.Ctx.params.Params.disks in
       let covered bi =
-        bi < nblocks && (bi * b) + min b (veclen - (bi * b)) <= r.pos + (count - !filled)
+        bi < nblocks && (bi * b) + min b (r.len - (bi * b)) <= r.pos + (count - !filled)
       in
       (* Hint every block this take will read — the covered extent plus the
          trailing partial block — so an async backend overlaps them all.
@@ -224,7 +259,8 @@ let take r n =
       let first_bi = r.pos / b in
       let last_bi = min (nblocks - 1) ((r.pos + (count - !filled) - 1) / b) in
       if last_bi >= first_bi then
-        Device.prefetch ctx.Ctx.dev (Array.sub ids first_bi (last_bi - first_bi + 1));
+        Device.prefetch ctx.Ctx.dev
+          (Array.init (last_bi - first_bi + 1) (fun k -> Vec.block_id r.vec (first_bi + k)));
       while !filled < count && covered (r.pos / b) do
         let first = r.pos / b in
         let group = ref 1 in
@@ -234,7 +270,7 @@ let take r n =
         let g = !group in
         let read_group () =
           for k = 0 to g - 1 do
-            let payload = Resilient.read ctx.Ctx.dev ids.(first + k) in
+            let payload = Resilient.read ctx.Ctx.dev (Vec.block_id r.vec (first + k)) in
             blit_payload payload 0 (Array.length payload)
           done
         in
@@ -244,7 +280,7 @@ let take r n =
          stays the reader's current block for subsequent reads). *)
       if !filled < count then begin
         let bi = r.pos / b in
-        let payload = Resilient.read ctx.Ctx.dev ids.(bi) in
+        let payload = Resilient.read ctx.Ctx.dev (Vec.block_id r.vec bi) in
         Queue.push (bi, payload) r.bufs;
         blit_payload payload (r.pos - (bi * b)) (count - !filled)
       end
@@ -255,9 +291,11 @@ let take r n =
 let close r =
   if not r.closed then begin
     let ctx = Vec.ctx r.vec in
-    Mem.release ctx.Ctx.params ctx.Ctx.stats ((1 + r.extra) * buffer_words r);
+    Mem.release ctx.Ctx.params ctx.Ctx.stats ((1 + r.extra) * r.b);
     r.extra <- 0;
     Queue.clear r.bufs;
+    r.cur <- [||];
+    r.cur_hi <- 0;
     r.closed <- true
   end
 

@@ -4,6 +4,12 @@ let ctx v = v.ctx
 let length v = v.len
 let num_blocks v = Array.length v.blocks
 let block_ids v = Array.copy v.blocks
+
+let block_id v i =
+  if i < 0 || i >= Array.length v.blocks then
+    invalid_arg "Vec.block_id: block index out of bounds";
+  Array.unsafe_get v.blocks i
+
 let empty ctx = { ctx; blocks = [||]; len = 0 }
 
 let of_blocks ctx blocks len =

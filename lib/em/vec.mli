@@ -14,6 +14,14 @@ val ctx : 'a t -> 'a Ctx.t
 val length : 'a t -> int
 val num_blocks : 'a t -> int
 val block_ids : 'a t -> int array
+(** A fresh copy of the whole block table: O(N/B) time and words.  For cold
+    paths only (checkpoint manifests, tests); per-block code uses
+    {!block_id}. *)
+
+val block_id : 'a t -> int -> int
+(** [block_id v i] is the device id of the [i]-th block of [v]: O(1), no
+    copy.
+    @raise Invalid_argument unless [0 <= i < num_blocks v]. *)
 
 val empty : 'a Ctx.t -> 'a t
 

@@ -1,7 +1,8 @@
 type 'a t = {
   ctx : 'a Ctx.t;
   write_behind : int;  (* filled blocks that may wait before a batched drain *)
-  mutable buffer : 'a option array;  (* staged elements of the current block *)
+  block : int;  (* block size *)
+  mutable buffer : 'a array;  (* staged elements of the current block; [||] until the next push *)
   mutable fill : int;
   mutable blocks : int list;  (* allocated block ids, newest first *)
   queue : (int * 'a array) Queue.t;  (* allocated, filled, not yet written *)
@@ -35,7 +36,8 @@ let create ?(write_behind = 0) ctx =
     {
       ctx;
       write_behind;
-      buffer = Array.make b None;
+      block = b;
+      buffer = [||];
       fill = 0;
       blocks = [];
       queue = Queue.create ();
@@ -60,49 +62,56 @@ let create ?(write_behind = 0) ctx =
 
 let check_open w = if w.closed then invalid_arg "Writer: already closed"
 
-(* Hand off one filled payload.  The block id is allocated here, eagerly, so
-   allocation order — and with it slot placement and golden block ids — is
-   identical whether or not the write itself is deferred.  Queueing is
-   opportunistic: each pending payload is charged [B] words, and when the
-   ledger has no room the queue drains and the payload goes straight to the
-   device, so [mem_peak <= M] survives any write-behind depth. *)
+(* Hand off one filled payload; [true] when it went into the write-behind
+   queue (and so must not be touched again).  The block id is allocated
+   here, eagerly, so allocation order — and with it slot placement and
+   golden block ids — is identical whether or not the write itself is
+   deferred.  Queueing is opportunistic: each pending payload is charged [B]
+   words, and when the ledger has no room the queue drains and the payload
+   goes straight to the device, so [mem_peak <= M] survives any
+   write-behind depth. *)
 let hand_off w payload =
   let id = Device.alloc w.ctx.Ctx.dev in
   w.blocks <- id :: w.blocks;
-  if w.write_behind = 0 then Resilient.write w.ctx.Ctx.dev id payload
+  if w.write_behind = 0 then begin
+    Resilient.write w.ctx.Ctx.dev id payload;
+    false
+  end
   else
-    match Mem.charge w.ctx.Ctx.params w.ctx.Ctx.stats (Ctx.block_size w.ctx) with
+    match Mem.charge w.ctx.Ctx.params w.ctx.Ctx.stats w.block with
     | () ->
         Queue.push (id, payload) w.queue;
-        if Queue.length w.queue > w.write_behind then drain w
+        if Queue.length w.queue > w.write_behind then drain w;
+        true
     | exception Mem.Memory_exceeded _ ->
         drain w;
-        Resilient.write w.ctx.Ctx.dev id payload
+        Resilient.write w.ctx.Ctx.dev id payload;
+        false
 
+(* A full staging array is handed off as is: backend [store] copies, so
+   after a synchronous write it is reused for the next block; only a queued
+   payload forces the next push to stage into a fresh array. *)
 let flush w =
   if w.fill > 0 then begin
-    let payload =
-      Array.init w.fill (fun i ->
-          match w.buffer.(i) with
-          | Some e -> e
-          | None -> assert false)
-    in
-    hand_off w payload;
+    let full = w.fill = w.block in
+    let payload = if full then w.buffer else Array.sub w.buffer 0 w.fill in
+    if hand_off w payload && full then w.buffer <- [||];
     w.written <- w.written + w.fill;
     w.fill <- 0
   end
 
 let push w e =
   check_open w;
-  w.buffer.(w.fill) <- Some e;
+  if w.fill = 0 && Array.length w.buffer = 0 then w.buffer <- Array.make w.block e;
+  Array.unsafe_set w.buffer w.fill e;
   w.fill <- w.fill + 1;
-  if w.fill = Array.length w.buffer then flush w
+  if w.fill = w.block then flush w
 
 let push_array w a = Array.iter (push w) a
 let length w = w.written + w.fill
 
 let release_buffer w =
-  let b = Ctx.block_size w.ctx in
+  let b = w.block in
   (match w.reclaimer with
   | Some h ->
       Stats.remove_reclaimer w.ctx.Ctx.stats h;
@@ -123,7 +132,7 @@ let finish w =
 
 let abandon w =
   check_open w;
-  let b = Ctx.block_size w.ctx in
+  let b = w.block in
   (* Queued payloads die with the writer: release their deferred charges and
      free their (never-written) blocks along with the written ones. *)
   Mem.release w.ctx.Ctx.params w.ctx.Ctx.stats (Queue.length w.queue * b);

@@ -63,21 +63,30 @@ let find_tagging ?(rate = default_rate) cmp v ~k =
     invalid_arg "Sample_splitters.find: k exceeds the number of elements";
   if k > max_k ~rate ctx then
     invalid_arg "Sample_splitters.find: k exceeds max_k for this geometry";
-  let tcmp = Order.tagged cmp in
-  let load_tagged r ~base ~count =
-    let pairs = Array.make count (Em.Reader.peek r, base) in
+  (* A load is tagged by position alone: [keys.(i)] is the element at
+     [base + i], and sorting the index array under [pcmp] makes exactly the
+     comparisons [Order.tagged cmp] makes on (key, position) pairs, in the
+     same order.  Pairs are built only for the elements that leave the
+     load. *)
+  let load_keys r ~count =
+    let keys = Array.make count (Em.Reader.peek r) in
     for i = 0 to count - 1 do
-      pairs.(i) <- (Em.Reader.next r, base + i)
+      keys.(i) <- Em.Reader.next r
     done;
-    pairs
+    keys
+  in
+  let pcmp keys i j =
+    let c = cmp keys.(i) keys.(j) in
+    if c <> 0 then c else Int.compare i j
   in
   if k = 1 then [||]
   else if n <= base_size ctx then
     Em.Phase.with_label ctx "pivot-sampling" (fun () ->
         Em.Ctx.with_words ctx n (fun () ->
             Em.Reader.with_reader v (fun r ->
-                let pairs = load_tagged r ~base:0 ~count:n in
-                Mem_sort.quantile_splitters tcmp pairs ~k)))
+                let keys = load_keys r ~count:n in
+                Mem_sort.quantile_splitters (pcmp keys) (Array.init n Fun.id) ~k
+                |> Array.map (fun i -> (keys.(i), i)))))
   else
     Em.Phase.with_label ctx "pivot-sampling" (fun () ->
         begin
@@ -90,15 +99,17 @@ let find_tagging ?(rate = default_rate) cmp v ~k =
               while Em.Reader.has_next r do
                 let count = min chunk (Em.Reader.remaining r) in
                 Em.Ctx.with_words ctx count (fun () ->
-                    let pairs = load_tagged r ~base:!base ~count in
-                    Mem_sort.sort tcmp pairs;
+                    let keys = load_keys r ~count in
+                    let pos = Array.init count Fun.id in
+                    Mem_sort.sort (pcmp keys) pos;
                     for i = 1 to count / rate do
-                      Em.Writer.push w pairs.((i * rate) - 1)
+                      let p = pos.((i * rate) - 1) in
+                      Em.Writer.push w (keys.(p), !base + p)
                     done);
                 base := !base + count
               done))
     in
-    let result = find_rec ~rate tcmp sample ~k in
+    let result = find_rec ~rate (Order.tagged cmp) sample ~k in
     Em.Vec.free sample;
     result
   end)

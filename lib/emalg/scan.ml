@@ -114,13 +114,12 @@ let array_of_vec_io v =
       let ctx = Em.Vec.ctx v in
       let b = Em.Ctx.block_size ctx in
       let d = Em.Ctx.disks ctx in
-      let ids = Em.Vec.block_ids v in
-      let nblocks = Array.length ids in
+      let nblocks = Em.Vec.num_blocks v in
       let dev = ctx.Em.Ctx.dev in
       Em.Ctx.with_words ctx b (fun () ->
           let out = ref [||] in
           let read_block bi =
-            let payload = Em.Resilient.read dev ids.(bi) in
+            let payload = Em.Resilient.read dev (Em.Vec.block_id v bi) in
             if !out = [||] && Array.length payload > 0 then
               out := Array.make n payload.(0);
             Array.blit payload 0 !out (bi * b) (Array.length payload)

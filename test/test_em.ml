@@ -284,6 +284,208 @@ let test_linked_ctx_shares_meters () =
   Tu.check_int "write counted on shared stats" 1 ctx.Em.Ctx.stats.Em.Stats.writes;
   Tu.check_int "pair vec length" 1 (Em.Vec.length v)
 
+(* ---- streaming layer: linear-time scans ----
+
+   A scan costs O(1) time and O(1) allocated words per element beyond its
+   block payloads.  The gate is 8 words per element on a 4096-block vector
+   (B = 16): a per-block copy of the N/B-entry block table alone would cost
+   256. *)
+
+let words_allocated f =
+  let words (s : Gc.stat) = s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words in
+  let s0 = Gc.quick_stat () in
+  f ();
+  words (Gc.quick_stat ()) -. words s0
+
+let scan_words_per_elem what scan =
+  let ctx : int Em.Ctx.t = Em.Ctx.create ~backend:Em.Backend.Sim (Tu.params ()) in
+  let n = 4096 * 16 in
+  let v = Tu.int_vec ctx (Array.init n Fun.id) in
+  let sum = ref 0 in
+  let w = words_allocated (fun () -> scan v sum) in
+  Tu.check_int (what ^ ": every element delivered") (n * (n - 1) / 2) !sum;
+  Tu.check_int (what ^ ": one read per block") 4096 ctx.Em.Ctx.stats.Em.Stats.reads;
+  Em.Ctx.close ctx;
+  let per_elem = w /. float_of_int n in
+  if per_elem > 8. then
+    Alcotest.failf "%s allocates %.1f words per element (gate: 8)" what per_elem
+
+let test_scan_iter_linear () =
+  scan_words_per_elem "Scan.iter" (fun v sum -> Emalg.Scan.iter (fun x -> sum := !sum + x) v)
+
+let test_reader_take_linear () =
+  scan_words_per_elem "Reader.take" (fun v sum ->
+      Em.Reader.with_reader v (fun r ->
+          while Em.Reader.has_next r do
+            Array.iter (fun x -> sum := !sum + x) (Em.Reader.take r 24)
+          done))
+
+(* The forecasting calls a K-way merge makes at every refill. *)
+let test_reader_forecast_linear () =
+  scan_words_per_elem "prefetch_next/next_disk loop" (fun v sum ->
+      Em.Reader.with_reader v (fun r ->
+          while Em.Reader.has_next r do
+            if Em.Reader.pending_io r then begin
+              ignore (Em.Reader.next_disk r : int option);
+              ignore (Em.Reader.prefetch_next r : bool);
+              ignore (Em.Reader.prefetch_next r : bool)
+            end;
+            sum := !sum + Em.Reader.next r
+          done))
+
+(* ---- streaming layer: fast paths against a model ---- *)
+
+type reader_op =
+  | Peek
+  | Next
+  | Take of int
+  | Prefetch_next
+  | Buffered_blocks
+  | Last_buffered
+  | Next_disk
+  | Pending_io
+
+let gen_reader_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, return Next);
+        (2, return Peek);
+        (2, map (fun k -> Take k) (int_range 0 40));
+        (2, return Prefetch_next);
+        (1, return Buffered_blocks);
+        (1, return Last_buffered);
+        (1, return Next_disk);
+        (1, return Pending_io);
+      ])
+
+let stream_block = 8
+
+let traced_stream_ctx ~disks ~mem =
+  let trace = Em.Trace.create () in
+  let sink, events = Em.Trace.collector () in
+  Em.Trace.add_sink trace sink;
+  let ctx : int Em.Ctx.t = Em.Ctx.create ~trace ~disks (Em.Params.create ~mem ~block:stream_block) in
+  (ctx, events)
+
+(* Random interleavings deliver the input in order, read every block exactly
+   once and in block-table order, keep the ledger within M, and leave it
+   where it was once the reader is closed. *)
+let prop_reader_model =
+  Tu.qcheck_case ~count:300 "reader: random interleavings match the sequential model"
+    QCheck2.Gen.(
+      quad
+        (pair (oneofl [ 1; 2; 4 ]) (oneofl [ 0; 1; 3 ]))
+        (oneofl [ 32; 128 ])
+        (int_range 0 200)
+        (list_size (int_range 0 120) gen_reader_op))
+    (fun ((disks, prefetch), mem, n, ops) ->
+      let ctx, events = traced_stream_ctx ~disks ~mem in
+      let stats = ctx.Em.Ctx.stats in
+      let v = Tu.int_vec ctx (Array.init n Fun.id) in
+      let nblocks = Em.Vec.num_blocks v in
+      let before = stats.Em.Stats.mem_in_use in
+      let r = Em.Reader.open_vec ~prefetch v in
+      let pos = ref 0 in
+      let expect what b = if not b then QCheck2.Test.fail_reportf "%s (pos %d)" what !pos in
+      let at_end f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      List.iter
+        (fun op ->
+          (match op with
+          | Peek ->
+              if !pos < n then expect "peek" (Em.Reader.peek r = !pos)
+              else expect "peek at end" (at_end (fun () -> Em.Reader.peek r))
+          | Next ->
+              if !pos < n then begin
+                expect "next" (Em.Reader.next r = !pos);
+                incr pos
+              end
+              else expect "next at end" (at_end (fun () -> Em.Reader.next r))
+          | Take k ->
+              let got = Em.Reader.take r k in
+              expect "take" (got = Array.init (min k (n - !pos)) (fun i -> !pos + i));
+              pos := !pos + Array.length got
+          | Prefetch_next -> ignore (Em.Reader.prefetch_next r : bool)
+          | Buffered_blocks ->
+              let d = Em.Reader.buffered_blocks r in
+              expect "buffered_blocks" (d >= 0 && d <= nblocks)
+          | Last_buffered -> (
+              match Em.Reader.last_buffered r with
+              | None -> ()
+              | Some x ->
+                  (* A consumed partial final block stays buffered until close. *)
+                  expect "last_buffered"
+                    ((x >= !pos && (x + 1) mod stream_block = 0) || x = n - 1))
+          | Next_disk -> (
+              match Em.Reader.next_disk r with
+              | None -> ()
+              | Some d -> expect "next_disk" (d >= 0 && d < disks))
+          | Pending_io -> if Em.Reader.pending_io r then expect "pending_io" (Em.Reader.has_next r));
+          expect "remaining" (Em.Reader.remaining r = n - !pos);
+          expect "ledger within M" (stats.Em.Stats.mem_in_use <= mem))
+        ops;
+      while Em.Reader.has_next r do
+        expect "drain" (Em.Reader.next r = !pos);
+        incr pos
+      done;
+      Em.Reader.close r;
+      let reads =
+        List.filter_map
+          (fun e -> if e.Em.Trace.op = Em.Trace.Read then Some e.Em.Trace.block else None)
+          (events ())
+      in
+      let ids = List.init nblocks (Em.Vec.block_id v) in
+      let rec ascending = function a :: (b :: _ as rest) -> a < b && ascending rest | _ -> true in
+      expect "all delivered" (!pos = n);
+      let show l = String.concat "," (List.map string_of_int l) in
+      expect ("reads " ^ show reads ^ " ids " ^ show ids) (reads = ids && ascending ids);
+      expect "reads = blocks" (stats.Em.Stats.reads = nblocks);
+      expect "ledger restored" (stats.Em.Stats.mem_in_use = before);
+      Em.Ctx.close ctx;
+      true)
+
+(* A write-behind writer stages the next block while earlier payloads wait
+   in its queue: the contents check fails if a later push ever reaches a
+   queued payload.  Covers partial final blocks and [abandon] mid-block. *)
+let prop_writer_model =
+  Tu.qcheck_case ~count:300 "writer: staged payloads survive write-behind and abandon"
+    QCheck2.Gen.(
+      quad
+        (pair (oneofl [ 1; 2; 4 ]) (oneofl [ 0; 1; 3 ]))
+        (oneofl [ 32; 128 ])
+        (list_size (int_range 0 30) (int_range 0 12))
+        bool)
+    (fun ((disks, write_behind), mem, chunks, abandon) ->
+      let ctx, _ = traced_stream_ctx ~disks ~mem in
+      let stats = ctx.Em.Ctx.stats in
+      let before = stats.Em.Stats.mem_in_use in
+      let w = Em.Writer.create ~write_behind ctx in
+      let n = ref 0 in
+      List.iteri
+        (fun i k ->
+          let a = Array.init k (fun j -> !n + j) in
+          if i mod 2 = 0 then Em.Writer.push_array w a else Array.iter (Em.Writer.push w) a;
+          n := !n + k)
+        chunks;
+      let n = !n in
+      let ok =
+        Em.Writer.length w = n
+        &&
+        if abandon then begin
+          Em.Writer.abandon w;
+          Em.Device.live_blocks ctx.Em.Ctx.dev = 0
+        end
+        else begin
+          let v = Em.Writer.finish w in
+          Em.Vec.Oracle.to_array v = Array.init n Fun.id
+          && stats.Em.Stats.writes = Em.Vec.num_blocks v
+          && Em.Vec.num_blocks v = (n + stream_block - 1) / stream_block
+        end
+      in
+      let drained = stats.Em.Stats.mem_in_use = before && stats.Em.Stats.mem_peak <= mem in
+      Em.Ctx.close ctx;
+      ok && drained)
+
 let suite =
   [
     Alcotest.test_case "params: valid" `Quick test_params_valid;
@@ -316,4 +518,12 @@ let suite =
     Alcotest.test_case "stats: snapshot deltas" `Quick test_stats_snapshot;
     Alcotest.test_case "ctx: counted comparator" `Quick test_counted_comparator;
     Alcotest.test_case "ctx: linked shares meters" `Quick test_linked_ctx_shares_meters;
+    Alcotest.test_case "scan: Scan.iter allocates O(1) words per element" `Quick
+      test_scan_iter_linear;
+    Alcotest.test_case "scan: Reader.take allocates O(1) words per element" `Quick
+      test_reader_take_linear;
+    Alcotest.test_case "scan: forecasting loop allocates O(1) words per element" `Quick
+      test_reader_forecast_linear;
+    prop_reader_model;
+    prop_writer_model;
   ]
