@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test fmt goldens bench bench-json bench-file test-backends test-disks test-async test-async-stress smoke faults serve-smoke telemetry-smoke soak cluster perf-ab clean
+.PHONY: all build test fmt goldens bench bench-json bench-file test-backends test-disks test-async test-async-stress smoke cli-smoke faults serve-smoke telemetry-smoke soak cluster perf-ab clean
 
 all: build
 
@@ -69,9 +69,43 @@ test-async:
 test-async-stress:
 	EM_ASYNC_STRESS_ITERS=50 dune exec test/test_main.exe -- test async
 
-# Every end-to-end smoke in one go: the fault runs and the four golden
-# transcripts (serve, telemetry, soak, cluster).  CI's main job runs this.
-smoke: faults serve-smoke telemetry-smoke soak cluster
+# Every end-to-end smoke in one go: the CLI surface, the fault runs and the
+# four golden transcripts (serve, telemetry, soak, cluster).  CI's main job
+# runs this.
+smoke: cli-smoke faults serve-smoke telemetry-smoke soak cluster
+
+# CLI smoke: `profile` on every ALGO in all three report formats (the json
+# dump must parse), its --jsonl event stream (every line must parse as
+# JSON), and exit 124 — a one-line usage error, not an uncaught exception —
+# for each malformed machine flag or environment default, on `profile` and
+# on `serve`.
+EM_REPRO = ./_build/default/bin/em_repro.exe
+CLI_SMOKE_JSONL = _build/cli-smoke.jsonl
+
+cli-smoke:
+	dune build bin/em_repro.exe
+	@set -e; for algo in splitters partition multiselect quantiles sort; do \
+	  $(EM_REPRO) profile $$algo -n 8192 > /dev/null; \
+	  $(EM_REPRO) profile $$algo -n 8192 --format prom > /dev/null; \
+	  $(EM_REPRO) profile $$algo -n 8192 --format json \
+	    | python3 -c 'import json, sys; json.load(sys.stdin)'; \
+	done
+	@$(EM_REPRO) profile partition -n 8192 -k 16 --disks 2 --jsonl $(CLI_SMOKE_JSONL) > /dev/null
+	@python3 -c 'import json, sys; n = sum(1 for l in open(sys.argv[1]) if json.loads(l)); assert n > 0' \
+	  $(CLI_SMOKE_JSONL)
+	@set -e; usage_error() { \
+	  for sub in "profile sort -n 1000" "serve -n 1000"; do \
+	    s=0; env $$1 $(EM_REPRO) $$sub $$2 < /dev/null > /dev/null 2> $(CLI_SMOKE_JSONL).err || s=$$?; \
+	    if [ $$s -ne 124 ] || [ $$(wc -l < $(CLI_SMOKE_JSONL).err) -ne 1 ]; then \
+	      echo "cli-smoke: '$$1 em_repro $$sub $$2' exited $$s, want 124 with a one-line message"; \
+	      cat $(CLI_SMOKE_JSONL).err; exit 1; \
+	    fi; \
+	  done; \
+	}; \
+	usage_error "" "--disks 0"; usage_error "" "--block 0"; usage_error "" "--mem 10"; \
+	usage_error "" "--trace-ring 0"; usage_error EM_TRACE_RING=abc ""; \
+	usage_error EM_DISKS=abc ""; usage_error EM_BACKEND=bogus ""
+	@echo "cli-smoke: profile formats, JSONL stream and usage errors as expected."
 
 # Fault-injection smoke: one recoverable run per algorithm family, plus a
 # crash-restart run.  Each exits non-zero on an unexpected failure (exit 2:

@@ -22,8 +22,8 @@ let json_mode = ref false
 let scaled n = if !small_mode then max 4096 (n lsr 4) else n
 
 (* Every section publishes its measurements into this shared registry
-   (Table 1 rows via Core.Bound_track gauges); `em_repro metrics` exposes
-   the same machinery for single runs. *)
+   (Table 1 rows via Core.Bound_track gauges); `em_repro profile --format
+   prom|json` exposes the same machinery for single runs. *)
 let registry = Em.Metrics.create ~namespace:"bench" ()
 
 type measurement = {
@@ -38,16 +38,12 @@ type measurement = {
 }
 
 (* Run [f] on a fresh machine loaded with a workload; measure only [f].
-   A constant-space counting sink rides on the tracer so the seek profile is
-   exact even for runs far longer than the default ring buffer.  [disks]
+   The tracer counts seeks itself, so the seek profile is exact even for
+   runs far longer than the default ring buffer.  [disks]
    puts D parallel disks under the machine (default 1, or EM_DISKS). *)
 let measure ?(machine = default_machine) ?(kind = Core.Workload.Pi_hard) ?disks
     ~seed ~n f =
   let trace = Em.Trace.create () in
-  let seeks, read_seeks =
-    Em.Trace.counter (fun e -> e.Em.Trace.locality = Em.Trace.Random)
-  in
-  Em.Trace.add_sink trace seeks;
   let ctx : int Em.Ctx.t = Em.Ctx.create ~trace ?disks (params machine) in
   let v = Core.Workload.vec ctx kind ~seed ~n in
   let t0 = Unix.gettimeofday () in
@@ -60,7 +56,7 @@ let measure ?(machine = default_machine) ?(kind = Core.Workload.Pi_hard) ?disks
     rounds = d.Em.Stats.d_rounds;
     comparisons = d.Em.Stats.d_comparisons;
     peak_mem = ctx.Em.Ctx.stats.Em.Stats.mem_peak;
-    random_ios = read_seeks ();
+    random_ios = Em.Trace.seeks trace;
     wall_ns;
   }
 

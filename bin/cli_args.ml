@@ -125,13 +125,36 @@ let trace_ring_t =
           "Capacity of the in-memory I/O trace ring (bounds flight-recorder depth).  When \
            omitted, honours the EM_TRACE_RING environment variable (default 8192).")
 
+(* The machine flags and the environment defaults behind them, checked once
+   here so that a bad value is a one-line usage error (exit 124) on every
+   subcommand instead of an uncaught exception from deep in [make_ctx]. *)
+let validate c =
+  let fail fmt = Printf.ksprintf (fun msg -> `Error (false, msg)) fmt in
+  match c with
+  | { block; _ } when block < 1 -> fail "--block must be at least 1 (got %d)" block
+  | { mem; block; _ } when mem < 2 * block ->
+      fail "--mem must hold at least two blocks, M >= 2B (got M=%d, B=%d)" mem block
+  | { disks = Some d; _ } when d < 1 -> fail "--disks must be at least 1 (got %d)" d
+  | { trace_ring = Some r; _ } when r < 1 -> fail "--trace-ring must be at least 1 (got %d)" r
+  | _ -> (
+      (* The environment defaults raise on malformed values. *)
+      match
+        ignore (Em.Params.default_disks ());
+        if c.backend = None then ignore (Em.Backend.default_spec ());
+        if c.async = None then ignore (Em.Params.default_async ());
+        if c.trace_ring = None then ignore (Em.Trace.env_ring_capacity ())
+      with
+      | () -> `Ok c
+      | exception Invalid_argument msg -> `Error (false, msg))
+
 let common_t =
   let make verbose backend mem block disks async seed workload trace_ring =
-    { verbose; backend; mem; block; disks; async; seed; workload; trace_ring }
+    validate { verbose; backend; mem; block; disks; async; seed; workload; trace_ring }
   in
   Term.(
-    const make $ verbose_t $ backend_t $ mem_t $ block_t $ disks_t $ async_t $ seed_t
-    $ workload_t $ trace_ring_t)
+    ret
+      (const make $ verbose_t $ backend_t $ mem_t $ block_t $ disks_t $ async_t $ seed_t
+     $ workload_t $ trace_ring_t))
 
 (* ---- shared fault/recovery flags (faults, serve, soak) ---- *)
 

@@ -393,7 +393,7 @@ let reduce_cmd =
   let doc = "Precise partitioning via the Section 3 reduction." in
   Cmd.v (Cmd.info "reduce" ~doc) Term.(const run_reduce $ common_t $ n_t $ chunk_t)
 
-(* ---- one algorithm dispatch: trace, metrics and profile ---- *)
+(* ---- one algorithm dispatch for profile ---- *)
 
 let observed_algo_t =
   Arg.(
@@ -414,7 +414,7 @@ let observed_algo_t =
 
 type job = {
   name : string;
-  problem : string;  (** what [trace] prints on its "problem:" line *)
+  problem : string;  (** the report's "problem:" line *)
   row : (Core.Bound_track.row * Core.Problem.spec) option;
       (** the Table 1 row and spec, when the algorithm has one *)
   run : unit -> unit;  (** the measured computation; frees its output *)
@@ -463,50 +463,6 @@ let job_of ctx v ~algo ~n ~k ~a ~b ~ranks =
       { name = "sort"; problem = Printf.sprintf "external sort of %d elements" n; row = None;
         run = (fun () -> Em.Vec.free (Emalg.External_sort.sort cmp v)) }
 
-(* ---- trace ---- *)
-
-let jsonl_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "jsonl" ] ~docv:"FILE" ~doc:"Also stream every I/O event to FILE as JSON lines.")
-
-let run_trace c algo n k a b ranks jsonl =
-  setup_logs c;
-  let trace = make_trace c in
-  let collect, collected = Em.Trace.collector () in
-  Em.Trace.add_sink trace collect;
-  let jsonl_oc = Option.map open_out jsonl in
-  Option.iter (fun oc -> Em.Trace.add_sink trace (Em.Trace.jsonl_sink oc)) jsonl_oc;
-  let ctx = make_ctx ~trace c in
-  let v = workload_vec c ctx ~n in
-  describe c ctx;
-  let job = job_of ctx v ~algo ~n ~k ~a ~b ~ranks in
-  Printf.printf "problem:      %s\n" job.problem;
-  let (), cost = Em.Ctx.measured ctx job.run in
-  report_cost ctx cost;
-  let events = collected () in
-  Printf.printf "\nper-phase I/O tree (%s):\n" job.name;
-  Format.printf "%a" Em.Trace_report.pp_tree events;
-  Format.printf "@.%a" Em.Trace_report.pp_summary events;
-  Option.iter
-    (fun oc ->
-      close_out oc;
-      Printf.printf "events:       %d written to %s\n" (List.length events)
-        (Option.get jsonl))
-    jsonl_oc
-
-let trace_cmd =
-  let doc =
-    "Run an algorithm under the I/O tracer and print its per-phase I/O tree, \
-     sequential/random split and block-reuse profile."
-  in
-  Cmd.v
-    (Cmd.info "trace" ~doc)
-    Term.(
-      const run_trace $ common_t $ observed_algo_t $ n_t $ k_opt_t $ a_t $ b_opt_t $ ranks_opt_t
-      $ jsonl_t)
-
 (* ---- faults ---- *)
 
 let fault_algo_t =
@@ -553,10 +509,9 @@ let print_restarts (o : _ Emalg.Restart.outcome) =
 let run_faults c algo n k ranks fault_seed p kinds crash_every max_retries verify_writes
     restartable =
   setup_logs c;
-  let trace = make_trace c in
-  let collect, collected = Em.Trace.collector () in
-  Em.Trace.add_sink trace collect;
-  let ctx = make_ctx ~trace c in
+  let ctx = make_ctx c in
+  let profiler = Em.Profile.create () in
+  Em.Profile.attach profiler ctx.Em.Ctx.stats;
   Em.Ctx.arm ~policy:{ Em.Device.default_policy with Em.Device.max_retries; verify_writes } ctx;
   let v = workload_vec c ctx ~n in
   let input = Em.Vec.Oracle.to_array v in
@@ -607,8 +562,8 @@ let run_faults c algo n k ranks fault_seed p kinds crash_every max_retries verif
   in
   report_cost ctx cost;
   print_fault_report ctx;
-  Printf.printf "\nper-phase I/O tree (fault overhead in brackets):\n";
-  Format.printf "%a@." Em.Trace_report.pp_tree (collected ());
+  Printf.printf "\nspan tree (fault overhead in brackets):\n";
+  Format.printf "%a@." Em.Profile.pp profiler;
   match verified with
   | Ok verification -> print_verified verification
   | Error e ->
@@ -738,40 +693,32 @@ let soak_cmd =
       $ fault_p_t ~default:0. ()
       $ fault_kinds_t $ max_retries_t $ soak_flight_dir_t)
 
-(* ---- metrics & profile ---- *)
-
-(* Run [algo] with a span profiler and a seek-counting trace sink attached.
-   Returns the machine, the profiler, the measured cost delta, the seek
-   count and the job. *)
-let run_observed c ~algo ~n ~k ~a ~b ~ranks () =
-  let trace = make_trace c in
-  let seek_sink, seeks =
-    Em.Trace.counter (fun e -> e.Em.Trace.locality = Em.Trace.Random)
-  in
-  Em.Trace.add_sink trace seek_sink;
-  let ctx = make_ctx ~trace c in
-  let profiler = Em.Profile.create () in
-  Em.Profile.attach profiler ctx.Em.Ctx.stats;
-  let v = workload_vec c ctx ~n in
-  let job = job_of ctx v ~algo ~n ~k ~a ~b ~ranks in
-  let (), cost = Em.Ctx.measured ctx job.run in
-  (ctx, profiler, cost, seeks (), job)
+(* ---- profile: the one observed run ---- *)
 
 let format_t =
   Arg.(
     value
-    & opt (enum [ ("prom", `Prom); ("json", `Json) ]) `Prom
+    & opt (enum [ ("text", `Text); ("prom", `Prom); ("json", `Json) ]) `Text
     & info [ "format" ] ~docv:"FMT"
-        ~doc:"Registry dump format: prom (Prometheus text exposition) or json (canonical).")
+        ~doc:
+          "Report format: text (costs, span tree, disk balance and block-reuse summary), prom \
+           (the metrics registry in Prometheus text exposition) or json (the same registry, \
+           canonical JSON).")
 
-let run_metrics c algo n k a b ranks format =
-  setup_logs c;
-  let ctx, profiler, cost, seeks, job = run_observed c ~algo ~n ~k ~a ~b ~ranks () in
+let jsonl_t =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "jsonl" ] ~docv:"FILE" ~doc:"Also stream every I/O event to FILE as JSON lines.")
+
+(* Machine counters, seeks, every span, the per-phase rows and — where the
+   problem maps to a Table 1 row — measured vs predicted bound gauges. *)
+let print_registry ctx profiler cost job format =
   let reg = Em.Metrics.create () in
   Em.Metrics.publish_stats reg ctx.Em.Ctx.stats;
   Em.Metrics.set
     (Em.Metrics.gauge reg ~help:"I/Os the tracer classified as random" "seeks_total")
-    (float_of_int seeks);
+    (float_of_int (Em.Trace.seeks ctx.Em.Ctx.trace));
   Em.Profile.publish reg profiler;
   Em.Profile.publish_phase_ios reg profiler;
   (match job.row with
@@ -785,24 +732,11 @@ let run_metrics c algo n k a b ranks format =
   | `Prom -> print_string (Em.Metrics.to_prometheus reg)
   | `Json -> print_endline (Em.Json.to_string (Em.Metrics.to_json reg))
 
-let metrics_cmd =
-  let doc =
-    "Run an algorithm and dump the full metrics registry (machine counters, \
-     per-span profile, and — where the problem maps to a Table 1 row — \
-     measured vs predicted bound gauges)."
-  in
-  Cmd.v
-    (Cmd.info "metrics" ~doc)
-    Term.(
-      const run_metrics $ common_t $ observed_algo_t $ n_t $ k_opt_t $ a_t $ b_opt_t
-      $ ranks_opt_t $ format_t)
-
-let run_profile c algo n k a b ranks =
-  setup_logs c;
-  let ctx, profiler, cost, seeks, job = run_observed c ~algo ~n ~k ~a ~b ~ranks () in
+let print_text c ctx profiler cost job reuse =
   describe c ctx;
+  Printf.printf "problem:      %s\n" job.problem;
   report_cost ctx cost;
-  Printf.printf "random seeks: %d\n" seeks;
+  Printf.printf "random seeks: %d\n" (Em.Trace.seeks ctx.Em.Ctx.trace);
   (match job.row with
   | Some (row, spec) ->
       let pred = Core.Bound_track.predicted row ctx.Em.Ctx.params spec in
@@ -810,7 +744,9 @@ let run_profile c algo n k a b ranks =
       Printf.printf "Table 1 row:  %s — measured %d / predicted %.1f = ratio %.2f\n"
         (Core.Bound_track.name row) measured pred (float_of_int measured /. pred)
   | None -> ());
-  Printf.printf "\nspan tree (%s), children sorted by inclusive I/O:\n" job.name;
+  Printf.printf
+    "\nspan tree (%s), children sorted by inclusive I/O; wall ms inclusive, then self:\n"
+    job.name;
   Format.printf "%a" Em.Profile.pp profiler;
   Printf.printf "\nheaviest spans:\n";
   List.iteri
@@ -819,19 +755,58 @@ let run_profile c algo n k a b ranks =
         Printf.printf "  %8d I/O  %9d cmp  x%-4d %s\n" (Em.Profile.span_ios s)
           s.Em.Profile.cost.Em.Stats.d_comparisons s.Em.Profile.calls
           (Em.Profile.path_name s.Em.Profile.path))
-    (Em.Profile.spans profiler)
+    (Em.Profile.spans profiler);
+  print_newline ();
+  (* Per-disk balance only on multi-disk machines. *)
+  (match Em.Stats.disk_report ctx.Em.Ctx.stats with
+  | ([] | [ _ ]) -> ()
+  | per_disk ->
+      let counts = List.map snd per_disk in
+      Printf.printf "disk balance:     %s (max/min = %d/%d)\n"
+        (String.concat ", " (List.map (fun (d, n) -> Printf.sprintf "d%d:%d" d n) per_disk))
+        (List.fold_left max 0 counts) (List.fold_left min max_int counts));
+  Format.printf "%a" Em.Trace_report.pp_summary (reuse ())
+
+let run_profile c algo n k a b ranks format jsonl =
+  setup_logs c;
+  let trace = make_trace c in
+  let reuse_sink, reuse = Em.Trace_report.sink () in
+  Em.Trace.add_sink trace reuse_sink;
+  let ctx = make_ctx ~trace c in
+  let profiler = Em.Profile.create () in
+  Em.Profile.attach profiler ctx.Em.Ctx.stats;
+  let v = workload_vec c ctx ~n in
+  let job = job_of ctx v ~algo ~n ~k ~a ~b ~ranks in
+  let run () = Em.Ctx.measured ctx job.run in
+  let (), cost =
+    match jsonl with
+    | None -> run ()
+    | Some path ->
+        let oc = open_out path in
+        Em.Trace.add_sink trace (Em.Trace.jsonl_sink oc);
+        Fun.protect ~finally:(fun () -> close_out oc) run
+  in
+  match format with
+  | (`Prom | `Json) as format -> print_registry ctx profiler cost job format
+  | `Text ->
+      print_text c ctx profiler cost job reuse;
+      Option.iter
+        (fun path ->
+          Printf.printf "events:       %d written to %s\n" (Em.Trace.total trace) path)
+        jsonl
 
 let profile_cmd =
   let doc =
-    "Run an algorithm under the span profiler and print its phase-path span \
-     tree (I/Os, comparisons, wall-clock and memory peaks per span), plus \
-     the flat list of heaviest spans."
+    "Run an algorithm under the span profiler and the I/O tracer.  The text report gives \
+     its costs, the phase-path span tree (I/Os, comparisons, wall-clock per span), the \
+     heaviest spans, disk balance and block reuse; $(b,--format) prom or json dumps the \
+     full metrics registry instead."
   in
   Cmd.v
     (Cmd.info "profile" ~doc)
     Term.(
       const run_profile $ common_t $ observed_algo_t $ n_t $ k_opt_t $ a_t $ b_opt_t
-      $ ranks_opt_t)
+      $ ranks_opt_t $ format_t $ jsonl_t)
 
 (* ---- bounds ---- *)
 
@@ -897,8 +872,6 @@ let () =
         quantiles_cmd;
         cluster_cmd;
         reduce_cmd;
-        trace_cmd;
-        metrics_cmd;
         profile_cmd;
         faults_cmd;
         soak_cmd;

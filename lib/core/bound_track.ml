@@ -82,10 +82,6 @@ type sample = {
 let run ?(kind = Workload.Pi_hard) ?(seed = 2014) p row spec =
   Problem.validate_exn spec;
   let trace = Em.Trace.create () in
-  let seek_sink, seeks =
-    Em.Trace.counter (fun e -> e.Em.Trace.locality = Em.Trace.Random)
-  in
-  Em.Trace.add_sink trace seek_sink;
   let ctx : int Em.Ctx.t = Em.Ctx.create ~trace p in
   let v = Workload.vec ctx kind ~seed ~n:spec.Problem.n in
   let cmp = Em.Ctx.counted ctx Int.compare in
@@ -100,7 +96,7 @@ let run ?(kind = Workload.Pi_hard) ?(seed = 2014) p row spec =
     s_params = p;
     measured_ios;
     measured_rounds = d.Em.Stats.d_rounds;
-    seeks = seeks ();
+    seeks = Em.Trace.seeks trace;
     comparisons = d.Em.Stats.d_comparisons;
     mem_peak = ctx.Em.Ctx.stats.Em.Stats.mem_peak;
     wall_ns;

@@ -36,12 +36,12 @@ val create :
   ?shards:int ->
   Em.Params.t ->
   'a t
-(** [P] fresh machines sharing one tracer (so {!Em.Trace_report} rollups
-    see the whole cluster) and a zeroed communication ledger.  [shards]
-    defaults to {!default_shards}; the remaining options are forwarded to
-    every {!Em.Ctx.create}.  A [P = 1] cluster attaches no shard ids at
-    all, so its traces and goldens are bit-for-bit those of a plain single
-    machine. *)
+(** [P] fresh machines sharing one tracer (so its event stream, shard ids
+    included, covers the whole cluster) and a zeroed communication ledger.
+    [shards] defaults to {!default_shards}; the remaining options are
+    forwarded to every {!Em.Ctx.create}.  A [P = 1] cluster attaches no
+    shard ids at all, so its traces and goldens are bit-for-bit those of a
+    plain single machine. *)
 
 val size : 'a t -> int
 val ctx : 'a t -> int -> 'a Em.Ctx.t

@@ -133,31 +133,57 @@ let tree t =
 
 let node_span node = match node.span with Some s -> s | None -> zero_span []
 
+(* Cost outside every top-level span, against the attached machine: the
+   "(other)" row of both reports. *)
+let other t =
+  let top =
+    Hashtbl.fold
+      (fun path s acc -> match path with [ _ ] -> Stats.add acc s.cost | _ -> acc)
+      t.spans Stats.zero
+  in
+  match t.source with Some stats -> Stats.delta stats top | None -> Stats.zero
+
+let pp_cost ppf (c : Stats.delta) =
+  Format.fprintf ppf "%8d I/O (r %d / w %d)  %9d cmp" (Stats.delta_ios c) c.Stats.d_reads
+    c.Stats.d_writes c.Stats.d_comparisons
+
+(* Round compression only when parallel disks actually shortened the
+   schedule, so single-disk profiles keep their exact shape; likewise the
+   fault and cache brackets appear only when non-zero. *)
+let pp_brackets ppf (c : Stats.delta) =
+  if c.Stats.d_rounds < Stats.delta_ios c then Format.fprintf ppf "  [rounds %d]" c.Stats.d_rounds;
+  if c.Stats.d_faults > 0 || c.Stats.d_retries > 0 then
+    Format.fprintf ppf "  [faulted %d / retried %d]" c.Stats.d_faults c.Stats.d_retries;
+  if c.Stats.d_cache_hits > 0 || c.Stats.d_cache_misses > 0 then
+    Format.fprintf ppf "  [hit %d / miss %d]" c.Stats.d_cache_hits c.Stats.d_cache_misses
+
+let label_column ppf ~depth label =
+  Format.fprintf ppf "%s%-*s " (String.make (2 * depth) ' ') (max 1 (28 - (2 * depth))) label
+
+let heaviest_first nodes =
+  List.sort (fun a b -> Int.compare (span_ios (node_span b)) (span_ios (node_span a))) nodes
+
 let rec pp_node ppf ~depth node =
   let s = node_span node in
-  let c = s.cost in
-  if depth > 0 then begin
-    Format.fprintf ppf "%s%-*s %8d I/O (r %d / w %d)  %9d cmp  %8.2f ms  x%d"
-      (String.make (2 * (depth - 1)) ' ')
-      (max 1 (28 - (2 * (depth - 1))))
-      node.label (span_ios s) c.Stats.d_reads c.Stats.d_writes c.Stats.d_comparisons
-      (s.wall_ns /. 1e6) s.calls;
-    (* Round compression only when parallel disks actually shortened the
-       schedule, so single-disk profiles keep their exact shape. *)
-    if c.Stats.d_rounds < span_ios s then Format.fprintf ppf "  [rounds %d]" c.Stats.d_rounds;
-    if c.Stats.d_faults > 0 || c.Stats.d_retries > 0 then
-      Format.fprintf ppf "  [faulted %d / retried %d]" c.Stats.d_faults c.Stats.d_retries;
-    if c.Stats.d_cache_hits > 0 || c.Stats.d_cache_misses > 0 then
-      Format.fprintf ppf "  [hit %d / miss %d]" c.Stats.d_cache_hits c.Stats.d_cache_misses;
-    Format.fprintf ppf "@."
-  end;
-  List.iter
-    (pp_node ppf ~depth:(depth + 1))
-    (List.sort
-       (fun a b -> Int.compare (span_ios (node_span b)) (span_ios (node_span a)))
-       node.children)
+  let children = heaviest_first node.children in
+  (* Self wall time: inclusive minus the direct children's, clamped so
+     clock granularity never prints a negative. *)
+  let self_ns =
+    Float.max 0.
+      (List.fold_left (fun acc c -> acc -. (node_span c).wall_ns) s.wall_ns children)
+  in
+  label_column ppf ~depth node.label;
+  Format.fprintf ppf "%a  %8.2f ms  %8.2f self  x%d%a@." pp_cost s.cost (s.wall_ns /. 1e6)
+    (self_ns /. 1e6) s.calls pp_brackets s.cost;
+  List.iter (pp_node ppf ~depth:(depth + 1)) children
 
-let pp ppf t = pp_node ppf ~depth:0 (tree t)
+let pp ppf t =
+  let other = other t in
+  if Stats.delta_ios other <> 0 then begin
+    label_column ppf ~depth:0 "(other)";
+    Format.fprintf ppf "%a%a@." pp_cost other pp_brackets other
+  end;
+  List.iter (pp_node ppf ~depth:0) (heaviest_first (tree t).children)
 
 (* ---- per-path report ---- *)
 
@@ -171,11 +197,10 @@ let phase_report t =
       let parent = List.rev (List.tl (List.rev path)) in
       Hashtbl.replace below parent (below_of parent + span_ios s))
     t.spans;
-  let total = match t.source with Some stats -> Stats.ios stats | None -> 0 in
   Hashtbl.fold
     (fun path s acc -> (path_name path, span_ios s - below_of path) :: acc)
     t.spans
-    [ ("(other)", total - below_of []) ]
+    [ ("(other)", Stats.delta_ios (other t)) ]
   |> List.filter (fun (_, ios) -> ios <> 0)
   |> List.sort (fun (pa, a) (pb, b) ->
          match Int.compare b a with 0 -> String.compare pa pb | c -> c)

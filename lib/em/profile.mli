@@ -58,7 +58,11 @@ val phase_report : t -> (string * int) list
 
 val pp : Format.formatter -> t -> unit
 (** Span-tree report: one line per span, indented by nesting, children
-    sorted by inclusive I/O cost. *)
+    sorted by inclusive I/O cost.  Each line gives the span's cost, its
+    inclusive wall-clock ms and its self ms (inclusive minus the direct
+    children's), and its call count.  A leading ["(other)"] line carries the
+    cost outside every top-level span, computed as for {!phase_report}, so
+    the top-level lines sum to the machine's totals. *)
 
 val publish_phase_ios : Metrics.t -> t -> unit
 (** Publish {!phase_report} as one [phase_ios{path=...}] gauge per row. *)

@@ -34,6 +34,7 @@ type t = {
   mutable sinks : sink list;
   mutable last_block : int;
   mutable next_seq : int;
+  mutable seeks : int;
 }
 
 let default_ring_capacity = 8192
@@ -63,7 +64,7 @@ let create ?ring_capacity () =
   let capacity =
     match ring_capacity with Some c -> c | None -> env_ring_capacity ()
   in
-  { sinks = [ ring_sink ~capacity ]; last_block = min_int; next_seq = 0 }
+  { sinks = [ ring_sink ~capacity ]; last_block = min_int; next_seq = 0; seeks = 0 }
 
 let add_sink t sink = t.sinks <- t.sinks @ [ sink ]
 
@@ -71,11 +72,6 @@ let collector () =
   let acc = ref [] in
   ( Custom { push = (fun e -> acc := e :: !acc); on_reset = (fun () -> acc := []) },
     fun () -> List.rev !acc )
-
-let counter pred =
-  let n = ref 0 in
-  ( Custom { push = (fun e -> if pred e then incr n); on_reset = (fun () -> n := 0) },
-    fun () -> !n )
 
 let op_name = function Read -> "read" | Write -> "write"
 let locality_name = function Sequential -> "sequential" | Random -> "random"
@@ -122,9 +118,10 @@ let classify t block =
   else Random
 
 let emit ?(kind = Io) ?(backend = "sim") ?cache ?disk ?round ?shard t op ~block ~phase =
+  let locality = classify t block in
+  (match locality with Random -> t.seeks <- t.seeks + 1 | Sequential -> ());
   let e =
-    { seq = t.next_seq; op; kind; block; phase; locality = classify t block;
-      backend; cache; disk; round; shard }
+    { seq = t.next_seq; op; kind; block; phase; locality; backend; cache; disk; round; shard }
   in
   t.next_seq <- t.next_seq + 1;
   t.last_block <- block;
@@ -143,10 +140,12 @@ let first_ring t =
 let events t = match first_ring t with None -> [] | Some r -> ring_events r
 let dropped t = match first_ring t with None -> 0 | Some r -> r.dropped
 let total t = t.next_seq
+let seeks t = t.seeks
 
 let reset t =
   t.last_block <- min_int;
   t.next_seq <- 0;
+  t.seeks <- 0;
   List.iter
     (function
       | Ring r ->

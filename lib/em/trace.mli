@@ -78,10 +78,6 @@ val collector : unit -> sink * (unit -> event list)
     them oldest-first.  Use for reports on runs whose length exceeds any
     reasonable ring.  {!reset} clears the retained events. *)
 
-val counter : (event -> bool) -> sink * (unit -> int)
-(** A constant-space sink counting the events that satisfy the predicate.
-    {!reset} zeroes the count. *)
-
 val add_sink : t -> sink -> unit
 
 val emit :
@@ -101,14 +97,17 @@ val dropped : t -> int
 val total : t -> int
 (** Total events emitted (independent of ring capacity). *)
 
+val seeks : t -> int
+(** Events classified {!Random} since creation/reset: the head seeks. *)
+
 val reset : t -> unit
-(** Clear sequence numbering, locality state, and the contents of {e every}
-    sink that owns state: ring sinks are emptied (length, head and dropped
-    count), and custom sinks — including {!collector} and {!counter} — have
-    their [reset] hook invoked, so no sink silently carries events across
-    runs.  JSONL sinks are the one exception: the tracer does not own the
-    channel, so already-written lines stay in the file and subsequent events
-    are appended (their [seq] restarts at 0). *)
+(** Clear sequence numbering, locality state, the seek count, and the
+    contents of {e every} sink that owns state: ring sinks are emptied
+    (length, head and dropped count), and custom sinks — including
+    {!collector} — have their [reset] hook invoked, so no sink silently
+    carries events across runs.  JSONL sinks are the one exception: the
+    tracer does not own the channel, so already-written lines stay in the
+    file and subsequent events are appended (their [seq] restarts at 0). *)
 
 val op_name : op -> string
 val locality_name : locality -> string

@@ -1,191 +1,53 @@
-type counts = {
-  reads : int;
-  writes : int;
-  sequential : int;
-  random : int;
-  faults : int;
-  retries : int;
-  cache_hits : int;
-  cache_misses : int;
-}
-
-let zero =
-  {
-    reads = 0;
-    writes = 0;
-    sequential = 0;
-    random = 0;
-    faults = 0;
-    retries = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-  }
-
-let add c (e : Trace.event) =
-  {
-    reads = (c.reads + match e.op with Trace.Read -> 1 | Trace.Write -> 0);
-    writes = (c.writes + match e.op with Trace.Write -> 1 | Trace.Read -> 0);
-    sequential =
-      (c.sequential + match e.locality with Trace.Sequential -> 1 | Trace.Random -> 0);
-    random = (c.random + match e.locality with Trace.Random -> 1 | Trace.Sequential -> 0);
-    faults = (c.faults + match e.kind with Trace.Faulted _ -> 1 | Trace.Io | Trace.Retry -> 0);
-    retries = (c.retries + match e.kind with Trace.Retry -> 1 | Trace.Io | Trace.Faulted _ -> 0);
-    cache_hits = (c.cache_hits + match e.cache with Some Trace.Hit -> 1 | _ -> 0);
-    cache_misses = (c.cache_misses + match e.cache with Some Trace.Miss -> 1 | _ -> 0);
-  }
-
-let merge a b =
-  {
-    reads = a.reads + b.reads;
-    writes = a.writes + b.writes;
-    sequential = a.sequential + b.sequential;
-    random = a.random + b.random;
-    faults = a.faults + b.faults;
-    retries = a.retries + b.retries;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_misses = a.cache_misses + b.cache_misses;
-  }
-
-let ios c = c.reads + c.writes
-
-type node = {
-  label : string;
-  mutable self : counts;  (* I/Os whose innermost phase is exactly this node *)
-  mutable children : node list;  (* in order of first appearance *)
-}
-
-let make_node label = { label; self = zero; children = [] }
-
-let child_named node label =
-  match List.find_opt (fun c -> c.label = label) node.children with
-  | Some c -> c
-  | None ->
-      let c = make_node label in
-      node.children <- node.children @ [ c ];
-      c
-
-let tree events =
-  let root = make_node "total" in
-  List.iter
-    (fun (e : Trace.event) ->
-      (* [e.phase] lists the innermost label first; walk outermost-in. *)
-      let node = List.fold_left child_named root (List.rev e.phase) in
-      node.self <- add node.self e)
-    events;
-  root
-
-let rec subtotal node = List.fold_left (fun acc c -> merge acc (subtotal c)) node.self node.children
-
 type summary = {
-  totals : counts;
   distinct_blocks : int;
-  reread_histogram : (int * int) list;  (** (times a block was read, #blocks) *)
-  rewrite_histogram : (int * int) list;  (** (times a block was written, #blocks) *)
+  reread_histogram : (int * int) list;
+  rewrite_histogram : (int * int) list;
+  scheduling_windows : int;
 }
 
-let access_histogram events which =
-  let per_block = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Trace.event) ->
-      if e.op = which then
-        Hashtbl.replace per_block e.block
-          (1 + Option.value (Hashtbl.find_opt per_block e.block) ~default:0))
-    events;
+type tally = { mutable reads : int; mutable writes : int }
+
+(* (times, blocks accessed that many times), ascending; blocks never
+   accessed that way are left out. *)
+let histogram blocks times_of =
   let hist = Hashtbl.create 8 in
   Hashtbl.iter
-    (fun _block times ->
-      Hashtbl.replace hist times (1 + Option.value (Hashtbl.find_opt hist times) ~default:0))
-    per_block;
-  Hashtbl.fold (fun times blocks acc -> (times, blocks) :: acc) hist []
+    (fun _ tally ->
+      let times = times_of tally in
+      if times > 0 then
+        Hashtbl.replace hist times (1 + Option.value (Hashtbl.find_opt hist times) ~default:0))
+    blocks;
+  Hashtbl.fold (fun times n acc -> (times, n) :: acc) hist []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let summarize events =
-  let totals = List.fold_left add zero events in
-  let blocks = Hashtbl.create 64 in
-  List.iter (fun (e : Trace.event) -> Hashtbl.replace blocks e.block ()) events;
-  {
-    totals;
-    distinct_blocks = Hashtbl.length blocks;
-    reread_histogram = access_histogram events Trace.Read;
-    rewrite_histogram = access_histogram events Trace.Write;
-  }
-
-(* Per-disk I/O counts, from events carrying a disk id (emitted only on
-   multi-disk machines — single-disk traces yield an empty report). *)
-let disk_balance events =
-  let per_disk = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.disk with
-      | Some d ->
-          Hashtbl.replace per_disk d
-            (1 + Option.value (Hashtbl.find_opt per_disk d) ~default:0)
-      | None -> ())
-    events;
-  Hashtbl.fold (fun d n acc -> (d, n) :: acc) per_disk []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-(* Per-shard I/O counts, from events carrying a shard id (emitted only by
-   devices that are part of a cluster — single-machine traces yield an
-   empty report).  Same shape as [disk_balance] one level up: disks stripe
-   blocks inside one machine, shards stripe data across machines. *)
-let shard_balance events =
-  let per_shard = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.shard with
-      | Some s ->
-          Hashtbl.replace per_shard s
-            (1 + Option.value (Hashtbl.find_opt per_shard s) ~default:0)
-      | None -> ())
-    events;
-  Hashtbl.fold (fun s n acc -> (s, n) :: acc) per_shard []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-(* Distinct round ids: I/Os sharing one id were issued in the same
-   scheduling window and overlap on a parallel-disk machine. *)
-let scheduling_windows events =
-  let rounds = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.round with Some r -> Hashtbl.replace rounds r () | None -> ())
-    events;
-  Hashtbl.length rounds
-
-let random_seeks events =
-  List.fold_left
-    (fun acc (e : Trace.event) ->
-      match e.locality with Trace.Random -> acc + 1 | Trace.Sequential -> acc)
-    0 events
-
-let overhead c = c.faults + c.retries
-
-let cached_reads c = c.cache_hits + c.cache_misses
-
-let pp_counts ppf c =
-  Format.fprintf ppf "%d I/O (r %d / w %d; seq %d / rand %d)" (ios c) c.reads c.writes
-    c.sequential c.random;
-  (* Fault overhead only when present, so fault-free reports stay stable;
-     likewise the cache mix appears only for cached-backend traces. *)
-  if overhead c > 0 then Format.fprintf ppf " [faulted %d / retried %d]" c.faults c.retries;
-  if cached_reads c > 0 then
-    Format.fprintf ppf " [hit %d / miss %d]" c.cache_hits c.cache_misses
-
-let rec pp_node ppf ~depth node =
-  let total = subtotal node in
-  Format.fprintf ppf "%s%-*s %a@." (String.make (2 * depth) ' ')
-    (max 1 (24 - (2 * depth)))
-    node.label pp_counts total;
-  (* Show unattributed I/O explicitly when a phase also has sub-phases. *)
-  if node.children <> [] && ios node.self > 0 then
-    Format.fprintf ppf "%s%-*s %a@."
-      (String.make (2 * (depth + 1)) ' ')
-      (max 1 (24 - (2 * (depth + 1))))
-      "(self)" pp_counts node.self;
-  List.iter (pp_node ppf ~depth:(depth + 1))
-    (List.sort (fun a b -> Int.compare (ios (subtotal b)) (ios (subtotal a))) node.children)
-
-let pp_tree ppf events = pp_node ppf ~depth:0 (tree events)
+let sink () =
+  let blocks = Hashtbl.create 64 and rounds = Hashtbl.create 64 in
+  let push (e : Trace.event) =
+    let tally =
+      match Hashtbl.find_opt blocks e.block with
+      | Some tally -> tally
+      | None ->
+          let tally = { reads = 0; writes = 0 } in
+          Hashtbl.add blocks e.block tally;
+          tally
+    in
+    (match e.op with
+    | Trace.Read -> tally.reads <- tally.reads + 1
+    | Trace.Write -> tally.writes <- tally.writes + 1);
+    Option.iter (fun r -> Hashtbl.replace rounds r ()) e.round
+  in
+  let reset () =
+    Hashtbl.reset blocks;
+    Hashtbl.reset rounds
+  in
+  ( Trace.custom_sink ~reset push,
+    fun () ->
+      {
+        distinct_blocks = Hashtbl.length blocks;
+        reread_histogram = histogram blocks (fun t -> t.reads);
+        rewrite_histogram = histogram blocks (fun t -> t.writes);
+        scheduling_windows = Hashtbl.length rounds;
+      } )
 
 let pp_histogram ppf hist =
   if hist = [] then Format.fprintf ppf "  (none)@."
@@ -194,41 +56,11 @@ let pp_histogram ppf hist =
       (fun (times, blocks) -> Format.fprintf ppf "  %4dx : %d blocks@." times blocks)
       hist
 
-(* Printed only for multi-disk traces, so single-disk reports — and their
-   goldens — keep their exact shape. *)
-let pp_disk_balance ppf events =
-  match disk_balance events with
-  | [] -> ()
-  | per_disk ->
-      let counts = List.map snd per_disk in
-      let mx = List.fold_left max 0 counts
-      and mn = List.fold_left min max_int counts in
-      Format.fprintf ppf "disk balance:     %s (max/min = %d/%d)@."
-        (String.concat ", "
-           (List.map (fun (d, n) -> Printf.sprintf "d%d:%d" d n) per_disk))
-        mx mn;
-      Format.fprintf ppf "sched windows:    %d@." (scheduling_windows events)
-
-(* Printed only for clustered traces, so single-machine reports — and their
-   goldens — keep their exact shape. *)
-let pp_shard_balance ppf events =
-  match shard_balance events with
-  | [] -> ()
-  | per_shard ->
-      let counts = List.map snd per_shard in
-      let mx = List.fold_left max 0 counts
-      and mn = List.fold_left min max_int counts in
-      Format.fprintf ppf "shard balance:    %s (max/min = %d/%d)@."
-        (String.concat ", "
-           (List.map (fun (s, n) -> Printf.sprintf "s%d:%d" s n) per_shard))
-        mx mn
-
-let pp_summary ppf events =
-  let s = summarize events in
-  Format.fprintf ppf "totals:           %a@." pp_counts s.totals;
-  pp_disk_balance ppf events;
-  pp_shard_balance ppf events;
-  Format.fprintf ppf "random seeks:     %d@." s.totals.random;
+(* Windows only on multi-disk traces, so single-disk reports keep their
+   shape. *)
+let pp_summary ppf s =
+  if s.scheduling_windows > 0 then
+    Format.fprintf ppf "sched windows:    %d@." s.scheduling_windows;
   Format.fprintf ppf "distinct blocks:  %d@." s.distinct_blocks;
   Format.fprintf ppf "block re-reads (times read -> blocks):@.";
   pp_histogram ppf s.reread_histogram;

@@ -1,74 +1,24 @@
-(** Offline analysis of {!Trace} event streams.
+(** Block-reuse analysis of a {!Trace} event stream: what the events alone
+    know.  Per-phase costs live in {!Profile} spans, totals and per-disk
+    counts in {!Stats}, and the seek count in {!Trace.seeks}.
 
-    Computes the per-phase I/O tree (phases nest, so costs form a tree whose
-    leaves are innermost labels), the read/write and sequential/random mix,
-    random-seek counts, and block-reuse histograms.  Works on any event list
-    — typically one captured through {!Trace.collector}. *)
-
-type counts = {
-  reads : int;
-  writes : int;
-  sequential : int;
-  random : int;
-  faults : int;  (** attempts on which a fault was injected *)
-  retries : int;  (** recovery re-attempts *)
-  cache_hits : int;  (** reads served from a buffer-pool page *)
-  cache_misses : int;  (** reads that went to the underlying backend *)
-}
-
-val zero : counts
-val merge : counts -> counts -> counts
-val ios : counts -> int
-
-val overhead : counts -> int
-(** [faults + retries]: the extra I/Os a phase paid because of faults.  Zero
-    on a fault-free run. *)
-
-val cached_reads : counts -> int
-(** [cache_hits + cache_misses]: reads that carried a cache annotation.
-    Zero on uncached backends; equals [reads] under {!Backend.cached}. *)
-
-type node = {
-  label : string;
-  mutable self : counts;  (** I/Os attributed exactly to this phase path *)
-  mutable children : node list;
-}
-
-val tree : Trace.event list -> node
-(** Root node is labelled ["total"]; children appear in order of first I/O. *)
-
-val subtotal : node -> counts
-(** Self counts plus all descendants. *)
+    The analysis streams: its sink keeps one read/write tally per distinct
+    block and one entry per scheduling window, never the events
+    themselves. *)
 
 type summary = {
-  totals : counts;
   distinct_blocks : int;
   reread_histogram : (int * int) list;
       (** (times a block was read, number of such blocks), ascending *)
   rewrite_histogram : (int * int) list;
+  scheduling_windows : int;
+      (** distinct round ids: I/Os sharing one were issued in the same
+          scheduling window and overlap on a parallel-disk machine.  Zero
+          for single-disk traces. *)
 }
 
-val summarize : Trace.event list -> summary
+val sink : unit -> Trace.sink * (unit -> summary)
+(** A sink to add to a tracer, plus a function summarising the events it
+    has seen so far.  {!Trace.reset} clears it. *)
 
-val random_seeks : Trace.event list -> int
-(** Number of events classified {!Trace.Random}. *)
-
-val disk_balance : Trace.event list -> (int * int) list
-(** Per-disk I/O counts [(disk, ios)], ascending by disk, from events
-    carrying a disk id.  Empty for single-disk traces (the id is emitted
-    only when [D > 1]). *)
-
-val shard_balance : Trace.event list -> (int * int) list
-(** Per-shard I/O counts [(shard, ios)], ascending by shard, from events
-    carrying a shard id.  Empty for single-machine traces (the id is
-    emitted only by devices created with a shard identity, i.e. by
-    {!Core.Cluster} members). *)
-
-val scheduling_windows : Trace.event list -> int
-(** Number of distinct round ids among events carrying one: I/Os sharing an
-    id were issued in the same scheduling window and overlap on a
-    parallel-disk machine.  Zero for single-disk traces. *)
-
-val pp_counts : Format.formatter -> counts -> unit
-val pp_tree : Format.formatter -> Trace.event list -> unit
-val pp_summary : Format.formatter -> Trace.event list -> unit
+val pp_summary : Format.formatter -> summary -> unit

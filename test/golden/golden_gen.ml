@@ -14,10 +14,6 @@ type run = { d : Em.Stats.delta; mem_peak : int; seeks : int }
 
 let measure ~mem ~block kind ~n f =
   let trace = Em.Trace.create () in
-  let seek_sink, seeks =
-    Em.Trace.counter (fun e -> e.Em.Trace.locality = Em.Trace.Random)
-  in
-  Em.Trace.add_sink trace seek_sink;
   (* Pinned to the sim backend and a single disk: golden costs document the
      counted model and must be immune to EM_BACKEND (mem_peak would include
      pool pages) and EM_DISKS (rounds would compress and prefetch would move
@@ -28,7 +24,7 @@ let measure ~mem ~block kind ~n f =
   in
   let v = Core.Workload.vec ctx kind ~seed ~n in
   let (), d = Em.Ctx.measured ctx (fun () -> f ctx v) in
-  { d; mem_peak = ctx.Em.Ctx.stats.Em.Stats.mem_peak; seeks = seeks () }
+  { d; mem_peak = ctx.Em.Ctx.stats.Em.Stats.mem_peak; seeks = Em.Trace.seeks trace }
 
 let print_run label r =
   Printf.printf "%s -> reads=%d writes=%d comps=%d mem_peak=%d seeks=%d rounds=%d\n" label

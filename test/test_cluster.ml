@@ -366,7 +366,7 @@ let test_default_shards_env () =
   Core.Cluster.close t;
   Tu.check_int_array "default-shards sort matches the oracle" (Tu.sorted_copy a) merged
 
-(* ---- trace rollups carry the shard id ---- *)
+(* ---- trace events carry the shard id ---- *)
 
 let test_shard_trace () =
   let run shards =
@@ -380,7 +380,17 @@ let test_shard_trace () =
     let sorted, _ = Core.Cluster.sort Tu.icmp t parts in
     Array.iter Em.Vec.free sorted;
     Core.Cluster.close t;
-    Em.Trace_report.shard_balance (events ())
+    (* Per-shard I/O counts, ascending by shard id. *)
+    let per_shard = Hashtbl.create 4 in
+    List.iter
+      (fun (e : Em.Trace.event) ->
+        Option.iter
+          (fun s ->
+            Hashtbl.replace per_shard s
+              (1 + Option.value (Hashtbl.find_opt per_shard s) ~default:0))
+          e.Em.Trace.shard)
+      (events ());
+    List.sort compare (Hashtbl.fold (fun s n acc -> (s, n) :: acc) per_shard [])
   in
   Tu.check_bool "P=1 traces carry no shard ids" true (run 1 = []);
   let balance = run 3 in

@@ -85,6 +85,80 @@ let test_publish_span_gauges () =
     "span_calls gauge" 1.
     (Em.Metrics.gauge_value (Em.Metrics.gauge reg ~labels "span_calls"))
 
+(* ---- the text report ---- *)
+
+type row = {
+  depth : int;
+  label : string;
+  ios : int;
+  wall_ms : (float * float) option;  (* inclusive, self; none on "(other)" *)
+}
+
+let report_rows profiler =
+  Format.asprintf "%a" Em.Profile.pp profiler
+  |> String.split_on_char '\n'
+  |> List.filter (( <> ) "")
+  |> List.map (fun line ->
+         let indent = ref 0 in
+         while line.[!indent] = ' ' do
+           incr indent
+         done;
+         Scanf.sscanf (String.trim line) "%s %d I/O (r %_d / w %_d) %_d cmp %[^\n]"
+           (fun label ios rest ->
+             let wall_ms =
+               if Tu.contains ~sub:" self " rest then
+                 Some (Scanf.sscanf rest "%f ms %f self" (fun incl self -> (incl, self)))
+               else None
+             in
+             { depth = !indent / 2; label; ios; wall_ms }))
+
+let test_pp_other_row () =
+  let ctx = Tu.ctx ~mem:256 ~block:16 () in
+  let profiler = Em.Profile.create () in
+  Em.Profile.attach profiler ctx.Em.Ctx.stats;
+  let v = Tu.int_vec ctx (Array.init 160 (fun i -> i)) in
+  Em.Phase.with_label ctx "copying" (fun () ->
+      Em.Phase.with_label ctx "inner" (fun () -> Emalg.Scan.iter (fun _ -> ()) v);
+      ignore (Emalg.Scan.copy v));
+  Emalg.Scan.iter (fun _ -> ()) v;
+  Emalg.Scan.iter (fun _ -> ()) v;
+  let rows = report_rows profiler in
+  let top = List.filter (fun r -> r.depth = 0) rows in
+  let other = List.find (fun r -> r.label = "(other)") top in
+  Tu.check_int "(other) holds the two unlabeled scans" 20 other.ios;
+  Tu.check_bool "(other) has no wall-clock columns" true (other.wall_ms = None);
+  Tu.check_int "(other) + top-level spans = Stats.ios" (Em.Stats.ios ctx.Em.Ctx.stats)
+    (List.fold_left (fun acc r -> acc + r.ios) 0 top);
+  Tu.check_int "nested spans are indented" 1
+    (List.length (List.filter (fun r -> r.depth = 1) rows))
+
+let test_pp_self_wall () =
+  let ctx = Tu.ctx ~mem:1024 ~block:16 () in
+  let profiler = Em.Profile.create () in
+  Em.Profile.attach profiler ctx.Em.Ctx.stats;
+  let n = 4_000 in
+  let v = Tu.int_vec ctx (Tu.random_perm ~seed:3 n) in
+  Em.Phase.with_label ctx "root" (fun () ->
+      Emalg.Scan.iter (fun _ -> ()) v;
+      ignore (Core.Multi_select.select Tu.icmp v ~ranks:[| 1; n / 2; n |]));
+  let rows = report_rows profiler in
+  let walls = List.filter_map (fun r -> r.wall_ms) rows in
+  Tu.check_bool "nested spans present" true (List.length walls > 2);
+  List.iter
+    (fun (incl, self) ->
+      Tu.check_bool "self time is never negative" true (self >= 0.);
+      Tu.check_bool "self time is within the inclusive time" true (self <= incl))
+    walls;
+  let root = List.find (fun r -> r.label = "root") rows in
+  let root_ms = fst (Option.get root.wall_ms) in
+  let self_sum = List.fold_left (fun acc (_, self) -> acc +. self) 0. walls in
+  (* Each printed column is rounded to 0.005 ms. *)
+  let slack = 0.005 *. float_of_int (List.length walls + 1) in
+  Tu.check_bool
+    (Printf.sprintf "self times (%.2f ms) sum to the root's inclusive %.2f ms" self_sum root_ms)
+    true
+    (Float.abs (self_sum -. root_ms) <= slack)
+
 (* The tentpole's acceptance property: attaching the profiler and exporting
    a full registry must leave every simulated cost byte-identical. *)
 let run_once ~observe seed =
@@ -124,5 +198,7 @@ let suite =
       test_recursive_label_extends_path;
     Alcotest.test_case "detach / reset" `Quick test_detach_stops_recording;
     Alcotest.test_case "publish span gauges" `Quick test_publish_span_gauges;
+    Alcotest.test_case "report: (other) row" `Quick test_pp_other_row;
+    Alcotest.test_case "report: self wall time" `Quick test_pp_self_wall;
     test_observation_is_free;
   ]

@@ -163,16 +163,22 @@ let test_measured_delta_includes_retries () =
   Tu.check_int "delta faults" 2 d.Em.Stats.d_faults;
   Tu.check_int "delta retries" 2 d.Em.Stats.d_retries
 
-let test_trace_report_overhead () =
+let test_probe_span_overhead () =
   let ctx = armed_ctx () in
+  let profiler = Em.Profile.create () in
+  Em.Profile.attach profiler ctx.Em.Ctx.stats;
   let dev = ctx.Em.Ctx.dev in
   let id = write_block ctx [| 1 |] in
   Em.Ctx.inject ctx (Em.Fault.limit 1 (Em.Fault.every_nth ~n:1 Em.Fault.Transient_read));
   Em.Phase.with_label ctx "probe" (fun () -> ignore (Em.Resilient.read dev id));
-  let totals = Em.Trace_report.subtotal (Em.Trace_report.tree (Em.Trace.events ctx.Em.Ctx.trace)) in
-  Tu.check_int "report sees fault" 1 totals.Em.Trace_report.faults;
-  Tu.check_int "report sees retry" 1 totals.Em.Trace_report.retries;
-  Tu.check_int "overhead = faults + retries" 2 (Em.Trace_report.overhead totals)
+  match Em.Profile.spans profiler with
+  | [ probe ] ->
+      let c = probe.Em.Profile.cost in
+      Tu.check_bool "the probe span" true (probe.Em.Profile.path = [ "probe" ]);
+      Tu.check_int "span sees fault" 1 c.Em.Stats.d_faults;
+      Tu.check_int "span sees retry" 1 c.Em.Stats.d_retries;
+      Tu.check_int "both attempts are metered reads" 2 c.Em.Stats.d_reads
+  | spans -> Alcotest.failf "expected one span, got %d" (List.length spans)
 
 let test_linked_ctx_shares_plan_and_counters () =
   let ctx = armed_ctx () in
@@ -207,7 +213,7 @@ let suite =
       test_trace_records_faults_and_retries;
     Alcotest.test_case "measured delta includes retry I/Os" `Quick
       test_measured_delta_includes_retries;
-    Alcotest.test_case "trace report shows fault overhead" `Quick test_trace_report_overhead;
+    Alcotest.test_case "probe span shows fault overhead" `Quick test_probe_span_overhead;
     Alcotest.test_case "linked ctx shares plan and counters" `Quick
       test_linked_ctx_shares_plan_and_counters;
   ]

@@ -1,6 +1,6 @@
 (* Tests for the I/O trace subsystem: event emission from the device,
-   sequential/random classification, ring-buffer bounds, sinks, and the
-   trace-report aggregations. *)
+   sequential/random classification and the seek count, ring-buffer bounds,
+   sinks, and the streaming block-reuse report. *)
 
 let read_all v =
   Em.Reader.with_reader v (fun r ->
@@ -39,7 +39,8 @@ let test_locality_classification () =
         (Printf.sprintf "event %d locality" e.Em.Trace.seq)
         true
         (e.Em.Trace.locality = want))
-    (Em.Trace.events t) expect
+    (Em.Trace.events t) expect;
+  Tu.check_int "seeks count the random events" 2 (Em.Trace.seeks t)
 
 let test_ring_is_bounded () =
   let t = Em.Trace.create ~ring_capacity:4 () in
@@ -60,32 +61,31 @@ let test_reset () =
   Em.Trace.reset t;
   Tu.check_int "ring cleared" 0 (List.length (Em.Trace.events t));
   Tu.check_int "total cleared" 0 (Em.Trace.total t);
+  Tu.check_int "seeks cleared" 0 (Em.Trace.seeks t);
   Em.Trace.emit t Em.Trace.Read ~block:9 ~phase:[];
   Tu.check_bool "first event after reset is a seek" true
     ((List.hd (Em.Trace.events t)).Em.Trace.locality = Em.Trace.Random)
 
-let test_collector_and_counter () =
+let test_collector_and_seeks () =
   let t = Em.Trace.create ~ring_capacity:2 () in
   let collect, collected = Em.Trace.collector () in
-  let count, counted = Em.Trace.counter (fun e -> e.Em.Trace.op = Em.Trace.Write) in
   Em.Trace.add_sink t collect;
-  Em.Trace.add_sink t count;
   for i = 0 to 7 do
-    Em.Trace.emit t (if i mod 2 = 0 then Em.Trace.Read else Em.Trace.Write) ~block:i ~phase:[]
+    let op = if i mod 2 = 0 then Em.Trace.Read else Em.Trace.Write in
+    Em.Trace.emit t op ~block:(3 * i) ~phase:[]
   done;
   Tu.check_int "collector is unbounded" 8 (List.length (collected ()));
-  Tu.check_int "counter sees writes" 4 (counted ())
+  Tu.check_int "every jump is a seek, beyond the ring too" 8 (Em.Trace.seeks t)
 
-(* Satellite of the attribution change: [Trace.reset] must clear stateful
-   sinks too, not just the ring — collector/counter used to keep stale
-   events across a reset. *)
+(* [Trace.reset] must clear stateful sinks too, not just the ring — the
+   collector used to keep stale events across a reset. *)
 let test_reset_clears_sinks () =
   let t = Em.Trace.create () in
   let collect, collected = Em.Trace.collector () in
-  let count, counted = Em.Trace.counter (fun _ -> true) in
+  let reuse, summary = Em.Trace_report.sink () in
   let custom_seen = ref 0 and custom_resets = ref 0 in
   Em.Trace.add_sink t collect;
-  Em.Trace.add_sink t count;
+  Em.Trace.add_sink t reuse;
   Em.Trace.add_sink t
     (Em.Trace.custom_sink
        ~reset:(fun () -> incr custom_resets)
@@ -95,11 +95,12 @@ let test_reset_clears_sinks () =
   done;
   Em.Trace.reset t;
   Tu.check_int "collector emptied" 0 (List.length (collected ()));
-  Tu.check_int "counter zeroed" 0 (counted ());
+  Tu.check_int "reuse sink emptied" 0 (summary ()).Em.Trace_report.distinct_blocks;
   Tu.check_int "custom on_reset hook fired" 1 !custom_resets;
   Em.Trace.emit t Em.Trace.Read ~block:7 ~phase:[];
   Tu.check_int "collector counts fresh events only" 1 (List.length (collected ()));
-  Tu.check_int "counter counts fresh events only" 1 (counted ());
+  Tu.check_int "reuse sink counts fresh events only" 1
+    (summary ()).Em.Trace_report.distinct_blocks;
   Tu.check_int "custom sink kept receiving" 6 !custom_seen
 
 let test_phase_paths_recorded () =
@@ -135,33 +136,10 @@ let test_jsonl_sink () =
     "{\"seq\":1,\"op\":\"write\",\"kind\":\"io\",\"block\":6,\"phase\":[],\"locality\":\"sequential\"}"
     l2
 
-let test_report_tree () =
-  let t = Em.Trace.create () in
-  Em.Trace.emit t Em.Trace.Read ~block:0 ~phase:[ "sample"; "build" ];
-  Em.Trace.emit t Em.Trace.Read ~block:1 ~phase:[ "sample"; "build" ];
-  Em.Trace.emit t Em.Trace.Write ~block:7 ~phase:[ "build" ];
-  Em.Trace.emit t Em.Trace.Read ~block:3 ~phase:[];
-  let root = Em.Trace_report.tree (Em.Trace.events t) in
-  let totals = Em.Trace_report.subtotal root in
-  Tu.check_int "total ios" 4 (Em.Trace_report.ios totals);
-  Tu.check_int "total reads" 3 totals.Em.Trace_report.reads;
-  Tu.check_int "unattributed at root" 1 (Em.Trace_report.ios root.Em.Trace_report.self);
-  (match root.Em.Trace_report.children with
-  | [ build ] ->
-      Tu.check_bool "outermost label" true (build.Em.Trace_report.label = "build");
-      Tu.check_int "build subtotal" 3
-        (Em.Trace_report.ios (Em.Trace_report.subtotal build));
-      Tu.check_int "build self" 1 (Em.Trace_report.ios build.Em.Trace_report.self);
-      (match build.Em.Trace_report.children with
-      | [ sample ] ->
-          Tu.check_bool "nested label" true (sample.Em.Trace_report.label = "sample");
-          Tu.check_int "sample self" 2 (Em.Trace_report.ios sample.Em.Trace_report.self)
-      | cs -> Alcotest.failf "expected 1 child of build, got %d" (List.length cs))
-  | cs -> Alcotest.failf "expected 1 child of root, got %d" (List.length cs));
-  Tu.check_int "random seeks" 3 (Em.Trace_report.random_seeks (Em.Trace.events t))
-
 let test_report_histograms () =
   let t = Em.Trace.create () in
+  let reuse, summary = Em.Trace_report.sink () in
+  Em.Trace.add_sink t reuse;
   (* Block 0 read 3x, block 1 read 1x, block 2 written 2x. *)
   List.iter
     (fun (op, b) -> Em.Trace.emit t op ~block:b ~phase:[])
@@ -173,12 +151,30 @@ let test_report_histograms () =
       (Em.Trace.Write, 2);
       (Em.Trace.Write, 2);
     ];
-  let s = Em.Trace_report.summarize (Em.Trace.events t) in
+  let s = summary () in
   Tu.check_int "distinct blocks" 3 s.Em.Trace_report.distinct_blocks;
   Alcotest.(check (list (pair int int)))
     "reread histogram" [ (1, 1); (3, 1) ] s.Em.Trace_report.reread_histogram;
   Alcotest.(check (list (pair int int)))
-    "rewrite histogram" [ (2, 1) ] s.Em.Trace_report.rewrite_histogram
+    "rewrite histogram" [ (2, 1) ] s.Em.Trace_report.rewrite_histogram;
+  Tu.check_int "no round ids, no windows" 0 s.Em.Trace_report.scheduling_windows
+
+(* Scheduling windows are the distinct round ids, on a real D = 2 machine:
+   one window per unbatched I/O, so a plain scan has as many as I/Os. *)
+let test_report_windows () =
+  let trace = Em.Trace.create () in
+  let reuse, summary = Em.Trace_report.sink () in
+  Em.Trace.add_sink trace reuse;
+  let ctx : int Em.Ctx.t = Em.Ctx.create ~trace ~disks:2 (Tu.params ~mem:64 ~block:8 ()) in
+  let v = Tu.int_vec ctx (Array.init 64 (fun i -> i)) in
+  Em.Stats.with_window ctx.Em.Ctx.stats (fun () -> read_all v);
+  read_all v;
+  let s = summary () in
+  Tu.check_int "8 blocks" 8 s.Em.Trace_report.distinct_blocks;
+  Alcotest.(check (list (pair int int)))
+    "each read twice" [ (2, 8) ] s.Em.Trace_report.reread_histogram;
+  Tu.check_int "one batched window, then one per unbatched read" 9
+    s.Em.Trace_report.scheduling_windows
 
 let test_linked_ctx_shares_tracer () =
   let ctx = Tu.ctx ~mem:64 ~block:8 () in
@@ -229,12 +225,12 @@ let suite =
       test_locality_classification;
     Alcotest.test_case "ring buffer is bounded" `Quick test_ring_is_bounded;
     Alcotest.test_case "reset clears ring and numbering" `Quick test_reset;
-    Alcotest.test_case "collector and counter sinks" `Quick test_collector_and_counter;
+    Alcotest.test_case "collector sink and seek count" `Quick test_collector_and_seeks;
     Alcotest.test_case "reset clears stateful sinks" `Quick test_reset_clears_sinks;
     Alcotest.test_case "phase paths recorded on events" `Quick test_phase_paths_recorded;
     Alcotest.test_case "jsonl sink format" `Quick test_jsonl_sink;
-    Alcotest.test_case "report: per-phase tree" `Quick test_report_tree;
     Alcotest.test_case "report: reuse histograms" `Quick test_report_histograms;
+    Alcotest.test_case "report: scheduling windows" `Quick test_report_windows;
     Alcotest.test_case "linked ctx shares the tracer" `Quick test_linked_ctx_shares_tracer;
     Alcotest.test_case "EM_TRACE_RING env default" `Quick test_env_ring_capacity;
   ]
