@@ -37,8 +37,8 @@ bench-json:
 # Same bounded sweep, but with every machine that doesn't pin its backend
 # running on real disk blocks (EM_BACKEND steers Ctx.create's default).
 # Counted I/Os — and therefore the ratio gate — are identical to the sim
-# run; only wall-clock differs.  The timing section additionally reports
-# sim/file/cached columns regardless of EM_BACKEND.
+# run; only wall-clock differs.  The timing section's async speedup gate
+# pins its own file backend regardless of EM_BACKEND.
 bench-file:
 	EM_BACKEND=file dune exec bench/main.exe -- --small --json \
 	  --check-ratios test/golden/ratios.expected

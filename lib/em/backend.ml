@@ -9,8 +9,9 @@
    are charged against the [Mem] ledger).
 
    Closures rather than a functor because a linked device family mixes
-   element types but must share one buffer pool; the pool stores untyped
-   eviction callbacks and each typed backend keeps its own page table. *)
+   element types but must share one buffer pool; each typed backend's page
+   table is the only residency table, and the pool keeps just the untyped
+   recency list its pages link into. *)
 
 type 'a t = {
   name : string;
@@ -20,8 +21,6 @@ type 'a t = {
   free : int -> unit;  (* recycle the slot; subsequent [load] is [None] *)
   probe : int -> Trace.cache option;  (* pre-read residency check; [None] = uncached *)
   prefetch : int -> unit;  (* advisory: start fetching a slot's bytes early *)
-  pin : int -> unit;  (* protect a resident page from eviction (no-op if uncached) *)
-  unpin : int -> unit;
   flush : unit -> unit;  (* write back dirty pages / fsync to stable storage *)
   close : unit -> unit;  (* release OS resources; idempotent *)
 }
@@ -105,8 +104,6 @@ let sim ?(slots = 64) ?disks () =
         free_slot a s);
     probe = (fun _ -> None);
     prefetch = (fun _ -> ());
-    pin = (fun _ -> ());
-    unpin = (fun _ -> ());
     flush = (fun () -> ());
     close = (fun () -> ());
   }
@@ -250,8 +247,6 @@ let file (type elt) ?dir ?delay ?io ?(disks = 1) ~slot_bytes () : elt t =
             free_slot a s);
         probe = (fun _ -> None);
         prefetch = (fun _ -> ());
-        pin = (fun _ -> ());
-        unpin = (fun _ -> ());
         flush =
           (fun () ->
             check_open ();
@@ -348,8 +343,6 @@ let file (type elt) ?dir ?delay ?io ?(disks = 1) ~slot_bytes () : elt t =
                 (Io_pool.run pool ~key:(key s) (fun () ->
                      if !closed then failwith "Backend.file: backend is closed"
                      else read_raw s)));
-        pin = (fun _ -> ());
-        unpin = (fun _ -> ());
         flush =
           (fun () ->
             check_open ();
@@ -365,146 +358,102 @@ let file (type elt) ?dir ?delay ?io ?(disks = 1) ~slot_bytes () : elt t =
 (* ------------------------------------------------------------------ *)
 
 module Pool = struct
+  (* Frames sit on a circular doubly-linked recency list through the
+     sentinel [lru]: [lru.next] is the least recently used frame (the next
+     victim), [lru.prev] the most recent.  Each frame is owned by one cached
+     backend's page, which carries it; the pool itself keeps no table. *)
   type frame = {
-    owner : int;
+    mutable prev : frame;
+    mutable next : frame;
     slot : int;
-    words : int;  (* charged to the Mem ledger while resident *)
-    mutable pins : int;
-    mutable stamp : int;  (* LRU clock value of the last touch *)
-    evict : unit -> unit;  (* write back (if dirty) and drop the owner's page *)
+    evict : int -> unit;  (* the owner's write-back-and-drop for [slot] *)
   }
 
   type t = {
     params : Params.t;
     stats : Stats.t;
     capacity : int;  (* max resident frames *)
-    frames : (int * int, frame) Hashtbl.t;  (* keyed by (owner, slot) *)
-    mutable clock : int;
-    mutable clients : int;
+    lru : frame;  (* sentinel *)
+    mutable resident : int;
   }
 
   let default_pages p = max 2 (Params.fanout p / 2)
 
+  let unlink f =
+    f.prev.next <- f.next;
+    f.next.prev <- f.prev
+
+  let push_newest t f =
+    f.prev <- t.lru.prev;
+    f.next <- t.lru;
+    t.lru.prev.next <- f;
+    t.lru.prev <- f
+
+  (* Unlink the frame before running its eviction callback so a reentrant
+     admission (nested cached backends) cannot pick the same victim twice. *)
+  let evict_oldest t =
+    let f = t.lru.next in
+    unlink f;
+    t.resident <- t.resident - 1;
+    f.evict f.slot;
+    Mem.release_pool t.params t.stats t.params.Params.block;
+    t.stats.Stats.cache_evictions <- t.stats.Stats.cache_evictions + 1
+
   let reclaim_words t deficit =
     let freed = ref 0 in
-    let stuck = ref false in
-    while !freed < deficit && not !stuck do
-      let victim =
-        Hashtbl.fold
-          (fun _ f best ->
-            if f.pins > 0 then best
-            else
-              match best with
-              | Some b when b.stamp <= f.stamp -> best
-              | _ -> Some f)
-          t.frames None
-      in
-      match victim with
-      | None -> stuck := true
-      | Some f ->
-          (* Remove the frame before running its eviction callback so a
-             reentrant admission (nested cached backends) cannot pick the
-             same victim twice. *)
-          Hashtbl.remove t.frames (f.owner, f.slot);
-          f.evict ();
-          Mem.release_pool t.params t.stats (min f.words t.stats.Stats.pool_words);
-          t.stats.Stats.cache_evictions <- t.stats.Stats.cache_evictions + 1;
-          freed := !freed + f.words
-    done;
-    !freed
+    while !freed < deficit && t.lru.next != t.lru do
+      evict_oldest t;
+      freed := !freed + t.params.Params.block
+    done
 
   let create ?pages params stats =
     let capacity = match pages with Some n -> max 1 n | None -> default_pages params in
-    let t =
-      {
-        params;
-        stats;
-        capacity;
-        frames = Hashtbl.create (4 * capacity);
-        clock = 0;
-        clients = 0;
-      }
-    in
+    let rec lru = { prev = lru; next = lru; slot = -1; evict = ignore } in
+    let t = { params; stats; capacity; lru; resident = 0 } in
     (* Under memory pressure the algorithm's ledger charge wins over cache
-       residency: [Mem.charge] calls this hook with the word deficit before
-       giving up, and the pool yields pages.  Chain any hook that was already
-       installed, handing it whatever deficit remains. *)
-    let previous = stats.Stats.reclaim in
-    Stats.set_reclaim stats
-      (Some
-         (fun deficit ->
-           let freed = reclaim_words t deficit in
-           if freed < deficit then
-             match previous with Some f -> f (deficit - freed) | None -> ()));
+       residency.  [Ctx.create] builds the pool before any writer registers
+       on the ledger, so the pool is the last reclaimer asked. *)
+    ignore (Stats.add_reclaimer stats (reclaim_words t));
     t
 
-  let client t =
-    t.clients <- t.clients + 1;
-    t.clients
-
   let capacity t = t.capacity
-  let resident t = Hashtbl.length t.frames
+  let resident t = t.resident
 
-  let find t ~owner ~slot = Hashtbl.find_opt t.frames (owner, slot)
+  let touch t f =
+    unlink f;
+    push_newest t f
 
-  let touch t ~owner ~slot =
-    match find t ~owner ~slot with
-    | None -> ()
-    | Some f ->
-        t.clock <- t.clock + 1;
-        f.stamp <- t.clock
-
-  let pin t ~owner ~slot =
-    match find t ~owner ~slot with None -> () | Some f -> f.pins <- f.pins + 1
-
-  let unpin t ~owner ~slot =
-    match find t ~owner ~slot with
-    | None -> ()
-    | Some f -> if f.pins > 0 then f.pins <- f.pins - 1
-
-  (* Admission is opportunistic: when every frame is pinned, or when even
-     after reclaim the ledger cannot absorb one more page, the caller simply
-     bypasses the cache (pass-through I/O) instead of failing — the
-     [mem_peak <= M] property must hold whatever the backend. *)
-  let admit t ~owner ~slot ~evict =
-    let made_room = ref true in
-    while Hashtbl.length t.frames >= t.capacity && !made_room do
-      made_room := reclaim_words t t.params.Params.block > 0
+  (* Admission is opportunistic: when even after reclaim the ledger cannot
+     absorb one more page, the caller simply bypasses the cache
+     (pass-through I/O) instead of failing — the [mem_peak <= M] property
+     must hold whatever the backend. *)
+  let admit t ~evict slot =
+    while t.resident >= t.capacity do
+      evict_oldest t
     done;
-    if Hashtbl.length t.frames >= t.capacity then false
-    else
-      let words = t.params.Params.block in
-      match Mem.charge_pool t.params t.stats words with
-      | () ->
-          t.clock <- t.clock + 1;
-          Hashtbl.replace t.frames (owner, slot)
-            { owner; slot; words; pins = 0; stamp = t.clock; evict };
-          true
-      | exception Mem.Memory_exceeded _ -> false
+    match Mem.charge_pool t.params t.stats t.params.Params.block with
+    | () ->
+        let f = { prev = t.lru; next = t.lru; slot; evict } in
+        push_newest t f;
+        t.resident <- t.resident + 1;
+        Some f
+    | exception Mem.Memory_exceeded _ -> None
 
-  (* Evict every unpinned frame (write-back included), returning their words
-     to the ledger.  End-of-run teardown and leak accounting. *)
-  let drop_all t = ignore (reclaim_words t max_int)
+  let drop_all t = reclaim_words t max_int
 
-  (* Drop a frame without eviction semantics: no write-back callback, no
-     eviction count.  Used when the block itself is freed or the backend is
-     closed. *)
-  let forget t ~owner ~slot =
-    match find t ~owner ~slot with
-    | None -> ()
-    | Some f ->
-        Hashtbl.remove t.frames (owner, slot);
-        Mem.release_pool t.params t.stats (min f.words t.stats.Stats.pool_words)
+  let forget t f =
+    unlink f;
+    t.resident <- t.resident - 1;
+    Mem.release_pool t.params t.stats t.params.Params.block
 end
 
 (* ------------------------------------------------------------------ *)
 (* Cached: write-back / write-allocate LRU pages over any backend.    *)
 (* ------------------------------------------------------------------ *)
 
-type 'a page = { mutable payload : 'a array; mutable dirty : bool }
+type 'a page = { mutable payload : 'a array; mutable dirty : bool; frame : Pool.frame }
 
 let cached ~pool inner =
-  let owner = Pool.client pool in
   let pages : (int, 'a page) Hashtbl.t = Hashtbl.create 64 in
   let evict slot =
     match Hashtbl.find_opt pages slot with
@@ -514,9 +463,9 @@ let cached ~pool inner =
         if pg.dirty then inner.store slot pg.payload
   in
   let admit slot payload ~dirty =
-    if Pool.admit pool ~owner ~slot ~evict:(fun () -> evict slot) then
-      Hashtbl.replace pages slot { payload = Array.copy payload; dirty }
-    else if dirty then inner.store slot payload
+    match Pool.admit pool ~evict slot with
+    | Some frame -> Hashtbl.replace pages slot { payload = Array.copy payload; dirty; frame }
+    | None -> if dirty then inner.store slot payload
   in
   {
     name = "cached:" ^ inner.name;
@@ -525,7 +474,7 @@ let cached ~pool inner =
       (fun slot ->
         match Hashtbl.find_opt pages slot with
         | Some pg ->
-            Pool.touch pool ~owner ~slot;
+            Pool.touch pool pg.frame;
             Some pg.payload
         | None -> (
             match inner.load slot with
@@ -539,19 +488,19 @@ let cached ~pool inner =
         | Some pg ->
             pg.payload <- Array.copy payload;
             pg.dirty <- true;
-            Pool.touch pool ~owner ~slot
+            Pool.touch pool pg.frame
         | None -> admit slot payload ~dirty:true);
     free =
       (fun slot ->
-        Hashtbl.remove pages slot;
-        Pool.forget pool ~owner ~slot;
+        (match Hashtbl.find_opt pages slot with
+        | Some pg ->
+            Hashtbl.remove pages slot;
+            Pool.forget pool pg.frame
+        | None -> ());
         inner.free slot);
     probe = (fun slot -> Some (if Hashtbl.mem pages slot then Trace.Hit else Trace.Miss));
     prefetch =
       (fun slot -> if not (Hashtbl.mem pages slot) then inner.prefetch slot);
-    pin =
-      (fun slot -> if Hashtbl.mem pages slot then Pool.pin pool ~owner ~slot);
-    unpin = (fun slot -> Pool.unpin pool ~owner ~slot);
     flush =
       (fun () ->
         Hashtbl.iter
@@ -564,7 +513,7 @@ let cached ~pool inner =
         inner.flush ());
     close =
       (fun () ->
-        Hashtbl.iter (fun slot _ -> Pool.forget pool ~owner ~slot) pages;
+        Hashtbl.iter (fun _ pg -> Pool.forget pool pg.frame) pages;
         Hashtbl.reset pages;
         inner.close ());
   }

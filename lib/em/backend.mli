@@ -15,8 +15,8 @@
 
     Backends are records of closures rather than a functor because a linked
     device family ({!Ctx.linked}) mixes element types yet must share one
-    buffer pool: the pool holds untyped eviction callbacks while each typed
-    backend keeps its own page table.
+    buffer pool: each typed backend keeps the only page table, and the pool
+    holds an untyped recency list of the frames those pages carry.
 
     Whatever the backend, the {e counted} I/O model is unchanged: {!Device}
     charges one I/O per metered block access (a cache hit still costs one
@@ -38,8 +38,6 @@ type 'a t = {
           {!field-load} of the same slot consumes the staged bytes instead
           of blocking on a fresh seek.  Never changes what a load returns —
           only when the wall-clock wait happens. *)
-  pin : int -> unit;  (** protect a resident page from eviction (no-op if uncached) *)
-  unpin : int -> unit;
   flush : unit -> unit;  (** write back dirty pages / [fsync] to stable storage *)
   close : unit -> unit;  (** release OS resources; idempotent *)
 }
@@ -104,21 +102,26 @@ val default_slot_bytes : Params.t -> int
 
 (** A buffer pool shared by every cached backend of a linked device family.
 
-    Frames are keyed by [(owner, slot)] where [owner] identifies the client
-    backend, replaced LRU, and charged [B] words each against the {!Mem}
-    ledger while resident.  Admission is {e opportunistic}: when every frame
-    is pinned or the ledger cannot absorb another page even after reclaim,
-    the would-be admission is simply bypassed (pass-through I/O) — caching
-    must never make an algorithm exceed [M].  Conversely, the pool installs
-    a {!Stats.set_reclaim} hook so that an algorithm's own memory pressure
-    evicts cache pages before [Memory_exceeded] is raised. *)
+    The pool keeps no table of its own: each cached backend's page table is
+    the only residency table, and every resident page carries its {!frame}.
+    The pool links the frames into one recency list, evicts the least
+    recently used frame first, and charges [B] words per resident frame
+    against the {!Mem} ledger.  Admission is {e opportunistic}: when the
+    ledger cannot absorb another page even after reclaim, the would-be
+    admission is simply bypassed (pass-through I/O) — caching must never
+    make an algorithm exceed [M].  Conversely, the pool registers a
+    {!Stats.add_reclaimer} callback so that an algorithm's own memory
+    pressure evicts cache pages before [Memory_exceeded] is raised. *)
 module Pool : sig
   type t
 
+  type frame
+  (** One resident page's place in the recency list. *)
+
   val create : ?pages:int -> Params.t -> Stats.t -> t
   (** Pool holding at most [pages] frames (default {!default_pages}).
-      Installs the memory-pressure reclaim hook on [stats], chaining any
-      hook already present. *)
+      Registers its memory-pressure reclaimer on [stats]; reclaimers
+      registered later (write-behind queues) are asked before it. *)
 
   val default_pages : Params.t -> int
   (** [max 2 (fanout/2)]: half the machine's memory, leaving the other half
@@ -127,24 +130,22 @@ module Pool : sig
   val capacity : t -> int
   val resident : t -> int  (** currently resident frames; [<= capacity] *)
 
-  val client : t -> int
-  (** Fresh owner id for one cached backend. *)
+  val admit : t -> evict:(int -> unit) -> int -> frame option
+  (** [admit t ~evict slot] makes a frame for [slot] resident, evicting
+      least recently used frames as needed; [evict] is the owner's
+      write-back-and-drop, called with the slot of one of its frames chosen
+      as victim.  [None] = bypass (the ledger is full). *)
 
-  val admit : t -> owner:int -> slot:int -> evict:(unit -> unit) -> bool
-  (** Try to make [(owner, slot)] resident, evicting LRU unpinned frames as
-      needed.  [false] = bypass (pool pinned solid, or ledger full). *)
-
-  val touch : t -> owner:int -> slot:int -> unit
-  val pin : t -> owner:int -> slot:int -> unit
-  val unpin : t -> owner:int -> slot:int -> unit
+  val touch : t -> frame -> unit
+  (** Mark a resident frame most recently used. *)
 
   val drop_all : t -> unit
-  (** Evict every unpinned frame (write-back included), returning their
-      words to the {!Mem} ledger.  End-of-run teardown. *)
+  (** Evict every frame (write-back included), returning their words to the
+      {!Mem} ledger.  End-of-run teardown. *)
 
-  val forget : t -> owner:int -> slot:int -> unit
-  (** Drop a frame without eviction semantics (no write-back, not counted as
-      an eviction): the block was freed or the backend closed. *)
+  val forget : t -> frame -> unit
+  (** Drop a resident frame without eviction semantics (no write-back, not
+      counted as an eviction): the block was freed or the backend closed. *)
 end
 
 val cached : pool:Pool.t -> 'a t -> 'a t

@@ -56,10 +56,8 @@ let measured ctx f =
   let result = f () in
   (result, Stats.delta ctx.stats snap)
 
-let shard ctx = ctx.shard
 let mem_capacity ctx = ctx.params.Params.mem
 let block_size ctx = ctx.params.Params.block
-let fanout ctx = Params.fanout ctx.params
 let disks ctx = ctx.params.Params.disks
 let with_words ctx n f = Mem.with_words ctx.params ctx.stats n f
 let io_window ctx f = Stats.with_window ctx.stats f

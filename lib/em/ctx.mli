@@ -99,13 +99,9 @@ val measured : 'a t -> (unit -> 'b) -> 'b * Stats.delta
 
 val mem_capacity : 'a t -> int
 val block_size : 'a t -> int
-val fanout : 'a t -> int
 
 val disks : 'a t -> int
 (** D: the machine's parallel disk count (see {!Params}). *)
-
-val shard : 'a t -> int option
-(** The machine's cluster shard identity, when it is part of one. *)
 
 val with_words : 'a t -> int -> (unit -> 'b) -> 'b
 (** Charge the memory ledger around a computation; see {!Mem.with_words}. *)

@@ -76,11 +76,8 @@ let create ?trace ?backend ?shard params stats =
     recovery = None;
   }
 
-let params d = d.params
 let stats d = d.stats
 let trace d = d.trace
-let shard d = d.shard
-let backend_name d = d.backend.Backend.name
 let flush d = d.backend.Backend.flush ()
 let close d = d.backend.Backend.close ()
 
@@ -99,9 +96,7 @@ let arm ?policy ?share d =
       d.recovery <- Some (make_recovery ~policy:r.policy ~counters:r.counters ())
   | None -> d.recovery <- Some (make_recovery ?policy ())
 
-let disarm d = d.recovery <- None
 let recovery d = d.recovery
-let armed d = d.recovery <> None
 
 (* Remap translation: logical block id -> physical slot.  Identity until
    [quarantine_and_remap] installs an entry. *)
@@ -109,10 +104,6 @@ let phys d id =
   match d.recovery with
   | None -> id
   | Some r -> ( match Hashtbl.find_opt r.remap id with None -> id | Some p -> p)
-
-(* Pin/unpin a block's buffer-pool page (no-ops on uncached backends). *)
-let pin d id = d.backend.Backend.pin (phys d id)
-let unpin d id = d.backend.Backend.unpin (phys d id)
 
 (* Advisory and unmetered: stage the blocks' bytes on the async pool (a
    no-op on every synchronous backend).  No charge, no trace, no fault

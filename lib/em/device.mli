@@ -82,15 +82,8 @@ val create :
     when set, every trace event the device emits carries it.  Omitted on
     single machines, so single-machine traces keep their historical shape. *)
 
-val params : 'a t -> Params.t
 val stats : 'a t -> Stats.t
 val trace : 'a t -> Trace.t
-
-val shard : 'a t -> int option
-(** The device's cluster shard identity, when it is part of one. *)
-
-val backend_name : 'a t -> string
-(** e.g. ["sim"], ["file"], ["cached"]; stamped on every trace event. *)
 
 val flush : 'a t -> unit
 (** Push pending state to stable storage: write back dirty buffer-pool
@@ -100,12 +93,6 @@ val flush : 'a t -> unit
 val close : 'a t -> unit
 (** Release backend OS resources (fds, buffer-pool pages).  Idempotent.
     Using the device afterwards is a programming error. *)
-
-val pin : 'a t -> int -> unit
-(** Pin block [id]'s buffer-pool page so eviction skips it.  No-op on
-    uncached backends or when the block is not resident. *)
-
-val unpin : 'a t -> int -> unit
 
 val prefetch : 'a t -> int array -> unit
 (** Advisory, {e unmetered}: hint that the blocks [ids] will be read soon so
@@ -128,9 +115,7 @@ val arm : ?policy:recovery_policy -> ?share:recovery -> 'a t -> unit
     family) but gets fresh checksum/remap tables — block-id spaces of linked
     devices are disjoint.  [share] overrides [policy]. *)
 
-val disarm : 'a t -> unit
 val recovery : 'a t -> recovery option
-val armed : 'a t -> bool
 
 val checksum : 'a array -> int
 (** The order-sensitive payload checksum recorded by store writes. *)

@@ -4,7 +4,7 @@ exception Memory_exceeded of { requested : int; in_use : int; capacity : int }
    algorithm buffers ([mem_in_use]) and buffer-pool pages ([pool_words]).
    The two are ledgered separately so that "the algorithm released all its
    words" remains checkable while a cache is warm. *)
-let resident s = s.Stats.mem_in_use + s.Stats.pool_words
+let resident = Stats.resident
 
 let bump_peak s =
   if resident s > s.Stats.mem_peak then s.Stats.mem_peak <- resident s;
@@ -13,22 +13,16 @@ let bump_peak s =
 let charge_resident ~op ~pool p s n =
   if n < 0 then raise (Em_error.Negative_words { op; n });
   let capacity = p.Params.mem in
-  (* Under memory pressure, ask holders of opportunistic charges (write-
-     behind queues) to give words back, then give the machine's caches one
-     chance to evict resident pages, before declaring overflow.  Both only
-     ever release, so one pass each suffices. *)
-  (if resident s + n > capacity then
-     ignore (Stats.run_reclaimers s (resident s + n - capacity)));
-  (if resident s + n > capacity then
-     match s.Stats.reclaim with
-     | Some reclaim -> reclaim (resident s + n - capacity)
-     | None -> ());
+  (* Under memory pressure, ask holders of opportunistic charges — write-
+     behind queues first, the buffer pool last — to give words back before
+     declaring overflow.  The pool only ever releases, so one pass
+     suffices. *)
+  if resident s + n > capacity then Stats.run_reclaimers s ~limit:(capacity - n);
   if resident s + n > capacity then
     raise (Memory_exceeded { requested = n; in_use = resident s; capacity });
   if pool then s.Stats.pool_words <- s.Stats.pool_words + n
   else s.Stats.mem_in_use <- s.Stats.mem_in_use + n;
   bump_peak s
-
 
 let charge p s n = charge_resident ~op:"charge" ~pool:false p s n
 

@@ -15,8 +15,8 @@ exception Memory_exceeded of { requested : int; in_use : int; capacity : int }
 
 val charge : Params.t -> Stats.t -> int -> unit
 (** [charge p s n] records [n] more words in use.  Under pressure, the
-    {!Stats.set_reclaim} hook is given one chance to evict cache pages
-    before the verdict.
+    {!Stats.add_reclaimer} callbacks (write-behind queues, then the buffer
+    pool) are asked to give words back before the verdict.
     @raise Memory_exceeded if the budget [p.mem] would be exceeded. *)
 
 val release : Params.t -> Stats.t -> int -> unit

@@ -30,8 +30,7 @@ type t = {
   mutable mem_peak : int;
   mutable phase_stack : string list;
   mutable hooks : span_hooks option;
-  mutable reclaim : (int -> unit) option;
-  mutable reclaimers : (int -> int) option ref list;
+  mutable reclaimers : (int -> unit) option ref list;
 }
 
 let create () =
@@ -61,17 +60,17 @@ let create () =
     mem_peak = 0;
     phase_stack = [];
     hooks = None;
-    reclaim = None;
     reclaimers = [];
   }
 
 let set_hooks s hooks = s.hooks <- hooks
-let set_reclaim s f = s.reclaim <- f
+let resident s = s.mem_in_use + s.pool_words
 
-(* Voluntary-release registry, consulted by [Mem] before declaring overflow:
-   holders of opportunistic charges (write-behind queues) register a callback
-   that gives words back under pressure.  Handles deregister by nulling the
-   ref — cheap, order-independent — and dead handles are pruned on add. *)
+(* Memory-pressure registry, consulted by [Mem] before declaring overflow:
+   holders of opportunistic charges (write-behind queues, the buffer pool)
+   register a callback that gives words back under pressure.  Handles
+   deregister by nulling the ref — cheap, order-independent — and dead
+   handles are pruned on add. *)
 let live_reclaimer h = match !h with Some _ -> true | None -> false
 
 let add_reclaimer s f =
@@ -81,17 +80,16 @@ let add_reclaimer s f =
 
 let remove_reclaimer _s h = h := None
 
-let run_reclaimers s deficit =
-  let rec go freed = function
-    | [] -> freed
-    | h :: rest -> (
-        match !h with
-        | None -> go freed rest
-        | Some f ->
-            let freed = freed + f (deficit - freed) in
-            if freed >= deficit then freed else go freed rest)
-  in
-  go 0 s.reclaimers
+(* The excess is re-read from the ledger before each callback rather than
+   derived from what earlier callbacks claim to have freed: a write-behind
+   drain into a cached backend admits pool pages as it goes. *)
+let run_reclaimers s ~limit =
+  List.iter
+    (fun h ->
+      match !h with
+      | Some f when resident s > limit -> f (resident s - limit)
+      | _ -> ())
+    s.reclaimers
 
 let push_phase s label =
   s.phase_stack <- label :: s.phase_stack;

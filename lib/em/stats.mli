@@ -65,13 +65,10 @@ type t = {
   mutable mem_peak : int;  (** high-water mark of [mem_in_use + pool_words] *)
   mutable phase_stack : string list;  (** innermost phase label first *)
   mutable hooks : span_hooks option;  (** attached profiler, if any *)
-  mutable reclaim : (int -> unit) option;
-      (** memory-pressure hook: called by {!Mem.charge} with the word
-          deficit before raising [Memory_exceeded], so caches can evict
-          resident pages and release ledger words (see {!Backend.Pool}) *)
-  mutable reclaimers : (int -> int) option ref list;
-      (** voluntary-release registry: holders of opportunistic charges
-          (write-behind queues) give words back under memory pressure *)
+  mutable reclaimers : (int -> unit) option ref list;
+      (** memory-pressure registry, newest first: holders of opportunistic
+          charges (write-behind queues, the {!Backend.Pool} buffer pool)
+          give words back before {!Mem.charge} raises [Memory_exceeded] *)
 }
 
 val create : unit -> t
@@ -79,20 +76,21 @@ val create : unit -> t
 val set_hooks : t -> span_hooks option -> unit
 (** Attach (or detach, with [None]) span observer hooks. *)
 
-val set_reclaim : t -> (int -> unit) option -> unit
-(** Install (or clear) the memory-pressure reclaim hook. *)
+val resident : t -> int
+(** [mem_in_use + pool_words]: everything charged against the [M] words. *)
 
-val add_reclaimer : t -> (int -> int) -> (int -> int) option ref
-(** Register a voluntary-release callback: under memory pressure it is
-    called with the outstanding word deficit and returns how many words it
-    released.  Returns the deregistration handle for {!remove_reclaimer}. *)
+val add_reclaimer : t -> (int -> unit) -> (int -> unit) option ref
+(** Register a memory-pressure callback: under pressure it is called with
+    the outstanding word excess and gives back what it can.  Returns the
+    deregistration handle for {!remove_reclaimer}. *)
 
-val remove_reclaimer : t -> (int -> int) option ref -> unit
+val remove_reclaimer : t -> (int -> unit) option ref -> unit
 (** Deregister a callback obtained from {!add_reclaimer}.  Idempotent. *)
 
-val run_reclaimers : t -> int -> int
-(** Ask registered reclaimers to release up to [deficit] words; returns the
-    total released.  Called by {!Mem.charge} before the [reclaim] hook. *)
+val run_reclaimers : t -> limit:int -> unit
+(** Ask registered reclaimers, newest first, to bring {!resident} down to
+    [limit], stopping once it is there.  Each is handed the excess as the
+    ledger shows it at that moment.  Called by {!Mem.charge}. *)
 
 val push_phase : t -> string -> unit
 (** Push a phase label and fire [on_push].  Use {!Phase.with_label} unless

@@ -8,7 +8,7 @@ type 'a t = {
   queue : (int * 'a array) Queue.t;  (* allocated, filled, not yet written *)
   mutable written : int;  (* elements already handed off a full buffer *)
   mutable closed : bool;
-  mutable reclaimer : (int -> int) option ref option;
+  mutable reclaimer : (int -> unit) option ref option;
 }
 
 (* Write out every queued block, oldest first, as one scheduling window so a
@@ -54,10 +54,7 @@ let create ?(write_behind = 0) ctx =
   if write_behind > 0 then
     w.reclaimer <-
       Some
-        (Stats.add_reclaimer ctx.Ctx.stats (fun _deficit ->
-             let queued = Queue.length w.queue in
-             drain w;
-             queued * b));
+        (Stats.add_reclaimer ctx.Ctx.stats (fun _excess -> drain w));
   w
 
 let check_open w = if w.closed then invalid_arg "Writer: already closed"

@@ -303,6 +303,140 @@ let prop_reads_hits_misses =
       Em.Ctx.close ctx;
       ok)
 
+(* ---- the pool's replacement policy against a reference LRU ----
+
+   Two cached backends share one pool, as a linked family's do, so frames
+   of two owners compete for the same capacity (their slot numbers
+   coincide on purpose).  The reference model is a plain list of resident
+   (owner, slot) keys, least recently used first, each with a dirty flag;
+   it also tracks what every slot holds logically and what its inner store
+   holds, so write-back timing is checked along with residency. *)
+
+type lru_op =
+  | Load of int * int
+  | Store of int * int * int
+  | Free of int * int
+  | Flush of int
+  | Drop_all
+
+let lru_slots = 6
+
+let gen_lru_op =
+  QCheck2.Gen.(
+    let owner = int_range 0 1 and slot = int_range 0 (lru_slots - 1) in
+    frequency
+      [
+        (4, map2 (fun o s -> Load (o, s)) owner slot);
+        (4, map3 (fun o s v -> Store (o, s, v)) owner slot (int_range 0 99));
+        (1, map2 (fun o s -> Free (o, s)) owner slot);
+        (1, map (fun o -> Flush o) owner);
+        (1, pure Drop_all);
+      ])
+
+let prop_pool_is_lru =
+  Tu.qcheck_case ~count:300 "cached: two owners share one LRU pool"
+    QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 1 80) gen_lru_op))
+    (fun (pages, ops) ->
+      let block = 4 in
+      let stats = Em.Stats.create () in
+      let pool = Em.Backend.Pool.create ~pages (Tu.params ~mem:1024 ~block ()) stats in
+      let inner = Array.init 2 (fun _ -> (Em.Backend.sim () : int Em.Backend.t)) in
+      let be = Array.map (Em.Backend.cached ~pool) inner in
+      Array.iter
+        (fun b ->
+          for _ = 1 to lru_slots do
+            ignore (b.Em.Backend.alloc ())
+          done)
+        be;
+      let lru = ref [] in
+      let contents = Hashtbl.create 16 and stored = Hashtbl.create 16 in
+      let evictions = ref 0 in
+      let write_back (key, dirty) =
+        if !dirty then begin
+          Hashtbl.replace stored key (Hashtbl.find contents key);
+          dirty := false
+        end
+      in
+      let evict_oldest () =
+        match !lru with
+        | [] -> ()
+        | victim :: rest ->
+            lru := rest;
+            write_back victim;
+            incr evictions
+      in
+      let admit key ~dirty =
+        while List.length !lru >= pages do
+          evict_oldest ()
+        done;
+        lru := !lru @ [ (key, ref dirty) ]
+      in
+      let entry key = List.assoc_opt key !lru in
+      let touch key =
+        let e = (key, List.assoc key !lru) in
+        lru := List.filter (fun (k, _) -> k <> key) !lru @ [ e ]
+      in
+      let payload tbl key = Option.map (fun v -> [| v |]) (Hashtbl.find_opt tbl key) in
+      let step = function
+        | Load (o, s) ->
+            let key = (o, s) in
+            let want = payload contents key in
+            let probe = be.(o).Em.Backend.probe s in
+            let got = be.(o).Em.Backend.load s in
+            let hit = entry key <> None in
+            if hit then touch key
+            else if Hashtbl.mem stored key then admit key ~dirty:false;
+            probe = Some (if hit then Em.Trace.Hit else Em.Trace.Miss) && got = want
+        | Store (o, s, v) ->
+            let key = (o, s) in
+            be.(o).Em.Backend.store s [| v |];
+            Hashtbl.replace contents key v;
+            (match entry key with
+            | Some dirty ->
+                dirty := true;
+                touch key
+            | None -> admit key ~dirty:true);
+            true
+        | Free (o, s) ->
+            let key = (o, s) in
+            be.(o).Em.Backend.free s;
+            lru := List.filter (fun (k, _) -> k <> key) !lru;
+            Hashtbl.remove contents key;
+            Hashtbl.remove stored key;
+            (* LIFO recycling hands the freed slot straight back. *)
+            be.(o).Em.Backend.alloc () = s
+        | Flush o ->
+            be.(o).Em.Backend.flush ();
+            List.iter (fun (((o', _), _) as e) -> if o' = o then write_back e) !lru;
+            List.for_all
+              (fun s -> inner.(o).Em.Backend.load s = payload contents (o, s))
+              (List.init lru_slots Fun.id)
+        | Drop_all ->
+            Em.Backend.Pool.drop_all pool;
+            while !lru <> [] do
+              evict_oldest ()
+            done;
+            true
+      in
+      let inner_matches () =
+        List.for_all
+          (fun o ->
+            List.for_all
+              (fun s -> inner.(o).Em.Backend.load s = payload stored (o, s))
+              (List.init lru_slots Fun.id))
+          [ 0; 1 ]
+      in
+      List.for_all
+        (fun op ->
+          let ok = step op in
+          let resident = Em.Backend.Pool.resident pool in
+          ok
+          && resident = List.length !lru
+          && stats.Em.Stats.pool_words = resident * block
+          && stats.Em.Stats.cache_evictions = !evictions
+          && inner_matches ())
+        ops)
+
 let prop_file_matches_sim =
   Tu.qcheck_case ~count:15 "file backend: sort output and I/Os match sim"
     QCheck2.Gen.(pair (int_range 32 800) (int_range 0 1000))
@@ -336,5 +470,6 @@ let suite =
     Alcotest.test_case "no pool on uncached backends" `Quick test_uncached_has_no_pool;
     Alcotest.test_case "file temp hygiene across a sweep" `Quick test_file_hygiene;
     prop_reads_hits_misses;
+    prop_pool_is_lru;
     prop_file_matches_sim;
   ]

@@ -232,8 +232,11 @@ let test_take_boundary_reads () =
 
 (* ---- write-behind queues drain under memory pressure (reclaimers) ---- *)
 
-let test_writer_reclaims_under_pressure () =
-  let ctx = Tu.ctx () in
+(* Behind a buffer pool the drain itself admits pool pages, so it frees
+   fewer words than it had queued: the pool must still be asked for the
+   rest, or the charge below overflows. *)
+let test_writer_reclaims_under_pressure ?backend () =
+  let ctx = Tu.ctx ?backend () in
   (* 256-word budget, B = 16. *)
   let w = Em.Writer.create ~write_behind:4 ctx in
   for i = 0 to 47 do
@@ -374,7 +377,9 @@ let suite =
     Alcotest.test_case "take reads each boundary block once" `Quick
       test_take_boundary_reads;
     Alcotest.test_case "write-behind drains under memory pressure" `Quick
-      test_writer_reclaims_under_pressure;
+      (fun () -> test_writer_reclaims_under_pressure ());
+    Alcotest.test_case "cached write-behind drain asks the pool too" `Quick
+      (test_writer_reclaims_under_pressure ~backend:(Em.Backend.Cached Em.Backend.Sim));
     Alcotest.test_case "merge stability across D" `Quick
       test_merge_stability_across_disks;
   ]

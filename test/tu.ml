@@ -1,7 +1,8 @@
 (* Shared test utilities. *)
 
 let params ?(mem = 256) ?(block = 16) () = Em.Params.create ~mem ~block
-let ctx ?mem ?block () : int Em.Ctx.t = Em.Ctx.create (params ?mem ?block ())
+let ctx ?backend ?mem ?block () : int Em.Ctx.t =
+  Em.Ctx.create ?backend (params ?mem ?block ())
 let icmp = Int.compare
 
 (* Deterministic randomness, delegated to the library's seeded PRNG. *)
