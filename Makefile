@@ -74,25 +74,35 @@ test-async-stress:
 # runs this.
 smoke: cli-smoke faults serve-smoke telemetry-smoke soak cluster
 
-# CLI smoke: `profile` on every ALGO in all three report formats (the json
-# dump must parse), its --jsonl event stream (every line must parse as
-# JSON), and exit 124 — a one-line usage error, not an uncaught exception —
-# for each malformed machine flag or environment default, on `profile` and
-# on `serve`.
+# CLI smoke: `profile` in all three report formats (the json dump must
+# parse) and `faults` on every algorithm of the table, `profile`'s --jsonl
+# event stream (every line must parse as JSON), exit 124 for a flag the
+# algorithm does not read, and exit 124 — a one-line usage error, not an
+# uncaught exception — for each malformed machine flag or environment
+# default, on `profile` and on `serve`.
 EM_REPRO = ./_build/default/bin/em_repro.exe
 CLI_SMOKE_JSONL = _build/cli-smoke.jsonl
 
 cli-smoke:
 	dune build bin/em_repro.exe
-	@set -e; for algo in splitters partition multiselect quantiles sort; do \
+	@set -e; for algo in splitters partition multiselect "multipartition --sizes 2048,6144" \
+	    quantiles "reduce --chunk 1024" sort; do \
 	  $(EM_REPRO) profile $$algo -n 8192 > /dev/null; \
 	  $(EM_REPRO) profile $$algo -n 8192 --format prom > /dev/null; \
 	  $(EM_REPRO) profile $$algo -n 8192 --format json \
 	    | python3 -c 'import json, sys; json.load(sys.stdin)'; \
+	  $(EM_REPRO) faults $$algo -n 8192 > /dev/null; \
 	done
 	@$(EM_REPRO) profile partition -n 8192 -k 16 --disks 2 --jsonl $(CLI_SMOKE_JSONL) > /dev/null
 	@python3 -c 'import json, sys; n = sum(1 for l in open(sys.argv[1]) if json.loads(l)); assert n > 0' \
 	  $(CLI_SMOKE_JSONL)
+	@set -e; for unread in "faults splitters -n 1000 --restartable --crash-every 100" \
+	    "profile sort -n 1000 -k 16"; do \
+	  s=0; $(EM_REPRO) $$unread > /dev/null 2>&1 || s=$$?; \
+	  if [ $$s -ne 124 ]; then \
+	    echo "cli-smoke: 'em_repro $$unread' exited $$s, want 124 (a flag it does not read)"; exit 1; \
+	  fi; \
+	done
 	@set -e; usage_error() { \
 	  for sub in "profile sort -n 1000" "serve -n 1000"; do \
 	    s=0; env $$1 $(EM_REPRO) $$sub $$2 < /dev/null > /dev/null 2> $(CLI_SMOKE_JSONL).err || s=$$?; \
@@ -103,9 +113,8 @@ cli-smoke:
 	  done; \
 	}; \
 	usage_error "" "--disks 0"; usage_error "" "--block 0"; usage_error "" "--mem 10"; \
-	usage_error "" "--trace-ring 0"; usage_error EM_TRACE_RING=abc ""; \
 	usage_error EM_DISKS=abc ""; usage_error EM_BACKEND=bogus ""
-	@echo "cli-smoke: profile formats, JSONL stream and usage errors as expected."
+	@echo "cli-smoke: profile formats, faults, JSONL stream and usage errors as expected."
 
 # Fault-injection smoke: one recoverable run per algorithm family, plus a
 # crash-restart run.  Each exits non-zero on an unexpected failure (exit 2:
@@ -114,7 +123,7 @@ faults:
 	dune exec bin/em_repro.exe -- faults sort -n 20000 --fault-p 0.01 \
 	  --fault-kinds transient-read,transient-write,bit-corruption,torn-write --verify-writes
 	dune exec bin/em_repro.exe -- faults multiselect -n 20000 -k 12 --fault-p 0.02
-	dune exec bin/em_repro.exe -- faults splitters -n 20000 -k 16 --fault-seed 7
+	dune exec bin/em_repro.exe -- faults splitters -n 20000 -k 16 -a 128 --fault-seed 7
 	dune exec bin/em_repro.exe -- faults sort -n 20000 --restartable --crash-every 800
 
 # Serve-mode smoke: the fixed query script through `em_repro serve` on a

@@ -17,7 +17,6 @@ type common = {
   async : bool option;
   seed : int;
   workload : Core.Workload.kind;
-  trace_ring : int option;
 }
 
 let mem_t =
@@ -116,15 +115,6 @@ let async_t =
 let verbose_t =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print debug logs of the recursions.")
 
-let trace_ring_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "trace-ring" ] ~docv:"EVENTS"
-        ~doc:
-          "Capacity of the in-memory I/O trace ring (bounds flight-recorder depth).  When \
-           omitted, honours the EM_TRACE_RING environment variable (default 8192).")
-
 (* The machine flags and the environment defaults behind them, checked once
    here so that a bad value is a one-line usage error (exit 124) on every
    subcommand instead of an uncaught exception from deep in [make_ctx]. *)
@@ -135,26 +125,26 @@ let validate c =
   | { mem; block; _ } when mem < 2 * block ->
       fail "--mem must hold at least two blocks, M >= 2B (got M=%d, B=%d)" mem block
   | { disks = Some d; _ } when d < 1 -> fail "--disks must be at least 1 (got %d)" d
-  | { trace_ring = Some r; _ } when r < 1 -> fail "--trace-ring must be at least 1 (got %d)" r
   | _ -> (
       (* The environment defaults raise on malformed values. *)
       match
         ignore (Em.Params.default_disks ());
         if c.backend = None then ignore (Em.Backend.default_spec ());
-        if c.async = None then ignore (Em.Params.default_async ());
-        if c.trace_ring = None then ignore (Em.Trace.env_ring_capacity ())
+        if c.async = None then ignore (Em.Params.default_async ())
       with
       | () -> `Ok c
       | exception Invalid_argument msg -> `Error (false, msg))
 
 let common_t =
-  let make verbose backend mem block disks async seed workload trace_ring =
-    validate { verbose; backend; mem; block; disks; async; seed; workload; trace_ring }
+  let make verbose backend mem block disks async seed workload =
+    validate { verbose; backend; mem; block; disks; async; seed; workload }
   in
   Term.(
     ret
       (const make $ verbose_t $ backend_t $ mem_t $ block_t $ disks_t $ async_t $ seed_t
-     $ workload_t $ trace_ring_t))
+     $ workload_t))
+
+let n_t = Arg.(required & opt (some int) None & info [ "n" ] ~docv:"N" ~doc:"Input size.")
 
 (* ---- shared fault/recovery flags (faults, serve, soak) ---- *)
 
@@ -223,11 +213,8 @@ let setup_logs c =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (if c.verbose then Some Logs.Debug else Some Logs.Warning)
 
-let make_trace c = Em.Trace.create ?ring_capacity:c.trace_ring ()
-
 let make_ctx ?trace c : int Em.Ctx.t =
-  let trace = match trace with Some t -> t | None -> make_trace c in
-  Em.Ctx.create ~trace ?backend:c.backend ?async:c.async ?disks:c.disks
+  Em.Ctx.create ?trace ?backend:c.backend ?async:c.async ?disks:c.disks
     (Em.Params.create ~mem:c.mem ~block:c.block)
 
 let workload_vec c ctx ~n = Core.Workload.vec ctx c.workload ~seed:c.seed ~n

@@ -5,142 +5,46 @@
      em_repro splitters -n 262144 -k 16 -a 128 -b 262144
      em_repro partition -n 100000 -k 10 -a 0 -b 20000 --workload sorted
      em_repro multiselect -n 65536 --ranks 1,1000,32768
+     em_repro profile sort -n 65536 --disks 2
+     em_repro faults sort -n 20000 --restartable --crash-every 800
      em_repro bounds -n 1048576 -k 64 -a 256 -b 65536
      em_repro serve -n 65536 < queries.txt
 
-   The machine/backend/workload flags shared by every subcommand live in
-   {!Cli_args} (one [common_t] term); only subcommand-specific flags are
-   declared here. *)
+   The algorithms form one table ([table]).  An entry declares its own flags
+   once and builds a [job] from them; three reports run jobs: the plain
+   report (one top-level subcommand per entry), [profile] and [faults] (one
+   sub-command per entry each).  So every algorithm has all three reports,
+   and a flag the algorithm does not read is a usage error.  The
+   machine/backend/workload flags shared by every subcommand live in
+   {!Cli_args} (one [common_t] term). *)
 
 open Cmdliner
 open Cli_args
 
 let icmp = Int.compare
 
-(* ---- subcommand-specific options ---- *)
+(* ---- algorithm flags ---- *)
 
-let n_t = Arg.(required & opt (some int) None & info [ "n" ] ~docv:"N" ~doc:"Input size.")
-let k_t = Arg.(required & opt (some int) None & info [ "k" ] ~docv:"K" ~doc:"Partition count.")
+let k_t = Arg.(value & opt int 16 & info [ "k" ] ~docv:"K" ~doc:"Partition / quantile count.")
 let a_t = Arg.(value & opt int 0 & info [ "a" ] ~docv:"A" ~doc:"Lower partition-size bound.")
 
-let b_opt_t =
-  Arg.(value & opt (some int) None & info [ "b" ] ~docv:"B" ~doc:"Upper partition-size bound (default: n).")
+let b_t =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "b" ] ~docv:"B" ~doc:"Upper partition-size bound (default: n).")
 
 let baseline_t =
   Arg.(value & flag & info [ "baseline" ] ~doc:"Run the sort-based baseline instead.")
 
-let k_opt_t =
-  Arg.(value & opt int 16 & info [ "k" ] ~docv:"K" ~doc:"Partition / quantile count.")
-
-let ranks_opt_t =
+let ranks_t =
   Arg.(
     value
     & opt (some (list int)) None
     & info [ "ranks" ] ~docv:"R1,R2,..."
-        ~doc:"Ranks for multiselect (default: the K quantile ranks).")
-
-(* The "problem:" line of a K-splitters / K-partitioning spec. *)
-let spec_problem what spec =
-  Printf.sprintf "%s %s, %s"
-    (Core.Problem.variant_name (Core.Problem.classify spec))
-    what
-    (Format.asprintf "%a" Core.Problem.pp_spec spec)
-
-(* ---- splitters ---- *)
-
-let run_splitters c n k a b baseline =
-  setup_logs c;
-  let spec = spec_of ~n ~k ~a ~b in
-  let ctx = make_ctx c in
-  let v = workload_vec c ctx ~n in
-  describe c ctx;
-  Printf.printf "problem:      %s\n" (spec_problem "K-splitters" spec);
-  let cmp = Em.Ctx.counted ctx icmp in
-  let out, cost =
-    Em.Ctx.measured ctx (fun () ->
-        if baseline then Core.Baseline.splitters cmp v spec
-        else Core.Splitters.solve cmp v spec)
-  in
-  report_cost ctx cost;
-  Printf.printf "bound:        lower %.1f, upper %.1f I/Os (Table 1, no constants)\n"
-    (Core.Bounds.splitters_lower ctx.Em.Ctx.params spec)
-    (Core.Bounds.splitters_upper ctx.Em.Ctx.params spec);
-  print_verified
-    (Core.Verify.splitters icmp ~input:(Em.Vec.Oracle.to_array v) spec (Em.Vec.Oracle.to_array out))
-
-let splitters_cmd =
-  let doc = "Solve the approximate K-splitters problem." in
-  Cmd.v
-    (Cmd.info "splitters" ~doc)
-    Term.(const run_splitters $ common_t $ n_t $ k_t $ a_t $ b_opt_t $ baseline_t)
-
-(* ---- partitioning ---- *)
-
-let run_partition c n k a b baseline =
-  setup_logs c;
-  let spec = spec_of ~n ~k ~a ~b in
-  let ctx = make_ctx c in
-  let v = workload_vec c ctx ~n in
-  describe c ctx;
-  Printf.printf "problem:      %s\n" (spec_problem "K-partitioning" spec);
-  let cmp = Em.Ctx.counted ctx icmp in
-  let parts, cost =
-    Em.Ctx.measured ctx (fun () ->
-        if baseline then Core.Baseline.partitioning cmp v spec
-        else Core.Partitioning.solve cmp v spec)
-  in
-  report_cost ctx cost;
-  Printf.printf "bound:        lower %.1f, upper %.1f I/Os (Table 1, no constants)\n"
-    (Core.Bounds.partitioning_lower ctx.Em.Ctx.params spec)
-    (Core.Bounds.partitioning_upper ctx.Em.Ctx.params spec);
-  Printf.printf "partitions:   %s\n"
-    (String.concat ", "
-       (Array.to_list (Array.map (fun p -> string_of_int (Em.Vec.length p)) parts)));
-  print_verified
-    (Core.Verify.partitioning icmp ~input:(Em.Vec.Oracle.to_array v) spec
-       (Array.map Em.Vec.Oracle.to_array parts))
-
-let partition_cmd =
-  let doc = "Solve the approximate K-partitioning problem." in
-  Cmd.v
-    (Cmd.info "partition" ~doc)
-    Term.(const run_partition $ common_t $ n_t $ k_t $ a_t $ b_opt_t $ baseline_t)
-
-(* ---- multi-selection ---- *)
-
-let ranks_t =
-  Arg.(
-    required
-    & opt (some (list int)) None
-    & info [ "ranks" ] ~docv:"R1,R2,..." ~doc:"Strictly increasing 1-based ranks.")
-
-let run_multiselect c n ranks baseline =
-  setup_logs c;
-  let ranks = Array.of_list ranks in
-  let ctx = make_ctx c in
-  let v = workload_vec c ctx ~n in
-  describe c ctx;
-  Printf.printf "problem:      multi-selection of %d ranks from %d elements\n"
-    (Array.length ranks) n;
-  let cmp = Em.Ctx.counted ctx icmp in
-  let results, cost =
-    Em.Ctx.measured ctx (fun () ->
-        if baseline then Core.Baseline.multi_select cmp v ~ranks
-        else Core.Multi_select.select cmp v ~ranks)
-  in
-  report_cost ctx cost;
-  Printf.printf "bound:        %.1f I/Os (Theorem 4, no constants)\n"
-    (Core.Bounds.multi_select ctx.Em.Ctx.params ~n ~k:(Array.length ranks));
-  Array.iteri (fun i r -> Printf.printf "rank %-8d -> %d\n" ranks.(i) r) results;
-  print_verified (Core.Verify.multi_select icmp ~input:(Em.Vec.Oracle.to_array v) ~ranks results)
-
-let multiselect_cmd =
-  let doc = "Report the elements of the given ranks (Theorem 4)." in
-  Cmd.v
-    (Cmd.info "multiselect" ~doc)
-    Term.(const run_multiselect $ common_t $ n_t $ ranks_t $ baseline_t)
-
-(* ---- multi-partition ---- *)
+        ~doc:
+          "Strictly increasing 1-based ranks (default: the K quantile ranks; $(b,cluster \
+           multiselect) takes the quartiles).")
 
 let sizes_t =
   Arg.(
@@ -148,51 +52,417 @@ let sizes_t =
     & opt (some (list int)) None
     & info [ "sizes" ] ~docv:"S1,S2,..." ~doc:"Positive partition sizes summing to n.")
 
-let run_multipartition c n sizes baseline =
+let chunk_t =
+  Arg.(
+    required
+    & opt (some int) None
+    & info [ "chunk" ] ~docv:"SIZE" ~doc:"Exact partition size for the precise reduction.")
+
+(* ---- the algorithm table ---- *)
+
+(* A finished run, as its reports see it. *)
+type outcome = {
+  show : unit -> unit;  (** the plain report's result lines *)
+  verify : int array -> (unit, string) result;  (** oracle check against the input *)
+  free : unit -> unit;
+}
+
+type job = {
+  problem : string;  (** the "problem:" line *)
+  row : (Core.Bound_track.row * Core.Problem.spec) option;
+      (** the Table 1 row and spec, when the problem has one *)
+  bound : (Em.Params.t -> string) option;  (** the plain report's "bound:" line *)
+  run : unit -> outcome;  (** the measured computation *)
+}
+
+(* One algorithm: its flags, parsed once into ['a], and the job they build
+   over a counted comparator and the input.  [restart] is the checkpointed
+   driver, on the entries that have one; [faults] runs it under
+   --restartable. *)
+type entry =
+  | Entry : {
+      name : string;
+      doc : string;
+      flags : 'a Term.t;
+      job : 'a -> (int -> int -> int) -> int Em.Vec.t -> job;
+      restart :
+        ('a -> (int -> int -> int) -> int Em.Vec.t -> outcome Emalg.Restart.outcome) option;
+    }
+      -> entry
+
+let entry ?restart name doc flags job = Entry { name; doc; flags; job; restart }
+let pair x y = (x, y)
+let with_baseline t = Term.(const pair $ t $ baseline_t)
+let spec_t = Term.(const (fun k a b -> (k, a, b)) $ k_t $ a_t $ b_t)
+
+(* A K-splitters / K-partitioning job: its "problem:" line, Table 1 row and
+   bound all follow from the spec. *)
+let table1_job what (right, left, two_sided) (lower, upper) v (k, a, b) run =
+  let spec = spec_of ~n:(Em.Vec.length v) ~k ~a ~b in
+  let variant = Core.Problem.classify spec in
+  let row =
+    match variant with
+    | Core.Problem.Right_grounded -> right
+    | Core.Problem.Left_grounded -> left
+    | Core.Problem.Two_sided | Core.Problem.Unconstrained -> two_sided
+  in
+  {
+    problem =
+      Printf.sprintf "%s %s, %s" (Core.Problem.variant_name variant) what
+        (Format.asprintf "%a" Core.Problem.pp_spec spec);
+    row = Some (row, spec);
+    bound =
+      Some
+        (fun p ->
+          Printf.sprintf "lower %.1f, upper %.1f I/Os (Table 1, no constants)" (lower p spec)
+            (upper p spec));
+    run = (fun () -> run spec);
+  }
+
+let job ?bound problem run = { problem; row = None; bound; run }
+
+let bound source f p = Printf.sprintf "%.1f I/Os (%s, no constants)" (f p) source
+
+(* The output's contents are read back once, after the measured run. *)
+let vec_outcome ?(show = ignore) out verify =
+  let got = lazy (Em.Vec.Oracle.to_array out) in
+  {
+    show = (fun () -> show (Lazy.force got));
+    verify = (fun input -> verify input (Lazy.force got));
+    free = (fun () -> Em.Vec.free out);
+  }
+
+let parts_outcome ?(show = false) parts verify =
+  {
+    show =
+      (fun () ->
+        if show then
+          Printf.printf "partitions:   %s\n"
+            (String.concat ", "
+               (Array.to_list (Array.map (fun p -> string_of_int (Em.Vec.length p)) parts))));
+    verify = (fun input -> verify input (Array.map Em.Vec.Oracle.to_array parts));
+    free = (fun () -> Array.iter Em.Vec.free parts);
+  }
+
+let ranks_of v (k, ranks) =
+  match ranks with
+  | Some rs -> Array.of_list rs
+  | None -> Core.Splitters.quantile_ranks ~n:(Em.Vec.length v) ~k
+
+let selected ranks results =
+  {
+    show =
+      (fun () -> Array.iteri (fun i r -> Printf.printf "rank %-8d -> %d\n" ranks.(i) r) results);
+    verify = (fun input -> Core.Verify.multi_select icmp ~input ~ranks results);
+    free = ignore;
+  }
+
+let sorted out =
+  vec_outcome out (fun input got ->
+      let expect = Array.copy input in
+      Array.sort icmp expect;
+      if got = expect then Ok () else Error "output is not the sorted input")
+
+let restarted f (o : _ Emalg.Restart.outcome) =
+  { o with Emalg.Restart.result = Result.map f o.Emalg.Restart.result }
+
+let table =
+  [
+    entry "splitters" "Solve the approximate K-splitters problem." (with_baseline spec_t)
+      (fun (s, baseline) cmp v ->
+        let solve = if baseline then Core.Baseline.splitters else Core.Splitters.solve in
+        table1_job "K-splitters"
+          Core.Bound_track.(Splitters_right, Splitters_left, Splitters_two_sided)
+          Core.Bounds.(splitters_lower, splitters_upper) v s (fun spec ->
+            vec_outcome (solve cmp v spec) (fun input -> Core.Verify.splitters icmp ~input spec)));
+    entry "partition" "Solve the approximate K-partitioning problem." (with_baseline spec_t)
+      (fun (s, baseline) cmp v ->
+        let solve = if baseline then Core.Baseline.partitioning else Core.Partitioning.solve in
+        table1_job "K-partitioning"
+          Core.Bound_track.(Partition_right, Partition_left, Partition_two_sided)
+          Core.Bounds.(partitioning_lower, partitioning_upper) v s (fun spec ->
+            parts_outcome ~show:true (solve cmp v spec) (fun input ->
+                Core.Verify.partitioning icmp ~input spec)));
+    entry "multiselect" "Report the elements of the given ranks (Theorem 4)."
+      (with_baseline Term.(const pair $ k_t $ ranks_t))
+      ~restart:(fun (kr, _) cmp v ->
+        let ranks = ranks_of v kr in
+        restarted (selected ranks) (Core.Restartable.select cmp v ~ranks))
+      (fun (kr, baseline) cmp v ->
+        let ranks = ranks_of v kr and n = Em.Vec.length v in
+        let k = Array.length ranks in
+        let select = if baseline then Core.Baseline.multi_select else Core.Multi_select.select in
+        job
+          (Printf.sprintf "multi-selection of %d ranks from %d elements" k n)
+          ~bound:(bound "Theorem 4" (fun p -> Core.Bounds.multi_select p ~n ~k))
+          (fun () -> selected ranks (select cmp v ~ranks)));
+    entry "multipartition" "Physically partition into prescribed sizes." (with_baseline sizes_t)
+      (fun (sizes, baseline) cmp v ->
+        let sizes = Array.of_list sizes and n = Em.Vec.length v in
+        let k = Array.length sizes in
+        let partition =
+          if baseline then Core.Baseline.multi_partition else Core.Multi_partition.partition_sizes
+        in
+        job
+          (Printf.sprintf "multi-partition into %d prescribed sizes" k)
+          ~bound:(bound "Aggarwal-Vitter" (fun p -> Core.Bounds.multi_partition p ~n ~k))
+          (fun () ->
+            parts_outcome (partition cmp v ~sizes) (fun input ->
+                Core.Verify.multi_partition icmp ~input ~sizes)));
+    entry "quantiles" "Report the exact (1/K)-quantile elements (equi-depth boundaries)." k_t
+      (fun k cmp v ->
+        let n = Em.Vec.length v in
+        job (Printf.sprintf "exact (1/%d)-quantiles of %d elements" k n) (fun () ->
+            vec_outcome
+              (Core.Splitters.exact_quantiles cmp v ~k)
+              ~show:(Array.iteri (fun i q -> Printf.printf "q%-3d -> %d\n" (i + 1) q))
+              (fun input ->
+                let ranks = Core.Splitters.quantile_ranks ~n ~k in
+                Core.Verify.multi_select icmp ~input ~ranks)));
+    entry "reduce" "Precise partitioning via the Section 3 reduction." chunk_t (fun chunk cmp v ->
+        job
+          (Printf.sprintf "precise partitioning into chunks of %d (Section 3 reduction)" chunk)
+          (fun () ->
+            let parts = Core.Reduction.precise_by_approximate cmp v ~chunk in
+            parts_outcome ~show:true parts (fun input ->
+                Core.Verify.multi_partition icmp ~input ~sizes:(Array.map Em.Vec.length parts))));
+    entry "sort" "Sort externally (multiway merge sort)." (Term.const ())
+      ~restart:(fun () cmp v -> restarted sorted (Emalg.Restart.sort cmp v))
+      (fun () cmp v ->
+        let n = Em.Vec.length v in
+        job
+          (Printf.sprintf "external sort of %d elements" n)
+          ~bound:(bound "Aggarwal-Vitter" (fun p -> Core.Bounds.sort p ~n))
+          (fun () -> sorted (Emalg.External_sort.sort cmp v)));
+  ]
+
+(* ---- the plain report ---- *)
+
+let run_plain c n build =
   setup_logs c;
-  let sizes = Array.of_list sizes in
   let ctx = make_ctx c in
   let v = workload_vec c ctx ~n in
+  let job = build (Em.Ctx.counted ctx icmp) v in
   describe c ctx;
-  Printf.printf "problem:      multi-partition into %d prescribed sizes\n" (Array.length sizes);
+  Printf.printf "problem:      %s\n" job.problem;
+  let out, cost = Em.Ctx.measured ctx job.run in
+  report_cost ctx cost;
+  Option.iter
+    (fun bound -> Printf.printf "bound:        %s\n" (bound ctx.Em.Ctx.params))
+    job.bound;
+  out.show ();
+  let verified = out.verify (Em.Vec.Oracle.to_array v) in
+  out.free ();
+  print_verified verified
+
+let plain_cmd (Entry e) =
+  Cmd.v (Cmd.info e.name ~doc:e.doc)
+    Term.(const (fun c n flags -> run_plain c n (e.job flags)) $ common_t $ n_t $ e.flags)
+
+(* ---- profile: the observed run ---- *)
+
+let format_t =
+  Arg.(
+    value
+    & opt (enum [ ("text", `Text); ("prom", `Prom); ("json", `Json) ]) `Text
+    & info [ "format" ] ~docv:"FMT"
+        ~doc:
+          "Report format: text (costs, span tree, disk balance and block-reuse summary), prom \
+           (the metrics registry in Prometheus text exposition) or json (the same registry, \
+           canonical JSON).")
+
+let jsonl_t =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "jsonl" ] ~docv:"FILE" ~doc:"Also stream every I/O event to FILE as JSON lines.")
+
+(* Machine counters, seeks, every span, the per-phase rows and — where the
+   problem maps to a Table 1 row — measured vs predicted bound gauges. *)
+let print_registry ctx profiler cost job format =
+  let reg = Em.Metrics.create () in
+  Em.Metrics.publish_stats reg ctx.Em.Ctx.stats;
+  Em.Metrics.set
+    (Em.Metrics.gauge reg ~help:"I/Os the tracer classified as random" "seeks_total")
+    (float_of_int (Em.Trace.seeks ctx.Em.Ctx.trace));
+  Em.Profile.publish reg profiler;
+  Em.Profile.publish_phase_ios reg profiler;
+  (match job.row with
+  | Some (row, spec) ->
+      ignore
+        (Core.Bound_track.publish_values reg ctx.Em.Ctx.params row spec
+           ~measured_rounds:cost.Em.Stats.d_rounds
+           ~measured_ios:(Em.Stats.delta_ios cost))
+  | None -> ());
+  match format with
+  | `Prom -> print_string (Em.Metrics.to_prometheus reg)
+  | `Json -> print_endline (Em.Json.to_string (Em.Metrics.to_json reg))
+
+let print_text c ctx profiler cost ~name job reuse =
+  describe c ctx;
+  Printf.printf "problem:      %s\n" job.problem;
+  report_cost ctx cost;
+  Printf.printf "random seeks: %d\n" (Em.Trace.seeks ctx.Em.Ctx.trace);
+  (match job.row with
+  | Some (row, spec) ->
+      let pred = Core.Bound_track.predicted row ctx.Em.Ctx.params spec in
+      let measured = Em.Stats.delta_ios cost in
+      Printf.printf "Table 1 row:  %s — measured %d / predicted %.1f = ratio %.2f\n"
+        (Core.Bound_track.name row) measured pred (float_of_int measured /. pred)
+  | None -> ());
+  Printf.printf
+    "\nspan tree (%s), children sorted by inclusive I/O; wall ms inclusive, then self:\n" name;
+  Format.printf "%a" Em.Profile.pp profiler;
+  Printf.printf "\nheaviest spans:\n";
+  List.iteri
+    (fun i s ->
+      if i < 10 then
+        Printf.printf "  %8d I/O  %9d cmp  x%-4d %s\n" (Em.Profile.span_ios s)
+          s.Em.Profile.cost.Em.Stats.d_comparisons s.Em.Profile.calls
+          (Em.Profile.path_name s.Em.Profile.path))
+    (Em.Profile.spans profiler);
+  print_newline ();
+  (* Per-disk balance only on multi-disk machines. *)
+  (match Em.Stats.disk_report ctx.Em.Ctx.stats with
+  | ([] | [ _ ]) -> ()
+  | per_disk ->
+      let counts = List.map snd per_disk in
+      Printf.printf "disk balance:     %s (max/min = %d/%d)\n"
+        (String.concat ", " (List.map (fun (d, n) -> Printf.sprintf "d%d:%d" d n) per_disk))
+        (List.fold_left max 0 counts) (List.fold_left min max_int counts));
+  Format.printf "%a" Em.Trace_report.pp_summary (reuse ())
+
+let run_profile c n ~name build format jsonl =
+  setup_logs c;
+  let trace = Em.Trace.create () in
+  let reuse_sink, reuse = Em.Trace_report.sink () in
+  Em.Trace.add_sink trace reuse_sink;
+  let ctx = make_ctx ~trace c in
+  let profiler = Em.Profile.create () in
+  Em.Profile.attach profiler ctx.Em.Ctx.stats;
+  let v = workload_vec c ctx ~n in
+  let job = build (Em.Ctx.counted ctx icmp) v in
+  let run () = Em.Ctx.measured ctx (fun () -> (job.run ()).free ()) in
+  let (), cost =
+    match jsonl with
+    | None -> run ()
+    | Some path ->
+        let oc = open_out path in
+        Em.Trace.add_sink trace (Em.Trace.jsonl_sink oc);
+        Fun.protect ~finally:(fun () -> close_out oc) run
+  in
+  match format with
+  | (`Prom | `Json) as format -> print_registry ctx profiler cost job format
+  | `Text ->
+      print_text c ctx profiler cost ~name job reuse;
+      Option.iter
+        (fun path ->
+          Printf.printf "events:       %d written to %s\n" (Em.Trace.total trace) path)
+        jsonl
+
+let profile_cmd (Entry e) =
+  Cmd.v (Cmd.info e.name ~doc:e.doc)
+    Term.(
+      const (fun c n flags -> run_profile c n ~name:e.name (e.job flags))
+      $ common_t $ n_t $ e.flags $ format_t $ jsonl_t)
+
+(* ---- faults ---- *)
+
+let crash_every_t =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "crash-every" ] ~docv:"IOS"
+        ~doc:"Additionally crash every IOS I/Os (use with --restartable).")
+
+let verify_writes_t =
+  Arg.(
+    value & flag
+    & info [ "verify-writes" ]
+        ~doc:"Read back and checksum every write (catches silent write corruption at write time).")
+
+let restartable_t =
+  Arg.(
+    value & flag
+    & info [ "restartable" ]
+        ~doc:"Use the checkpointed restartable driver, so crashes are survived.")
+
+let print_fault_report ctx =
+  match Em.Ctx.fault_report ctx with
+  | None -> ()
+  | Some r ->
+      let c = r.Em.Device.counters in
+      Printf.printf "recovery:     %d recovered, %d checksum failures, %d quarantined, %d remapped\n"
+        c.Em.Device.recovered c.Em.Device.checksum_failures c.Em.Device.quarantined
+        c.Em.Device.remapped;
+      Printf.printf "fault I/Os:   %d faulted attempts, %d retries\n"
+        ctx.Em.Ctx.stats.Em.Stats.faults ctx.Em.Ctx.stats.Em.Stats.retries
+
+let print_restarts (o : _ Emalg.Restart.outcome) =
+  Printf.printf "restarts:     %d survived (checkpoint: %d saves / %d I/Os, %d resumes / %d I/Os)\n"
+    o.Emalg.Restart.restarts o.Emalg.Restart.saves o.Emalg.Restart.save_ios
+    o.Emalg.Restart.loads o.Emalg.Restart.load_ios
+
+let run_faults c n build restart fault_seed p kinds crash_every max_retries verify_writes =
+  setup_logs c;
+  let ctx = make_ctx c in
+  let profiler = Em.Profile.create () in
+  Em.Profile.attach profiler ctx.Em.Ctx.stats;
+  Em.Ctx.arm ~policy:{ Em.Device.default_policy with Em.Device.max_retries; verify_writes } ctx;
+  let v = workload_vec c ctx ~n in
+  let input = Em.Vec.Oracle.to_array v in
+  describe c ctx;
+  let plan = Em.Fault.seeded ~seed:fault_seed ~p kinds in
+  let plan =
+    match crash_every with
+    | Some cr -> Em.Fault.any [ Em.Fault.every_nth ~n:cr Em.Fault.Crash; plan ]
+    | None -> plan
+  in
+  Printf.printf "faults:       seeded p=%g seed=%d kinds=%s%s\n" p fault_seed
+    (String.concat "," (List.map Em.Fault.kind_name kinds))
+    (match crash_every with Some cr -> Printf.sprintf " + crash every %d I/Os" cr | None -> "");
+  Em.Ctx.inject ctx plan;
   let cmp = Em.Ctx.counted ctx icmp in
-  let parts, cost =
+  let job = build cmp v in
+  let run () =
+    match restart with
+    | None -> job.run ()
+    | Some restart -> (
+        let o = restart cmp v in
+        print_restarts o;
+        match o.Emalg.Restart.result with Ok r -> r | Error e -> Em.Em_error.raise_error e)
+  in
+  let verified, cost =
     Em.Ctx.measured ctx (fun () ->
-        if baseline then Core.Baseline.multi_partition cmp v ~sizes
-        else Core.Multi_partition.partition_sizes cmp v ~sizes)
+        Em.Em_error.protect (fun () ->
+            let out = run () in
+            let verified = out.verify input in
+            out.free ();
+            verified))
   in
   report_cost ctx cost;
-  Printf.printf "bound:        %.1f I/Os (Aggarwal-Vitter, no constants)\n"
-    (Core.Bounds.multi_partition ctx.Em.Ctx.params ~n ~k:(Array.length sizes));
-  print_verified
-    (Core.Verify.multi_partition icmp ~input:(Em.Vec.Oracle.to_array v) ~sizes
-       (Array.map Em.Vec.Oracle.to_array parts))
+  print_fault_report ctx;
+  Printf.printf "\nspan tree (fault overhead in brackets):\n";
+  Format.printf "%a@." Em.Profile.pp profiler;
+  match verified with
+  | Ok verification -> print_verified verification
+  | Error e ->
+      Printf.printf "outcome:      typed failure: %s\n" (Em.Em_error.to_string e);
+      exit 3
 
-let multipartition_cmd =
-  let doc = "Physically partition into prescribed sizes." in
-  Cmd.v
-    (Cmd.info "multipartition" ~doc)
-    Term.(const run_multipartition $ common_t $ n_t $ sizes_t $ baseline_t)
-
-(* ---- quantiles ---- *)
-
-let run_quantiles c n k =
-  setup_logs c;
-  let ctx = make_ctx c in
-  let v = workload_vec c ctx ~n in
-  describe c ctx;
-  Printf.printf "problem:      exact (1/%d)-quantiles of %d elements\n" k n;
-  let cmp = Em.Ctx.counted ctx icmp in
-  let out, cost = Em.Ctx.measured ctx (fun () -> Core.Splitters.exact_quantiles cmp v ~k) in
-  report_cost ctx cost;
-  let values = Em.Vec.Oracle.to_array out in
-  Array.iteri (fun i q -> Printf.printf "q%-3d -> %d\n" (i + 1) q) values;
-  let ranks = Core.Splitters.quantile_ranks ~n ~k in
-  print_verified (Core.Verify.multi_select icmp ~input:(Em.Vec.Oracle.to_array v) ~ranks values)
-
-let quantiles_cmd =
-  let doc = "Report the exact (1/K)-quantile elements (equi-depth boundaries)." in
-  Cmd.v (Cmd.info "quantiles" ~doc) Term.(const run_quantiles $ common_t $ n_t $ k_t)
+(* --restartable exists only on the entries with a checkpointed driver. *)
+let faults_cmd (Entry e) =
+  let restart_t =
+    match e.restart with
+    | None -> Term.const (fun _ -> None)
+    | Some restart ->
+        Term.(const (fun on flags -> if on then Some (restart flags) else None) $ restartable_t)
+  in
+  Cmd.v (Cmd.info e.name ~doc:e.doc)
+    Term.(
+      const (fun c n flags restart -> run_faults c n (e.job flags) (restart flags))
+      $ common_t $ n_t $ e.flags $ restart_t $ fault_seed_t $ fault_p_t () $ fault_kinds_t
+      $ crash_every_t $ max_retries_t $ verify_writes_t)
 
 (* ---- cluster (sharded drivers) ---- *)
 
@@ -257,7 +527,7 @@ let cluster_report t ~algo_name ~boundaries (ag : int Core.Cluster.agreement opt
 
 let run_cluster c algo n k ranks eps shards fault_seed fault_p fault_kinds max_retries =
   setup_logs c;
-  let trace = make_trace c in
+  let trace = Em.Trace.create () in
   let t : int Core.Cluster.t =
     Core.Cluster.create ~trace ?backend:c.backend ?disks:c.disks ?shards
       (Em.Params.create ~mem:c.mem ~block:c.block)
@@ -356,232 +626,10 @@ let cluster_cmd =
   in
   Cmd.v (Cmd.info "cluster" ~doc)
     Term.(
-      const run_cluster $ common_t $ cluster_algo_t $ n_t $ k_opt_t $ ranks_opt_t $ eps_t
+      const run_cluster $ common_t $ cluster_algo_t $ n_t $ k_t $ ranks_t $ eps_t
       $ shards_t $ fault_seed_t
       $ fault_p_t ~default:0. ()
       $ fault_kinds_t $ max_retries_t)
-
-(* ---- reduce (Section 3) ---- *)
-
-let chunk_t =
-  Arg.(
-    required
-    & opt (some int) None
-    & info [ "chunk" ] ~docv:"SIZE" ~doc:"Exact partition size for the precise reduction.")
-
-let run_reduce c n chunk =
-  setup_logs c;
-  let ctx = make_ctx c in
-  let v = workload_vec c ctx ~n in
-  describe c ctx;
-  Printf.printf "problem:      precise partitioning into chunks of %d (Section 3 reduction)\n"
-    chunk;
-  let cmp = Em.Ctx.counted ctx icmp in
-  let parts, cost =
-    Em.Ctx.measured ctx (fun () -> Core.Reduction.precise_by_approximate cmp v ~chunk)
-  in
-  report_cost ctx cost;
-  Printf.printf "partitions:   %s\n"
-    (String.concat ", "
-       (Array.to_list (Array.map (fun p -> string_of_int (Em.Vec.length p)) parts)));
-  let sizes = Array.map Em.Vec.length parts in
-  print_verified
-    (Core.Verify.multi_partition icmp ~input:(Em.Vec.Oracle.to_array v) ~sizes
-       (Array.map Em.Vec.Oracle.to_array parts))
-
-let reduce_cmd =
-  let doc = "Precise partitioning via the Section 3 reduction." in
-  Cmd.v (Cmd.info "reduce" ~doc) Term.(const run_reduce $ common_t $ n_t $ chunk_t)
-
-(* ---- one algorithm dispatch for profile ---- *)
-
-let observed_algo_t =
-  Arg.(
-    required
-    & pos 0
-        (some
-           (enum
-              [
-                ("splitters", `Splitters);
-                ("partition", `Partition);
-                ("multiselect", `Multiselect);
-                ("quantiles", `Quantiles);
-                ("sort", `Sort);
-              ]))
-        None
-    & info [] ~docv:"ALGO"
-        ~doc:"Algorithm to run: splitters, partition, multiselect, quantiles or sort.")
-
-type job = {
-  name : string;
-  problem : string;  (** the report's "problem:" line *)
-  row : (Core.Bound_track.row * Core.Problem.spec) option;
-      (** the Table 1 row and spec, when the algorithm has one *)
-  run : unit -> unit;  (** the measured computation; frees its output *)
-}
-
-let job_of ctx v ~algo ~n ~k ~a ~b ~ranks =
-  let cmp = Em.Ctx.counted ctx icmp in
-  let table1_row ~right ~left ~two_sided spec =
-    match Core.Problem.classify spec with
-    | Core.Problem.Right_grounded -> Some (right, spec)
-    | Core.Problem.Left_grounded -> Some (left, spec)
-    | Core.Problem.Two_sided | Core.Problem.Unconstrained -> Some (two_sided, spec)
-  in
-  match algo with
-  | `Splitters ->
-      let spec = spec_of ~n ~k ~a ~b in
-      let row =
-        table1_row ~right:Core.Bound_track.Splitters_right ~left:Core.Bound_track.Splitters_left
-          ~two_sided:Core.Bound_track.Splitters_two_sided spec
-      in
-      { name = "splitters"; problem = spec_problem "K-splitters" spec; row;
-        run = (fun () -> Em.Vec.free (Core.Splitters.solve cmp v spec)) }
-  | `Partition ->
-      let spec = spec_of ~n ~k ~a ~b in
-      let row =
-        table1_row ~right:Core.Bound_track.Partition_right ~left:Core.Bound_track.Partition_left
-          ~two_sided:Core.Bound_track.Partition_two_sided spec
-      in
-      { name = "partition"; problem = spec_problem "K-partitioning" spec; row;
-        run = (fun () -> Array.iter Em.Vec.free (Core.Partitioning.solve cmp v spec)) }
-  | `Multiselect ->
-      let ranks =
-        match ranks with
-        | Some rs -> Array.of_list rs
-        | None -> Core.Splitters.quantile_ranks ~n ~k
-      in
-      let problem =
-        Printf.sprintf "multi-selection of %d ranks from %d elements" (Array.length ranks) n
-      in
-      { name = "multiselect"; problem; row = None;
-        run = (fun () -> ignore (Core.Multi_select.select cmp v ~ranks)) }
-  | `Quantiles ->
-      { name = "quantiles"; problem = Printf.sprintf "exact (1/%d)-quantiles of %d elements" k n;
-        row = None; run = (fun () -> Em.Vec.free (Core.Splitters.exact_quantiles cmp v ~k)) }
-  | `Sort ->
-      { name = "sort"; problem = Printf.sprintf "external sort of %d elements" n; row = None;
-        run = (fun () -> Em.Vec.free (Emalg.External_sort.sort cmp v)) }
-
-(* ---- faults ---- *)
-
-let fault_algo_t =
-  Arg.(
-    required
-    & pos 0 (some (enum [ ("sort", `Sort); ("multiselect", `Multiselect); ("splitters", `Splitters) ])) None
-    & info [] ~docv:"ALGO" ~doc:"Algorithm to run under faults: sort, multiselect or splitters.")
-
-let crash_every_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "crash-every" ] ~docv:"IOS"
-        ~doc:"Additionally crash every IOS I/Os (use with --restartable).")
-
-let verify_writes_t =
-  Arg.(
-    value & flag
-    & info [ "verify-writes" ]
-        ~doc:"Read back and checksum every write (catches silent write corruption at write time).")
-
-let restartable_t =
-  Arg.(
-    value & flag
-    & info [ "restartable" ]
-        ~doc:"Use the checkpointed restartable drivers (sort and multiselect) so crashes are survived.")
-
-let print_fault_report ctx =
-  match Em.Ctx.fault_report ctx with
-  | None -> ()
-  | Some r ->
-      let c = r.Em.Device.counters in
-      Printf.printf "recovery:     %d recovered, %d checksum failures, %d quarantined, %d remapped\n"
-        c.Em.Device.recovered c.Em.Device.checksum_failures c.Em.Device.quarantined
-        c.Em.Device.remapped;
-      Printf.printf "fault I/Os:   %d faulted attempts, %d retries\n"
-        ctx.Em.Ctx.stats.Em.Stats.faults ctx.Em.Ctx.stats.Em.Stats.retries
-
-let print_restarts (o : _ Emalg.Restart.outcome) =
-  Printf.printf "restarts:     %d survived (checkpoint: %d saves / %d I/Os, %d resumes / %d I/Os)\n"
-    o.Emalg.Restart.restarts o.Emalg.Restart.saves o.Emalg.Restart.save_ios
-    o.Emalg.Restart.loads o.Emalg.Restart.load_ios
-
-let run_faults c algo n k ranks fault_seed p kinds crash_every max_retries verify_writes
-    restartable =
-  setup_logs c;
-  let ctx = make_ctx c in
-  let profiler = Em.Profile.create () in
-  Em.Profile.attach profiler ctx.Em.Ctx.stats;
-  Em.Ctx.arm ~policy:{ Em.Device.default_policy with Em.Device.max_retries; verify_writes } ctx;
-  let v = workload_vec c ctx ~n in
-  let input = Em.Vec.Oracle.to_array v in
-  describe c ctx;
-  let plan = Em.Fault.seeded ~seed:fault_seed ~p kinds in
-  let plan =
-    match crash_every with
-    | Some cr -> Em.Fault.any [ Em.Fault.every_nth ~n:cr Em.Fault.Crash; plan ]
-    | None -> plan
-  in
-  Printf.printf "faults:       seeded p=%g seed=%d kinds=%s%s\n" p fault_seed
-    (String.concat "," (List.map Em.Fault.kind_name kinds))
-    (match crash_every with Some cr -> Printf.sprintf " + crash every %d I/Os" cr | None -> "");
-  Em.Ctx.inject ctx plan;
-  let cmp = Em.Ctx.counted ctx icmp in
-  let restartable_result o =
-    print_restarts o;
-    match o.Emalg.Restart.result with Ok r -> r | Error e -> Em.Em_error.raise_error e
-  in
-  let verified, cost =
-    Em.Ctx.measured ctx (fun () ->
-        Em.Em_error.protect (fun () ->
-            match algo with
-            | `Sort ->
-                let sv =
-                  if restartable then restartable_result (Emalg.Restart.sort cmp v)
-                  else Emalg.External_sort.sort cmp v
-                in
-                let out = Em.Vec.Oracle.to_array sv in
-                let expect = Array.copy input in
-                Array.sort icmp expect;
-                if out = expect then Ok () else Error "output is not the sorted input"
-            | `Multiselect ->
-                let ranks =
-                  match ranks with
-                  | Some rs -> Array.of_list rs
-                  | None -> Core.Splitters.quantile_ranks ~n ~k
-                in
-                let out =
-                  if restartable then restartable_result (Core.Restartable.select cmp v ~ranks)
-                  else Core.Multi_select.select cmp v ~ranks
-                in
-                Core.Verify.multi_select icmp ~input ~ranks out
-            | `Splitters ->
-                let spec = spec_of ~n ~k ~a:0 ~b:None in
-                let out = Core.Splitters.solve cmp v spec in
-                Core.Verify.splitters icmp ~input spec (Em.Vec.Oracle.to_array out)))
-  in
-  report_cost ctx cost;
-  print_fault_report ctx;
-  Printf.printf "\nspan tree (fault overhead in brackets):\n";
-  Format.printf "%a@." Em.Profile.pp profiler;
-  match verified with
-  | Ok verification -> print_verified verification
-  | Error e ->
-      Printf.printf "outcome:      typed failure: %s\n" (Em.Em_error.to_string e);
-      exit 3
-
-let faults_cmd =
-  let doc =
-    "Run an algorithm on a fault-injected device with retry/checksum recovery \
-     and report the fault overhead (Ok runs are oracle-verified; failures are \
-     typed and exit with code 3)."
-  in
-  Cmd.v
-    (Cmd.info "faults" ~doc)
-    Term.(
-      const run_faults $ common_t $ fault_algo_t $ n_t $ k_opt_t $ ranks_opt_t $ fault_seed_t
-      $ fault_p_t () $ fault_kinds_t $ crash_every_t $ max_retries_t $ verify_writes_t
-      $ restartable_t)
 
 (* ---- soak ---- *)
 
@@ -693,121 +741,6 @@ let soak_cmd =
       $ fault_p_t ~default:0. ()
       $ fault_kinds_t $ max_retries_t $ soak_flight_dir_t)
 
-(* ---- profile: the one observed run ---- *)
-
-let format_t =
-  Arg.(
-    value
-    & opt (enum [ ("text", `Text); ("prom", `Prom); ("json", `Json) ]) `Text
-    & info [ "format" ] ~docv:"FMT"
-        ~doc:
-          "Report format: text (costs, span tree, disk balance and block-reuse summary), prom \
-           (the metrics registry in Prometheus text exposition) or json (the same registry, \
-           canonical JSON).")
-
-let jsonl_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "jsonl" ] ~docv:"FILE" ~doc:"Also stream every I/O event to FILE as JSON lines.")
-
-(* Machine counters, seeks, every span, the per-phase rows and — where the
-   problem maps to a Table 1 row — measured vs predicted bound gauges. *)
-let print_registry ctx profiler cost job format =
-  let reg = Em.Metrics.create () in
-  Em.Metrics.publish_stats reg ctx.Em.Ctx.stats;
-  Em.Metrics.set
-    (Em.Metrics.gauge reg ~help:"I/Os the tracer classified as random" "seeks_total")
-    (float_of_int (Em.Trace.seeks ctx.Em.Ctx.trace));
-  Em.Profile.publish reg profiler;
-  Em.Profile.publish_phase_ios reg profiler;
-  (match job.row with
-  | Some (row, spec) ->
-      ignore
-        (Core.Bound_track.publish_values reg ctx.Em.Ctx.params row spec
-           ~measured_rounds:cost.Em.Stats.d_rounds
-           ~measured_ios:(Em.Stats.delta_ios cost))
-  | None -> ());
-  match format with
-  | `Prom -> print_string (Em.Metrics.to_prometheus reg)
-  | `Json -> print_endline (Em.Json.to_string (Em.Metrics.to_json reg))
-
-let print_text c ctx profiler cost job reuse =
-  describe c ctx;
-  Printf.printf "problem:      %s\n" job.problem;
-  report_cost ctx cost;
-  Printf.printf "random seeks: %d\n" (Em.Trace.seeks ctx.Em.Ctx.trace);
-  (match job.row with
-  | Some (row, spec) ->
-      let pred = Core.Bound_track.predicted row ctx.Em.Ctx.params spec in
-      let measured = Em.Stats.delta_ios cost in
-      Printf.printf "Table 1 row:  %s — measured %d / predicted %.1f = ratio %.2f\n"
-        (Core.Bound_track.name row) measured pred (float_of_int measured /. pred)
-  | None -> ());
-  Printf.printf
-    "\nspan tree (%s), children sorted by inclusive I/O; wall ms inclusive, then self:\n"
-    job.name;
-  Format.printf "%a" Em.Profile.pp profiler;
-  Printf.printf "\nheaviest spans:\n";
-  List.iteri
-    (fun i s ->
-      if i < 10 then
-        Printf.printf "  %8d I/O  %9d cmp  x%-4d %s\n" (Em.Profile.span_ios s)
-          s.Em.Profile.cost.Em.Stats.d_comparisons s.Em.Profile.calls
-          (Em.Profile.path_name s.Em.Profile.path))
-    (Em.Profile.spans profiler);
-  print_newline ();
-  (* Per-disk balance only on multi-disk machines. *)
-  (match Em.Stats.disk_report ctx.Em.Ctx.stats with
-  | ([] | [ _ ]) -> ()
-  | per_disk ->
-      let counts = List.map snd per_disk in
-      Printf.printf "disk balance:     %s (max/min = %d/%d)\n"
-        (String.concat ", " (List.map (fun (d, n) -> Printf.sprintf "d%d:%d" d n) per_disk))
-        (List.fold_left max 0 counts) (List.fold_left min max_int counts));
-  Format.printf "%a" Em.Trace_report.pp_summary (reuse ())
-
-let run_profile c algo n k a b ranks format jsonl =
-  setup_logs c;
-  let trace = make_trace c in
-  let reuse_sink, reuse = Em.Trace_report.sink () in
-  Em.Trace.add_sink trace reuse_sink;
-  let ctx = make_ctx ~trace c in
-  let profiler = Em.Profile.create () in
-  Em.Profile.attach profiler ctx.Em.Ctx.stats;
-  let v = workload_vec c ctx ~n in
-  let job = job_of ctx v ~algo ~n ~k ~a ~b ~ranks in
-  let run () = Em.Ctx.measured ctx job.run in
-  let (), cost =
-    match jsonl with
-    | None -> run ()
-    | Some path ->
-        let oc = open_out path in
-        Em.Trace.add_sink trace (Em.Trace.jsonl_sink oc);
-        Fun.protect ~finally:(fun () -> close_out oc) run
-  in
-  match format with
-  | (`Prom | `Json) as format -> print_registry ctx profiler cost job format
-  | `Text ->
-      print_text c ctx profiler cost job reuse;
-      Option.iter
-        (fun path ->
-          Printf.printf "events:       %d written to %s\n" (Em.Trace.total trace) path)
-        jsonl
-
-let profile_cmd =
-  let doc =
-    "Run an algorithm under the span profiler and the I/O tracer.  The text report gives \
-     its costs, the phase-path span tree (I/Os, comparisons, wall-clock per span), the \
-     heaviest spans, disk balance and block reuse; $(b,--format) prom or json dumps the \
-     full metrics registry instead."
-  in
-  Cmd.v
-    (Cmd.info "profile" ~doc)
-    Term.(
-      const run_profile $ common_t $ observed_algo_t $ n_t $ k_opt_t $ a_t $ b_opt_t
-      $ ranks_opt_t $ format_t $ jsonl_t)
-
 (* ---- bounds ---- *)
 
 (* [bounds] is pure bound arithmetic — no device is ever created — but it
@@ -840,7 +773,7 @@ let run_bounds c n k a b =
 
 let bounds_cmd =
   let doc = "Evaluate the paper's Table 1 bound formulas for a spec." in
-  Cmd.v (Cmd.info "bounds" ~doc) Term.(const run_bounds $ common_t $ n_t $ k_t $ a_t $ b_opt_t)
+  Cmd.v (Cmd.info "bounds" ~doc) Term.(const run_bounds $ common_t $ n_t $ k_t $ a_t $ b_t)
 
 (* ---- info ---- *)
 
@@ -863,22 +796,26 @@ let () =
     "I/O-optimal approximate partitions and splitters in external memory \
      (reproduction of Hu, Tao, Yang, Zhou; SPAA 2014)"
   in
-  let main = Cmd.group (Cmd.info "em_repro" ~doc)
-      [
-        splitters_cmd;
-        partition_cmd;
-        multiselect_cmd;
-        multipartition_cmd;
-        quantiles_cmd;
-        cluster_cmd;
-        reduce_cmd;
-        profile_cmd;
-        faults_cmd;
-        soak_cmd;
-        bounds_cmd;
-        info_cmd;
-        Serve.cmd;
-        Top.cmd;
-      ]
+  let profile =
+    let doc =
+      "Run an algorithm under the span profiler and the I/O tracer.  The text report gives \
+       its costs, the phase-path span tree (I/Os, comparisons, wall-clock per span), the \
+       heaviest spans, disk balance and block reuse; $(b,--format) prom or json dumps the \
+       full metrics registry instead."
+    in
+    Cmd.group (Cmd.info "profile" ~doc) (List.map profile_cmd table)
+  in
+  let faults =
+    let doc =
+      "Run an algorithm on a fault-injected device with retry/checksum recovery \
+       and report the fault overhead (Ok runs are oracle-verified; failures are \
+       typed and exit with code 3)."
+    in
+    Cmd.group (Cmd.info "faults" ~doc) (List.map faults_cmd table)
+  in
+  let main =
+    Cmd.group (Cmd.info "em_repro" ~doc)
+      (List.map plain_cmd table
+      @ [ cluster_cmd; profile; faults; soak_cmd; bounds_cmd; info_cmd; Serve.cmd; Top.cmd ])
   in
   exit (Cmd.eval main)

@@ -27,9 +27,6 @@
 
 open Cmdliner
 
-let n_t =
-  Arg.(required & opt (some int) None & info [ "n" ] ~docv:"N" ~doc:"Input size.")
-
 let socket_t =
   Arg.(
     value
@@ -208,30 +205,29 @@ let run c n socket state restore checkpoint_every io_budget fault_p fault_seed f
       m_seed = c.Cli_args.seed;
     }
   in
-  let telemetry =
+  let sink =
     match (telemetry_file, telemetry_socket) with
     | Some _, Some _ ->
         Printf.eprintf "serve: --telemetry and --telemetry-socket are mutually exclusive\n%!";
         exit 1
     | None, None -> None
-    | file, sock -> (
-        let sink =
-          match (file, sock) with
-          | Some path, _ -> Em.Telemetry.file_sink path
-          | _, Some path -> (
-              try Em.Telemetry.socket_sink path
-              with Failure msg ->
-                Printf.eprintf "serve: %s\n%!" msg;
-                exit 1)
-          | None, None -> assert false
-        in
+    | Some path, None -> Some (Em.Telemetry.file_sink path)
+    | None, Some path -> (
+        try Some (Em.Telemetry.socket_sink path)
+        with Failure msg ->
+          Printf.eprintf "serve: %s\n%!" msg;
+          exit 1)
+  in
+  let telemetry =
+    Option.map
+      (fun sink ->
         try
-          Some
-            (Em.Telemetry.create ?every_queries:telemetry_every
-               ?every_seconds:telemetry_seconds sink)
+          Em.Telemetry.create ?every_queries:telemetry_every ?every_seconds:telemetry_seconds
+            sink
         with Invalid_argument msg ->
           Printf.eprintf "serve: %s\n%!" msg;
           exit 1)
+      sink
   in
   let srv =
     try
@@ -286,7 +282,7 @@ let cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ Cli_args.common_t $ n_t $ socket_t $ state_t $ restore_t
+      const run $ Cli_args.common_t $ Cli_args.n_t $ socket_t $ state_t $ restore_t
       $ checkpoint_every_t $ io_budget_t
       $ Cli_args.fault_p_t ~default:0. ()
       $ Cli_args.fault_seed_t $ Cli_args.fault_kinds_t $ Cli_args.max_retries_t

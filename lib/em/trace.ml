@@ -40,18 +40,6 @@ type t = {
 let default_ring_capacity = 8192
 let ring_env_var = "EM_TRACE_RING"
 
-(* Same contract as [Params.default_disks]/EM_DISKS: unset or empty means
-   the baked-in default, anything else must be a positive integer. *)
-let env_ring_capacity () =
-  match Sys.getenv_opt ring_env_var with
-  | None | Some "" -> default_ring_capacity
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some c when c >= 1 -> c
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "Trace: %s must be a positive integer (got %S)" ring_env_var s))
-
 let make_ring capacity =
   if capacity < 1 then invalid_arg "Trace.ring_sink: capacity must be >= 1";
   { capacity; buf = [||]; len = 0; head = 0; dropped = 0 }
@@ -60,11 +48,8 @@ let ring_sink ~capacity = Ring (make_ring capacity)
 let jsonl_sink oc = Jsonl oc
 let custom_sink ?(reset = fun () -> ()) f = Custom { push = f; on_reset = reset }
 
-let create ?ring_capacity () =
-  let capacity =
-    match ring_capacity with Some c -> c | None -> env_ring_capacity ()
-  in
-  { sinks = [ ring_sink ~capacity ]; last_block = min_int; next_seq = 0; seeks = 0 }
+let create ?(ring_capacity = default_ring_capacity) () =
+  { sinks = [ ring_sink ~capacity:ring_capacity ]; last_block = min_int; next_seq = 0; seeks = 0 }
 
 let add_sink t sink = t.sinks <- t.sinks @ [ sink ]
 

@@ -46,23 +46,16 @@ type sink
 type t
 
 val create : ?ring_capacity:int -> unit -> t
-(** A tracer with a single bounded ring-buffer sink.  When [ring_capacity]
-    is omitted the capacity honours the [EM_TRACE_RING] environment variable
-    ({!env_ring_capacity}), defaulting to {!default_ring_capacity} — so
-    flight-recorder depth is tunable per deployment without a code change.
-    The ring retains the most recent events and counts how many it
-    evicted. *)
+(** A tracer with a single bounded ring-buffer sink of [ring_capacity]
+    events (default {!default_ring_capacity}).  The ring retains the most
+    recent events and counts how many it evicted. *)
 
 val default_ring_capacity : int
 
 val ring_env_var : string
-(** ["EM_TRACE_RING"]. *)
-
-val env_ring_capacity : unit -> int
-(** The ring capacity {!create} uses when none is passed: [$EM_TRACE_RING]
-    if set and non-empty, {!default_ring_capacity} otherwise.
-    @raise Invalid_argument if the variable is set to anything but a
-    positive integer. *)
+(** ["EM_TRACE_RING"].  Nothing reads this variable: {!create}'s capacity
+    comes only from its argument.  The name is kept for [bench/perf], which
+    records it among its pinned environment defaults. *)
 
 val ring_sink : capacity:int -> sink
 val jsonl_sink : out_channel -> sink

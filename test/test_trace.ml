@@ -183,41 +183,6 @@ let test_linked_ctx_shares_tracer () =
   ignore v;
   Tu.check_int "event visible on parent tracer" 1 (Em.Trace.total ctx.Em.Ctx.trace)
 
-(* EM_TRACE_RING: the env default behind `--trace-ring`, same grammar as
-   the other EM_* knobs (unset/empty -> default, else a positive int). *)
-let test_env_ring_capacity () =
-  let with_env v f =
-    let old = Sys.getenv_opt Em.Trace.ring_env_var in
-    Unix.putenv Em.Trace.ring_env_var v;
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.putenv Em.Trace.ring_env_var (Option.value old ~default:""))
-      f
-  in
-  Tu.check_int "unset -> default" Em.Trace.default_ring_capacity
-    (with_env "" Em.Trace.env_ring_capacity);
-  Tu.check_int "set -> parsed" 3 (with_env "3" Em.Trace.env_ring_capacity);
-  with_env "3" (fun () ->
-      let t = Em.Trace.create () in
-      for i = 0 to 9 do
-        Em.Trace.emit t Em.Trace.Write ~block:i ~phase:[]
-      done;
-      Tu.check_int "create honours the env capacity" 3
-        (List.length (Em.Trace.events t)));
-  with_env "3" (fun () ->
-      let t = Em.Trace.create ~ring_capacity:5 () in
-      for i = 0 to 9 do
-        Em.Trace.emit t Em.Trace.Write ~block:i ~phase:[]
-      done;
-      Tu.check_int "explicit capacity wins over the env" 5
-        (List.length (Em.Trace.events t)));
-  List.iter
-    (fun bad ->
-      match with_env bad Em.Trace.env_ring_capacity with
-      | _ -> Alcotest.failf "%S must be rejected" bad
-      | exception Invalid_argument _ -> ())
-    [ "0"; "-4"; "many"; "3.5" ]
-
 let suite =
   [
     Alcotest.test_case "device emits one event per I/O" `Quick test_device_emits_events;
@@ -232,5 +197,4 @@ let suite =
     Alcotest.test_case "report: reuse histograms" `Quick test_report_histograms;
     Alcotest.test_case "report: scheduling windows" `Quick test_report_windows;
     Alcotest.test_case "linked ctx shares the tracer" `Quick test_linked_ctx_shares_tracer;
-    Alcotest.test_case "EM_TRACE_RING env default" `Quick test_env_ring_capacity;
   ]
