@@ -182,12 +182,15 @@ cluster:
 	@echo "cluster: transcript matches the golden (P=1 and P=4 agree)."
 
 # Wall-clock A/B of the working tree against PARENT (any git revision):
-# PAIRS alternating pairs of untraced `perf.exe` runs of WORKLOAD, SECONDS
-# each (BENCHMARK.json's run length by default), swapping which side runs first every pair, with pair i on input seed
-# SEED + 1000 i (a run's reps use seeds S, S+1, ...).  Prints each pair's
-# throughput, how many pairs the change won, then `perf.exe compare` (medians,
-# quartiles, PASS/FAIL against BENCHMARK.json bounds) over the result lines
-# collected in _build/perf-ab/{parent,change}.jsonl.  PARENT is unpacked with
+# PAIRS alternating pairs of untraced `perf.exe` runs of each workload in
+# WORKLOAD (one name, or a space-separated list run one after the other),
+# SECONDS each (BENCHMARK.json's run length by default), swapping which side
+# runs first every pair, with pair i on input seed SEED + 1000 i (a run's
+# reps use seeds S, S+1, ...).  Prints each pair's throughput and how many
+# pairs the change won, per workload, then `perf.exe compare` (medians,
+# quartiles, PASS/FAIL against BENCHMARK.json bounds, one section per
+# workload) over the result lines collected in
+# _build/perf-ab/{parent,change}.jsonl.  PARENT is unpacked with
 # `git archive` and built under _build/perf-ab/parent; nothing is written
 # outside _build/.
 PARENT ?= HEAD
@@ -202,23 +205,26 @@ perf-ab:
 	dune build --root $$ab/parent --no-print-directory --display quiet bench/perf/perf.exe; \
 	dune build --display quiet bench/perf/perf.exe; \
 	run() { \
-	  (cd $$2 && ./_build/default/bench/perf/perf.exe --workload $(WORKLOAD) --seed $$3 \
+	  (cd $$2 && ./_build/default/bench/perf/perf.exe --workload $$w --seed $$3 \
 	     --seconds $(SECONDS) --trace 0 --out-dir $$ab/out-$$1 > /dev/null) \
-	    || { echo "perf-ab: $$1 run failed (seed $$3)"; exit 1; }; \
-	  cat $$ab/out-$$1/$(WORKLOAD)-seed$$3-trace0.json >> $$ab/$$1.jsonl; \
+	    || { echo "perf-ab: $$1 run failed ($$w, seed $$3)"; exit 1; }; \
+	  cat $$ab/out-$$1/$$w-seed$$3-trace0.json >> $$ab/$$1.jsonl; \
 	}; \
 	thr() { sed -n "$${2}s/.*\"throughput\":{\"value\":\([^,]*\),.*/\1/p" $$ab/$$1.jsonl; }; \
-	won=0; i=1; \
-	while [ $$i -le $(PAIRS) ]; do \
-	  s=$$(( $(SEED) + 1000 * i )); \
-	  if [ $$(( i % 2 )) -eq 1 ]; then run parent $$ab/parent $$s; run change $(CURDIR) $$s; \
-	  else run change $(CURDIR) $$s; run parent $$ab/parent $$s; fi; \
-	  p=$$(thr parent $$i); c=$$(thr change $$i); \
-	  if awk "BEGIN { exit !($$c > $$p) }"; then won=$$((won + 1)); fi; \
-	  echo "pair $$i (seed $$s): throughput parent $$p change $$c"; \
-	  i=$$((i + 1)); \
+	line=0; \
+	for w in $(WORKLOAD); do \
+	  won=0; i=1; \
+	  while [ $$i -le $(PAIRS) ]; do \
+	    s=$$(( $(SEED) + 1000 * i )); line=$$((line + 1)); \
+	    if [ $$(( i % 2 )) -eq 1 ]; then run parent $$ab/parent $$s; run change $(CURDIR) $$s; \
+	    else run change $(CURDIR) $$s; run parent $$ab/parent $$s; fi; \
+	    p=$$(thr parent $$line); c=$$(thr change $$line); \
+	    if awk "BEGIN { exit !($$c > $$p) }"; then won=$$((won + 1)); fi; \
+	    echo "pair $$i (seed $$s): throughput parent $$p change $$c"; \
+	    i=$$((i + 1)); \
+	  done; \
+	  echo "change won $$won of $(PAIRS) pairs on $$w throughput"; \
 	done; \
-	echo "change won $$won of $(PAIRS) pairs on $(WORKLOAD) throughput"; \
 	./_build/default/bench/perf/perf.exe compare $$ab/parent.jsonl $$ab/change.jsonl || true
 
 clean:

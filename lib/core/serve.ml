@@ -85,6 +85,7 @@ type t = {
   lat_hist : Em.Metrics.histogram;  (* wall ns, in wall_registry *)
   ios_hist : Em.Metrics.histogram;  (* simulated, in registry *)
   rounds_hist : Em.Metrics.histogram;  (* simulated, in registry *)
+  reply_buf : Buffer.t;  (* every reply is rendered here, then emitted *)
   mutable next_id : int;
   mutable n_select : int;
   mutable n_quantile : int;
@@ -396,6 +397,7 @@ let create ?checkpoint_every ?io_budget ?(max_retries = 3) ?state_path
       rounds_hist =
         Em.Metrics.histogram registry ~help:"per-query effective parallel rounds"
           "query_rounds";
+      reply_buf = Buffer.create 1024;
       next_id = n_select + n_quantile + n_range + 1;
       n_select;
       n_quantile;
@@ -660,7 +662,9 @@ let exec_query srv ~retries q =
 
 let run_command srv emit line =
   let reply v =
-    emit (J.to_string v);
+    Buffer.clear srv.reply_buf;
+    J.to_buffer srv.reply_buf v;
+    emit (Buffer.contents srv.reply_buf);
     true
   in
   match parse_command line with

@@ -1,9 +1,10 @@
 (* The one JSON codec: value type, printer, parser.
 
    The printer appends straight into one Buffer — no intermediate strings
-   per sub-object — and copies strings that need no escaping in one go;
-   serve renders a reply per query through it, so it stays on the hot
-   path.  The parser is a small recursive-descent reader. *)
+   per sub-object or integer — and copies strings that need no escaping in
+   one go; serve renders a reply per query through it, so it stays on the
+   hot path.  The parser is a small recursive-descent reader that accepts
+   exactly the RFC 8259 grammar. *)
 
 type t =
   | Null
@@ -55,10 +56,24 @@ let add_seq b opening closing add items =
     items;
   Buffer.add_char b closing
 
+(* Decimal digits straight into the buffer: no format string, no
+   intermediate string.  Digits come off the non-positive side, so
+   [min_int] needs no special case. *)
+let add_int b i =
+  let rec digits m =
+    if m <= -10 then digits (m / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
+  in
+  if i < 0 then begin
+    Buffer.add_char b '-';
+    digits i
+  end
+  else digits (-i)
+
 let rec to_buffer b = function
   | Null -> Buffer.add_string b "null"
   | Bool x -> Buffer.add_string b (string_of_bool x)
-  | Int i -> Buffer.add_string b (string_of_int i)
+  | Int i -> add_int b i
   | Float x | Fixed (_, x) when not (Float.is_finite x) -> Buffer.add_string b "null"
   | Float x when Float.is_integer x && Float.abs x < 1e15 -> Printf.bprintf b "%.0f" x
   | Float x -> Printf.bprintf b "%.12g" x
@@ -158,22 +173,43 @@ let parse s =
     go ();
     Buffer.contents b
   in
+  (* The RFC 8259 number grammar: an optional minus, then 0 or a digit run
+     without a leading zero, then an optional fraction and an optional
+     exponent, each with at least one digit.  An integer literal that fits
+     an [int] is an [Int]; anything else must be a finite float. *)
   let parse_number () =
     let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let is_digit = function Some '0' .. '9' -> true | _ -> false in
+    let digits () =
+      if not (is_digit (peek ())) then fail "invalid number";
+      while is_digit (peek ()) do
+        advance ()
+      done
     in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
+    if peek () = Some '-' then advance ();
+    (match peek () with
+    | Some '0' -> advance ()
+    | _ -> digits ());
+    let integral = ref true in
+    if peek () = Some '.' then begin
+      integral := false;
+      advance ();
+      digits ()
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+        integral := false;
+        advance ();
+        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+        digits ()
+    | _ -> ());
     let lit = String.sub s start (!pos - start) in
-    match int_of_string_opt lit with
+    match if !integral then int_of_string_opt lit else None with
     | Some i -> Int i
     | None -> (
         match float_of_string_opt lit with
-        | Some f -> Float f
-        | None -> fail "invalid number")
+        | Some f when Float.is_finite f -> Float f
+        | _ -> fail "number out of range")
   in
   let rec parse_value () =
     skip_ws ();

@@ -29,16 +29,20 @@ val escape : string -> string
     Bytes [>= 0x80] pass through unchanged. *)
 
 val to_buffer : Buffer.t -> t -> unit
-(** Append the compact (whitespace-free) rendering of a value. *)
+(** Append the compact (whitespace-free) rendering of a value.  [Int]s are
+    written digit by digit, exactly as [string_of_int] prints them. *)
 
 val to_string : t -> string
 
 val parse : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries an offset-annotated
-    diagnostic.  Integer literals parse as [Int], other numbers as
-    [Float]; strings decode the standard escapes including [\uXXXX] (as
-    UTF-8).  [parse (to_string v) = Ok v] for every [v] without [Fixed]
-    or integral/inexact [Float]s. *)
+    diagnostic.  Numbers follow the RFC 8259 grammar exactly (no leading
+    [+] or zeros, no bare [.]): integer literals that fit an [int] parse as
+    [Int], other numbers as [Float], and a literal outside the grammar or
+    whose value is not a finite float ([1e400]) is an [Error], never an
+    exception.  Strings decode the standard escapes including [\uXXXX]
+    (as UTF-8).  [parse (to_string v) = Ok v] for every [v] without
+    [Fixed] or integral/inexact [Float]s. *)
 
 val member : string -> t -> t option
 (** Field lookup on an object; [None] on missing field or non-object. *)

@@ -13,8 +13,14 @@ type span = {
   mutable mem_peak : int;
 }
 
+(* A span's place in the path tree: its children are found by label under
+   the open parent frame, so entering a span neither rebuilds nor hashes
+   its path (the path is built once, when the span is created). *)
+type slot = { name : string; record : span; mutable kids : slot list }
+
 type frame = {
-  span : span;
+  slot : slot;
+  pushed : string list;  (* the phase stack this frame was pushed with *)
   snap : Stats.delta;
   start : float;  (* host seconds *)
   mutable peak : int;
@@ -25,48 +31,74 @@ type frame = {
 }
 
 type t = {
-  spans : (string list, span) Hashtbl.t;
+  spans : (string list, slot) Hashtbl.t;
+  root : slot;  (* parent of the top-level spans; not itself a span *)
   mutable open_frames : frame list;  (* innermost first *)
   mutable source : Stats.t option;
 }
 
-let create () = { spans = Hashtbl.create 32; open_frames = []; source = None }
-
-let now () = Unix.gettimeofday ()
-
 let span_ios s = Stats.delta_ios s.cost
 let zero_span path = { path; calls = 0; cost = Stats.zero; wall_ns = 0.; mem_peak = 0 }
 
-let find_span t path =
+let create () =
+  {
+    spans = Hashtbl.create 32;
+    root = { name = ""; record = zero_span []; kids = [] };
+    open_frames = [];
+    source = None;
+  }
+
+let now () = Unix.gettimeofday ()
+
+let find_slot t path label =
   match Hashtbl.find_opt t.spans path with
-  | Some s -> s
+  | Some sl -> sl
   | None ->
-      let s = zero_span path in
-      Hashtbl.add t.spans path s;
-      s
+      let sl = { name = label; record = zero_span path; kids = [] } in
+      Hashtbl.add t.spans path sl;
+      sl
+
+(* The slot for [label] pushed on top of [rest].  When the innermost open
+   frame was pushed with exactly [rest] (or nothing is open and [rest] is
+   empty), the slot is a child of that frame's; otherwise — a profiler
+   attached or reset while phases were open — fall back to the full path. *)
+let slot_for t label rest =
+  let under parent =
+    match List.find_opt (fun sl -> String.equal sl.name label) parent.kids with
+    | Some sl -> sl
+    | None ->
+        let sl = find_slot t (parent.record.path @ [ label ]) label in
+        parent.kids <- sl :: parent.kids;
+        sl
+  in
+  match (t.open_frames, rest) with
+  | f :: _, _ when f.pushed == rest -> under f.slot
+  | [], [] -> under t.root
+  | _ -> find_slot t (List.rev (label :: rest)) label
 
 let on_push t stats stack =
-  let path = List.rev stack in
-  let span = find_span t path in
-  let counted =
-    not (List.exists (fun f -> f.span == span) t.open_frames)
-  in
-  t.open_frames <-
-    {
-      span;
-      snap = Stats.snapshot stats;
-      start = now ();
-      peak = stats.Stats.mem_in_use;
-      counted;
-    }
-    :: t.open_frames
+  match stack with
+  | [] -> ()
+  | label :: rest ->
+      let slot = slot_for t label rest in
+      let counted = not (List.exists (fun f -> f.slot == slot) t.open_frames) in
+      t.open_frames <-
+        {
+          slot;
+          pushed = stack;
+          snap = Stats.snapshot stats;
+          start = now ();
+          peak = stats.Stats.mem_in_use;
+          counted;
+        }
+        :: t.open_frames
 
 let on_pop t stats _stack =
   match t.open_frames with
   | [] -> ()  (* unbalanced pop after a crash wiped the stack: ignore *)
   | frame :: rest ->
       t.open_frames <- rest;
-      let s = frame.span in
+      let s = frame.slot.record in
       s.calls <- s.calls + 1;
       if frame.counted then begin
         s.cost <- Stats.add s.cost (Stats.delta stats frame.snap);
@@ -97,10 +129,11 @@ let detach stats = Stats.set_hooks stats None
 
 let reset t =
   Hashtbl.reset t.spans;
+  t.root.kids <- [];
   t.open_frames <- []
 
 let spans t =
-  Hashtbl.fold (fun _ s acc -> s :: acc) t.spans []
+  Hashtbl.fold (fun _ sl acc -> sl.record :: acc) t.spans []
   |> List.sort (fun a b ->
          match Int.compare (span_ios b) (span_ios a) with
          | 0 -> compare a.path b.path
@@ -138,7 +171,7 @@ let node_span node = match node.span with Some s -> s | None -> zero_span []
 let other t =
   let top =
     Hashtbl.fold
-      (fun path s acc -> match path with [ _ ] -> Stats.add acc s.cost | _ -> acc)
+      (fun path sl acc -> match path with [ _ ] -> Stats.add acc sl.record.cost | _ -> acc)
       t.spans Stats.zero
   in
   match t.source with Some stats -> Stats.delta stats top | None -> Stats.zero
@@ -193,12 +226,12 @@ let phase_report t =
   let below = Hashtbl.create 16 in
   let below_of path = Option.value (Hashtbl.find_opt below path) ~default:0 in
   Hashtbl.iter
-    (fun path s ->
+    (fun path sl ->
       let parent = List.rev (List.tl (List.rev path)) in
-      Hashtbl.replace below parent (below_of parent + span_ios s))
+      Hashtbl.replace below parent (below_of parent + span_ios sl.record))
     t.spans;
   Hashtbl.fold
-    (fun path s acc -> (path_name path, span_ios s - below_of path) :: acc)
+    (fun path sl acc -> (path_name path, span_ios sl.record - below_of path) :: acc)
     t.spans
     [ ("(other)", Stats.delta_ios (other t)) ]
   |> List.filter (fun (_, ios) -> ios <> 0)

@@ -69,6 +69,8 @@ type 'a t = {
   mutable refine_ios : int;
   mutable answer_ios : int;
   mutable splits : int;
+  mutable leaves : int;  (* leaf count of the tree, kept as it refines *)
+  mutable sorted_leaves : int;
   mutable touched : bool;  (* has any query refined or read the tree? *)
   mutable closed : bool;
   (* checkpointing *)
@@ -83,7 +85,7 @@ type 'a t = {
 }
 
 let make_session ?batch_plan ?prefetch ?store ?every_splits cmp ctx v root
-    ~queries ~refine_ios ~answer_ios ~splits ~touched =
+    ~queries ~refine_ios ~answer_ios ~splits ~leaves ~sorted_leaves ~touched =
   (match every_splits with
   | Some k when k < 1 -> invalid_arg "Online_select: every_splits must be >= 1"
   | _ -> ());
@@ -98,6 +100,8 @@ let make_session ?batch_plan ?prefetch ?store ?every_splits cmp ctx v root
     refine_ios;
     answer_ios;
     splits;
+    leaves;
+    sorted_leaves;
     touched;
     closed = false;
     store;
@@ -115,7 +119,8 @@ let open_session ?batch_plan ?prefetch cmp ctx v =
   Layout.require_min_geometry ctx;
   make_session ?batch_plan ?prefetch cmp ctx v
     { lo = 0; len = Em.Vec.length v; state = Leaf Raw }
-    ~queries:0 ~refine_ios:0 ~answer_ios:0 ~splits:0 ~touched:false
+    ~queries:0 ~refine_ios:0 ~answer_ios:0 ~splits:0 ~leaves:1 ~sorted_leaves:0
+    ~touched:false
 
 let ensure_open t =
   if t.closed then invalid_arg "Online_select: session is closed"
@@ -128,13 +133,17 @@ let rec find_leaf node p =
   match node.state with
   | Leaf _ -> node
   | Split children ->
-      (* Children partition [node.lo .. node.lo+len-1] in rank order; a
-         linear probe is fine (fanout is Θ(M/B), all in memory). *)
-      let rec probe i =
-        let c = children.(i) in
-        if p < c.lo + c.len then c else probe (i + 1)
+      (* Children partition [node.lo .. node.lo+len-1] in rank order, so
+         [p]'s child is the last one starting at or before it.  Binary
+         search: a restored tree is one flat level of every leaf. *)
+      let rec search i j =
+        (* children.(i).lo <= p < children.(j).lo, with j = length as +inf *)
+        if j - i <= 1 then i
+        else
+          let mid = (i + j) / 2 in
+          if children.(mid).lo <= p then search mid j else search i mid
       in
-      find_leaf (probe 0) p
+      find_leaf children.(search 0 (Array.length children)) p
 
 let fold_leaves t f init =
   let rec go acc node =
@@ -277,9 +286,13 @@ let restore ?batch_plan ?prefetch ?every_splits cmp ctx v store =
       let pristine =
         match snap.s_leaves with [ (_, _, H_raw) ] -> true | _ -> false
       in
+      let sorted_leaves =
+        List.length (List.filter (function _, _, H_sorted _ -> true | _ -> false) snap.s_leaves)
+      in
       make_session ?batch_plan ?prefetch ~store ?every_splits cmp ctx v root
         ~queries:snap.s_queries ~refine_ios:snap.s_refine_ios
         ~answer_ios:snap.s_answer_ios ~splits:snap.s_splits
+        ~leaves:(List.length snap.s_leaves) ~sorted_leaves
         ~touched:(snap.s_queries > 0 || not pristine)
 
 (* ---- per-query I/O budget ---- *)
@@ -322,6 +335,7 @@ let adopt_buckets t node buckets =
   if !offs <> node.lo + node.len then
     invalid_arg "Online_select: internal error (split lost elements)";
   node.state <- Split children;
+  t.leaves <- t.leaves + Array.length children - 1;
   t.splits <- t.splits + 1;
   t.splits_since_save <- t.splits_since_save + 1;
   t.dirty_since_save <- true;
@@ -338,6 +352,7 @@ let sort_raw t node =
         Scan.vec_of_array_io t.ctx a)
   in
   node.state <- Leaf (Sorted sorted);
+  t.sorted_leaves <- t.sorted_leaves + 1;
   t.dirty_since_save <- true;
   t.touched <- true
 
@@ -364,6 +379,7 @@ let sort_unsorted t node tv =
   in
   defer_free t (fun () -> Em.Vec.free tv);
   node.state <- Leaf (Sorted sorted);
+  t.sorted_leaves <- t.sorted_leaves + 1;
   t.dirty_since_save <- true;
   t.touched <- true
 
@@ -542,19 +558,13 @@ let drain t ~ranks =
 (* ---- introspection & teardown ---- *)
 
 let summary t =
-  let leaves, sorted_leaves =
-    fold_leaves t
-      (fun (l, s) _ st ->
-        (l + 1, s + match st with Sorted _ -> 1 | Raw | Unsorted _ -> 0))
-      (0, 0)
-  in
   {
     queries = t.queries;
     refine_ios = t.refine_ios;
     answer_ios = t.answer_ios;
     splits = t.splits;
-    leaves;
-    sorted_leaves;
+    leaves = t.leaves;
+    sorted_leaves = t.sorted_leaves;
   }
 
 let intervals t =

@@ -208,6 +208,9 @@ val set_io_budget : 'a t -> int option -> unit
     @raise Invalid_argument if the budget is [< 1]. *)
 
 val summary : 'a t -> summary
+(** O(1): the leaf counts are session counters kept as the tree refines
+    (and recounted once by {!restore}), not a walk over the leaves. *)
+
 val length : 'a t -> int
 
 val intervals : 'a t -> (int * int * bool) list

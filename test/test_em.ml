@@ -291,18 +291,12 @@ let test_linked_ctx_shares_meters () =
    (B = 16): a per-block copy of the N/B-entry block table alone would cost
    256. *)
 
-let words_allocated f =
-  let words (s : Gc.stat) = s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words in
-  let s0 = Gc.quick_stat () in
-  f ();
-  words (Gc.quick_stat ()) -. words s0
-
 let scan_words_per_elem what scan =
   let ctx : int Em.Ctx.t = Em.Ctx.create ~backend:Em.Backend.Sim (Tu.params ()) in
   let n = 4096 * 16 in
   let v = Tu.int_vec ctx (Array.init n Fun.id) in
   let sum = ref 0 in
-  let w = words_allocated (fun () -> scan v sum) in
+  let w = Tu.words_allocated (fun () -> scan v sum) in
   Tu.check_int (what ^ ": every element delivered") (n * (n - 1) / 2) !sum;
   Tu.check_int (what ^ ": one read per block") 4096 ctx.Em.Ctx.stats.Em.Stats.reads;
   Em.Ctx.close ctx;

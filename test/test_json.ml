@@ -48,6 +48,21 @@ let test_rejects () =
       "1 2";
       "nan";
       "{\"a\":1,}";
+      (* numbers outside the RFC 8259 grammar, or not finite *)
+      "+5";
+      "01";
+      "00";
+      "1.";
+      ".5";
+      "-.5";
+      "+1.5";
+      "-";
+      "1e";
+      "1e+";
+      "[-01]";
+      "1e400";
+      "-1e400";
+      "[1e400]";
     ]
 
 let test_lookups () =
@@ -119,6 +134,28 @@ let prop_round_trip =
   Tu.qcheck_case ~count:500 "parse (to_string v) = Ok v" gen_value (fun v ->
       J.parse (J.to_string v) = Ok v)
 
+(* The digit-by-digit integer printer against [string_of_int]: random ints
+   plus the edges where the sign or the digit count changes — 0, ±1,
+   [max_int], [min_int], and ±10^k, ±(10^k - 1) for every k an int holds. *)
+let int_edges =
+  let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1) in
+  [ 0; 1; -1; max_int; min_int ]
+  @ List.concat_map (fun k -> let p = pow10 k in [ p; p - 1; -p; 1 - p ]) (List.init 19 Fun.id)
+
+let prints_like_string_of_int i =
+  let s = J.to_string (J.Int i) in
+  s = string_of_int i && J.parse s = Ok (J.Int i)
+
+let test_int_printer_edges () =
+  List.iter
+    (fun i -> Tu.check_bool (string_of_int i) true (prints_like_string_of_int i))
+    int_edges
+
+let prop_int_printer =
+  Tu.qcheck_case ~count:1000 "to_string (Int i) = string_of_int i, and parses back"
+    QCheck2.Gen.(oneof [ int; oneofl int_edges; map (fun i -> i asr 32) int ])
+    prints_like_string_of_int
+
 (* Every line the golden transcripts pin must be a JSON object the reader
    accepts. *)
 let test_golden_lines () =
@@ -149,5 +186,7 @@ let suite =
     Alcotest.test_case "reader: lookups" `Quick test_lookups;
     Alcotest.test_case "printer: escapes and numbers" `Quick test_printer;
     prop_round_trip;
+    Alcotest.test_case "printer: integer edges" `Quick test_int_printer_edges;
+    prop_int_printer;
     Alcotest.test_case "golden lines parse" `Quick test_golden_lines;
   ]

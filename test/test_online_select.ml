@@ -243,6 +243,138 @@ let test_warm_drain_matches_batch () =
   let batch = Core.Multi_select.select Tu.icmp (Tu.int_vec ctx2 a) ~ranks in
   Tu.check_int_array "warm streaming drain = batch answers" batch out
 
+(* ---- O(1) summary: the session's leaf counters against a recount ---- *)
+
+let counters_match s =
+  let ivs = Os.intervals s and sum = Os.summary s in
+  sum.Os.leaves = List.length ivs
+  && sum.Os.sorted_leaves = List.length (List.filter (fun (_, _, sorted) -> sorted) ivs)
+
+let check_counters what s = Tu.check_bool (what ^ ": counters = recount") true (counters_match s)
+
+let gen_query n half =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun k -> Os.Select k) (int_range 1 n);
+        map (fun m -> Os.Quantile (float_of_int m /. 1000.)) (int_range 1 1000);
+        map2 (fun a w -> Os.Range (a, min n (a + w))) (int_range 1 n) (int_range 0 (half - 1));
+      ])
+
+let prop_counters_match_recount =
+  let n = 3_000 in
+  let half = Emalg.Layout.half_load (Tu.ctx ()) in
+  Tu.qcheck_case ~count:30 "summary leaf counters = recount after every query"
+    QCheck2.Gen.(pair (int_range 0 999) (list_size (int_range 1 30) (gen_query n half)))
+    (fun (seed, qs) ->
+      let ctx = Tu.ctx () in
+      let s = session ctx (Tu.random_perm ~seed n) in
+      let ok =
+        counters_match s
+        && List.for_all
+             (fun q ->
+               ignore (Os.query s q);
+               counters_match s)
+             qs
+      in
+      Os.close s;
+      ok)
+
+(* Aborted queries keep the refinement they paid for; the counters must
+   follow exactly the leaves they left behind. *)
+let test_counters_after_aborts () =
+  let n = 6_000 in
+  let ctx = Tu.ctx ~mem:1024 ~block:16 () in
+  let s = session ctx (Tu.random_perm ~seed:21 n) in
+  Os.set_io_budget s (Some 1);
+  (match Os.select s 7 with
+  | _ -> Alcotest.fail "a 1-I/O budget should abort a refining query"
+  | exception Em.Em_error.Error (Em.Em_error.Budget_exceeded _) -> ());
+  check_counters "after a budget abort" s;
+  Os.set_io_budget s None;
+  Em.Ctx.inject ctx (Em.Fault.limit 1 (Em.Fault.every_nth ~n:2 Em.Fault.Transient_read));
+  (match Os.select s (n - 7) with
+  | _ -> Alcotest.fail "an unrecovered read fault should abort the query"
+  | exception Em.Em_error.Error _ -> ());
+  check_counters "after a fault abort" s;
+  Em.Ctx.clear_injector ctx;
+  Tu.check_int "the session still answers" (n - 8) (Os.select s (n - 7));
+  check_counters "after the retry" s;
+  Os.close s
+
+let test_counters_after_restore () =
+  let n = 6_000 in
+  let ctx = Tu.ctx ~mem:1024 ~block:16 () in
+  let v = Tu.int_vec ctx (Tu.random_perm ~seed:22 n) in
+  let s = Os.open_session Tu.icmp ctx v in
+  Os.enable_checkpoints s;
+  List.iter (fun k -> ignore (Os.select s k)) [ 1; n / 3; n / 2; n ];
+  Os.checkpoint s;
+  let before = Os.summary s in
+  let store = Option.get (Os.checkpoint_store s) in
+  let r = Os.restore Tu.icmp ctx v store in
+  check_counters "restored" r;
+  Tu.check_int "restore keeps the leaf count" before.Os.leaves (Os.summary r).Os.leaves;
+  Tu.check_int "restore keeps the sorted count" before.Os.sorted_leaves
+    (Os.summary r).Os.sorted_leaves;
+  List.iter (fun k -> ignore (Os.select r k)) [ 2; (n / 3) + 40; (2 * n) / 3 ];
+  check_counters "restored, then refined" r;
+  Os.close r
+
+(* A restored session is one flat level of every leaf, so [find_leaf]
+   searches >= 1000 children.  Built directly from a snapshot: sorted runs,
+   small position-tagged buckets, and a few buckets too big to sort in one
+   load (which must split under the flat level). *)
+let test_restored_flat_oracle () =
+  let n = 30_000 in
+  let ctx = Tu.ctx ~mem:1024 ~block:16 () in
+  let pctx : (int * int) Em.Ctx.t = Em.Ctx.linked ctx in
+  let a = Tu.random_perm ~seed:23 n in
+  let pos = Array.make n 0 in
+  Array.iteri (fun i x -> pos.(x) <- i) a;
+  let v = Tu.int_vec ctx a in
+  let r = Tu.rng 24 in
+  let rec leaves lo acc =
+    if lo >= n then List.rev acc
+    else
+      let len = min (n - lo) (if Tu.next_int r 400 = 0 then 3_000 else 4 + Tu.next_int r 16) in
+      let run = Array.init len (fun i -> lo + i) in
+      let h =
+        if len <= 20 && Tu.next_int r 2 = 0 then Os.H_sorted (Tu.int_vec ctx run)
+        else begin
+          let pairs = Array.map (fun x -> (x, pos.(x))) run in
+          Tu.shuffle r pairs;
+          Os.H_unsorted (Em.Vec.of_array pctx pairs)
+        end
+      in
+      leaves (lo + len) ((lo, len, h) :: acc)
+  in
+  let snap =
+    { Os.s_leaves = leaves 0 []; s_queries = 0; s_refine_ios = 0; s_answer_ios = 0; s_splits = 0 }
+  in
+  let store = Em.Checkpoint.create ctx in
+  Em.Checkpoint.install store ~words:(Os.snapshot_words snap) snap;
+  let s = Os.restore Tu.icmp ctx v store in
+  Tu.check_bool "at least 1000 restored leaves" true ((Os.summary s).Os.leaves >= 1000);
+  check_counters "restored flat" s;
+  let half = Emalg.Layout.half_load ctx in
+  for i = 1 to 400 do
+    let k = 1 + Tu.next_int r n in
+    if i mod 4 = 0 then begin
+      let b = min n (k + Tu.next_int r half) in
+      Tu.check_int_array
+        (Printf.sprintf "range %d..%d" k b)
+        (Array.init (b - k + 1) (fun j -> k - 1 + j))
+        (Os.query s (Os.Range (k, b))).Os.values
+    end
+    else Tu.check_int (Printf.sprintf "select %d" k) (k - 1) (Os.select s k)
+  done;
+  List.iter (fun k -> Tu.check_int "edge ranks" (k - 1) (Os.select s k)) [ 1; 2; n - 1; n ];
+  check_counters "restored flat, then queried" s;
+  Tu.check_bool "an oversized bucket split under the flat level" true
+    ((Os.summary s).Os.splits > 0);
+  Os.close s
+
 (* ---- teardown: no resident pool pages, no leaked blocks ---- *)
 
 let test_zero_pool_pages_after_close () =
@@ -289,6 +421,12 @@ let suite =
       test_pristine_drain_is_batch;
     Alcotest.test_case "warm drain streams through the session" `Quick
       test_warm_drain_matches_batch;
+    prop_counters_match_recount;
+    Alcotest.test_case "counters after budget and fault aborts" `Quick
+      test_counters_after_aborts;
+    Alcotest.test_case "counters after restore" `Quick test_counters_after_restore;
+    Alcotest.test_case "restored flat level of 1000+ leaves vs oracle" `Quick
+      test_restored_flat_oracle;
     Alcotest.test_case "zero pool pages after close" `Quick
       test_zero_pool_pages_after_close;
   ]

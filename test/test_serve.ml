@@ -445,6 +445,66 @@ let test_by_kind_counters () =
       teardown ctx1 srv1;
       teardown ctx2 srv2)
 
+(* ---- per-query cost independent of session size ---- *)
+
+(* A state file whose [leaves] leaves are equal sorted runs of the sorted
+   input: restoring it gives a session of exactly that many leaves, all on
+   one flat level. *)
+let flat_state_file ~leaves path =
+  let module J = Em.Json in
+  let int key v = (key, J.Int v) in
+  let width = n / leaves in
+  let leaf i =
+    let lo = i * width in
+    let len = if i = leaves - 1 then n - lo else width in
+    J.Obj [ int "lo" lo; int "len" len; ("sorted", J.List (List.init len (fun j -> J.Int (lo + j)))) ]
+  in
+  write_file
+    (J.to_string
+       (J.Obj
+          [ ("magic", J.Str "em_repro-serve-state-v3");
+            ( "meta",
+              J.Obj
+                [ int "n" n; int "mem" mem; int "block" block; int "disks" 1;
+                  ("workload", J.Str meta.Core.Serve.m_workload); int "seed" meta.Core.Serve.m_seed ] );
+            int "queries" 0; int "refine_ios" 0; int "answer_ios" 0; int "splits" 0;
+            ("by_kind", J.Obj [ int "select" 0; int "quantile" 0; int "range" 0 ]);
+            ("leaves", J.List (List.init leaves leaf)) ]))
+    path
+
+(* The most heap words one warm [select] allocates through [run_command],
+   over 64 queries spread across the session, after 64 warm-up queries. *)
+let warm_select_words ~leaves =
+  let state = Filename.temp_file "serve_state" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove state with Sys_error _ -> ())
+    (fun () ->
+      flat_state_file ~leaves state;
+      let ctx, srv = make_server ~state_path:state ~restore:true () in
+      Tu.check_int "restored leaf count" leaves (Os.summary (Core.Serve.session srv)).Os.leaves;
+      let lines = Array.init 128 (fun i -> Printf.sprintf "select %d" (1 + (i * (n / 128)))) in
+      let emit _ = () in
+      let run i = ignore (Core.Serve.run_command srv emit lines.(i)) in
+      for i = 0 to 63 do run (2 * i) done;
+      let worst = ref 0. in
+      for i = 0 to 63 do
+        worst := Float.max !worst (Tu.words_allocated (fun () -> run ((2 * i) + 1)))
+      done;
+      Tu.check_int "every query was warm: nothing refined" 0
+        (Os.summary (Core.Serve.session srv)).Os.refine_ios;
+      teardown ctx srv;
+      !worst)
+
+(* One ceiling for both sizes: about 750 words at either today, while a
+   per-leaf walk (3 words a leaf per pass) would put 1000 leaves far over. *)
+let test_warm_select_words_flat () =
+  List.iter
+    (fun leaves ->
+      let w = warm_select_words ~leaves in
+      if w > 1_500. then
+        Alcotest.failf "a warm select at %d leaves allocates %.0f words (gate: 1500)" leaves w)
+    [ 10; 1_000 ]
+
 (* serve_channels: quit stops with [false], should_stop preempts reads. *)
 let test_serve_channels_stop () =
   let ctx, srv = make_server () in
@@ -485,4 +545,6 @@ let suite =
     Alcotest.test_case "state file foreign" `Quick test_state_file_foreign;
     Alcotest.test_case "state file damaged" `Quick test_state_file_damaged;
     Alcotest.test_case "serve_channels stop" `Quick test_serve_channels_stop;
+    Alcotest.test_case "warm select allocation flat in session size" `Quick
+      test_warm_select_words_flat;
   ]

@@ -57,3 +57,18 @@ let contains ~sub s =
   let ls = String.length s and lsub = String.length sub in
   let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
   lsub = 0 || go 0
+
+(* Heap words [f] allocates (minor plus direct-major, promotions counted
+   once), for allocation gates.  Minor words come from [Gc.minor_words],
+   which counts the live minor heap too ([Gc.quick_stat]'s count only moves
+   at collections), and the minor heap is emptied first, so a short call
+   is measured exactly rather than charged a collection's stale counters. *)
+let words_allocated f =
+  let words () =
+    let s = Gc.quick_stat () in
+    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  Gc.minor ();
+  let w0 = words () in
+  f ();
+  words () -. w0
