@@ -67,9 +67,8 @@ let all () =
     | None -> (0., 0.)
     | Some ag ->
         let agree_rounds = max 0 (comm_rounds - if p > 1 then 1 else 0) in
-        Core.Bound_track.publish_cluster Exp.registry ~shards:p ~algo:"partition"
-          ~boundaries:(k - 1) ~rounds_budget:ag.Core.Cluster.rounds_budget
-          ~per_round:ag.Core.Cluster.per_round ~iterations:ag.Core.Cluster.iterations
+        Core.Bound_track.cluster_ratios ~shards:p ~boundaries:(k - 1)
+          ~rounds_budget:ag.Core.Cluster.rounds_budget ~per_round:ag.Core.Cluster.per_round
           ~samples:ag.Core.Cluster.samples ~comm_rounds:agree_rounds
   in
   let per_run = List.map (fun r -> (r, ratios_of r)) runs in

@@ -21,11 +21,6 @@ let json_mode = ref false
 
 let scaled n = if !small_mode then max 4096 (n lsr 4) else n
 
-(* Every section publishes its measurements into this shared registry
-   (Table 1 rows via Core.Bound_track gauges); `em_repro profile --format
-   prom|json` exposes the same machinery for single runs. *)
-let registry = Em.Metrics.create ~namespace:"bench" ()
-
 type measurement = {
   ios : int;
   reads : int;

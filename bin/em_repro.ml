@@ -227,7 +227,7 @@ let table =
             parts_outcome ~show:true parts (fun input ->
                 Core.Verify.multi_partition icmp ~input ~sizes:(Array.map Em.Vec.length parts))));
     entry "sort" "Sort externally (multiway merge sort)." (Term.const ())
-      ~restart:(fun () cmp v -> restarted sorted (Emalg.Restart.sort cmp v))
+      ~restart:(fun () cmp v -> restarted sorted (Emalg.External_sort.restartable cmp v))
       (fun () cmp v ->
         let n = Em.Vec.length v in
         job
@@ -512,9 +512,8 @@ let cluster_report t ~algo_name ~boundaries (ag : int Core.Cluster.agreement opt
       in
       let agree_rounds = max 0 (s.Em.Stats.comm_rounds - exchange_rounds) in
       let round_ratio, sample_ratio =
-        Core.Bound_track.publish_cluster (Em.Metrics.create ()) ~shards:(Core.Cluster.size t)
-          ~algo:algo_name ~boundaries ~rounds_budget:ag.Core.Cluster.rounds_budget
-          ~per_round:ag.Core.Cluster.per_round ~iterations:ag.Core.Cluster.iterations
+        Core.Bound_track.cluster_ratios ~shards:(Core.Cluster.size t) ~boundaries
+          ~rounds_budget:ag.Core.Cluster.rounds_budget ~per_round:ag.Core.Cluster.per_round
           ~samples:ag.Core.Cluster.samples ~comm_rounds:agree_rounds
       in
       Printf.printf "agreement:    %d boundaries in %d iterations (budget %d, m=%d per round)\n"

@@ -142,28 +142,11 @@ let publish reg s =
 (* Cluster agreement against the deterministic histogram-sort-with-sampling
    budgets of [Bounds]: both ratios must stay <= 1 by construction, and the
    bench gates them like the Table 1 rows. *)
-let publish_cluster reg ~shards ~algo ~boundaries ~rounds_budget ~per_round
-    ~iterations ~samples ~comm_rounds =
+let cluster_ratios ~shards ~boundaries ~rounds_budget ~per_round ~samples ~comm_rounds =
   let boundaries = max 1 boundaries in
-  let labels = [ ("algo", algo); ("shards", string_of_int shards) ] in
-  let g n h v = Em.Metrics.set (Em.Metrics.gauge reg ~help:h ~labels n) v in
   let rounds_upper = Bounds.hss_comm_rounds_upper ~rounds:rounds_budget in
   let samples_upper =
     Float.max 1.
       (Bounds.hss_sample_upper ~shards ~boundaries ~rounds:rounds_budget ~per_round)
   in
-  let round_ratio = float_of_int comm_rounds /. rounds_upper in
-  let sample_ratio = float_of_int samples /. samples_upper in
-  g "cluster_agree_iterations" "Refinement iterations the agreement used"
-    (float_of_int iterations);
-  g "cluster_comm_rounds" "Measured communication rounds (supersteps)"
-    (float_of_int comm_rounds);
-  g "cluster_comm_rounds_budget" "2r+2: the HSS round budget" rounds_upper;
-  g "cluster_round_ratio" "measured comm rounds / budget (<= 1 by construction)"
-    round_ratio;
-  g "cluster_samples" "Candidates actually drawn by the agreement"
-    (float_of_int samples);
-  g "cluster_samples_budget" "r*T*P*m: the HSS sample-volume budget" samples_upper;
-  g "cluster_sample_ratio" "drawn samples / budget (<= 1 by construction)"
-    sample_ratio;
-  (round_ratio, sample_ratio)
+  (float_of_int comm_rounds /. rounds_upper, float_of_int samples /. samples_upper)

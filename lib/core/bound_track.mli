@@ -64,20 +64,15 @@ val publish_values :
 val publish : Em.Metrics.t -> sample -> float
 (** Publish a {!run} result; returns the ratio. *)
 
-val publish_cluster :
-  Em.Metrics.t ->
+val cluster_ratios :
   shards:int ->
-  algo:string ->
   boundaries:int ->
   rounds_budget:int ->
   per_round:int ->
-  iterations:int ->
   samples:int ->
   comm_rounds:int ->
   float * float
-(** Publish a {!Cluster.agree} run against its deterministic HSS budgets
-    ({!Bounds.hss_comm_rounds_upper} and {!Bounds.hss_sample_upper}), as
-    gauges labelled [{algo, shards}]: measured/budget/ratio for both
-    communication rounds and sample volume.  Returns
-    [(round_ratio, sample_ratio)] — both [<= 1] by construction, which the
-    cluster bench gates in CI. *)
+(** A {!Cluster.agree} run against its deterministic HSS budgets
+    ({!Bounds.hss_comm_rounds_upper} and {!Bounds.hss_sample_upper}):
+    [(comm_rounds / round budget, samples / sample budget)] — both [<= 1]
+    by construction, which the cluster bench gates in CI. *)

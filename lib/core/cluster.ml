@@ -198,7 +198,7 @@ let all_to_all t chunks =
    element of every block into memory (the fences); a rank query is then an
    in-memory binary search over fences plus a single metered block read,
    and a one-block cache makes batched ascending queries cost at most one
-   pass over the touched blocks.  The fence array and the cached block are
+   pass over the blocks they land in.  The fence array and the cached block are
    charged to the shard's memory ledger by [with_indexes]. *)
 
 type 'a index = {

@@ -77,10 +77,7 @@ let check_ranks v ranks =
       prev := r)
     ranks
 
-(* The historical batch engine (Theorem 4), kept verbatim: the public
-   [select_vec] routes through an {!Emalg.Online_select} session whose
-   [batch_plan] is this function, so a pristine drain is bit-identical. *)
-let batch_select_vec cmp v ~ranks =
+let select_vec cmp v ~ranks =
   let ctx = Em.Vec.ctx v in
   Emalg.Layout.require_min_geometry ctx;
   check_ranks v ranks;
@@ -125,21 +122,6 @@ let batch_select_vec cmp v ~ranks =
           partitions);
     Em.Writer.finish out
   end
-
-(* Batch multiselection as a one-shot session: open, drain every rank,
-   close.  The session delegates a pristine drain to [batch_select_vec],
-   so the entry point keeps its historical golden costs while sharing the
-   Session surface with the online engine. *)
-let open_session cmp v =
-  Emalg.Online_select.open_session
-    ~batch_plan:(fun ~ranks -> batch_select_vec cmp v ~ranks)
-    cmp (Em.Vec.ctx v) v
-
-let select_vec cmp v ~ranks =
-  let session = open_session cmp v in
-  Fun.protect
-    ~finally:(fun () -> Emalg.Online_select.close session)
-    (fun () -> Emalg.Online_select.drain session ~ranks)
 
 let select cmp v ~ranks =
   let ctx = Em.Vec.ctx v in

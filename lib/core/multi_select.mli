@@ -21,17 +21,11 @@
 val batch_size : 'a Em.Ctx.t -> int
 (** The base-case capacity [m = Θ(M)] (bounded by {!Intermixed.max_groups}). *)
 
-val open_session : ('a -> 'a -> int) -> 'a Em.Vec.t -> 'a Emalg.Online_select.t
-(** Open an {!Emalg.Online_select} session over [v] whose batch plan is this
-    module's Theorem-4 engine: a pristine {!Emalg.Online_select.drain}
-    delegates to it (historical batch costs), while individual queries
-    refine lazily.  {!select_vec} is exactly open/drain/close. *)
-
 val select_vec :
   ('a -> 'a -> int) -> 'a Em.Vec.t -> ranks:int Em.Vec.t -> 'a Em.Vec.t
 (** [select_vec cmp v ~ranks] with ranks strictly increasing in
     [1 .. length v] returns the selected elements in rank order.  Input and
-    ranks are preserved.  Implemented as a one-shot {!open_session} drain.
+    ranks are preserved.
     @raise Invalid_argument on malformed ranks. *)
 
 val select : ('a -> 'a -> int) -> 'a Em.Vec.t -> ranks:int array -> 'a array

@@ -283,7 +283,7 @@ let meta_mismatch a b =
    Oracle writes (the data "was already on the surviving device"), the
    store slot is seeded with [Checkpoint.install] (same fiction), and
    [Online_select.restore] pays the metered resume read. *)
-let session_of_persisted ?batch_plan ?every_splits ctx v (p : persisted) =
+let session_of_persisted ?every_splits ctx v (p : persisted) =
   let cmp = Em.Ctx.counted ctx icmp in
   let pctx : (int * int) Em.Ctx.t = Em.Ctx.linked ctx in
   let leaves =
@@ -309,7 +309,7 @@ let session_of_persisted ?batch_plan ?every_splits ctx v (p : persisted) =
   in
   let store = Em.Checkpoint.create ctx in
   Em.Checkpoint.install store ~words:(Os.snapshot_words snap) snap;
-  Os.restore ?batch_plan ?every_splits cmp ctx v store
+  Os.restore ?every_splits cmp ctx v store
 
 let by_kind srv = (srv.n_select, srv.n_quantile, srv.n_range)
 

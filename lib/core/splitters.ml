@@ -105,8 +105,6 @@ let exact_quantiles cmp v ~k =
   Em.Vec.free ranks;
   out
 
-let quantiles = exact_quantiles
-
 let two_sided cmp v spec =
   check v spec;
   let { Problem.n; k; a; b } = spec in

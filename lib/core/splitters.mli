@@ -34,13 +34,7 @@ val exact_quantiles : ('a -> 'a -> int) -> 'a Em.Vec.t -> k:int -> 'a Em.Vec.t
 (** [exact_quantiles cmp v ~k] returns the exact (1/k)-quantile elements of
     [v] (ranks [ceil (i*n/k)]) via multi-selection — the equi-depth
     histogram boundaries from the paper's introduction, as a public
-    convenience.  Routed through {!Multi_select.select_vec}, i.e. a batch
-    drain of an {!Emalg.Online_select} session. *)
-
-val quantiles : ('a -> 'a -> int) -> 'a Em.Vec.t -> k:int -> 'a Em.Vec.t
-[@@deprecated "use Splitters.exact_quantiles"]
-(** Former name of {!exact_quantiles}; kept as a shim so existing examples
-    keep compiling. *)
+    convenience, computed by {!Multi_select.select_vec}. *)
 
 val quantile_ranks : n:int -> k:int -> int array
 (** The even cut ranks [ceil (i * n / k)] for [i = 1 .. k-1] — the

@@ -310,7 +310,7 @@ let file (type elt) ?dir ?delay ?io ?(disks = 1) ~slot_bytes () : elt t =
                   Some (Io_pool.wait task)
               | None ->
                   (* Demand reads also route through the owning worker: fd
-                     offsets are only ever touched on one domain. *)
+                     offsets are only ever used on one domain. *)
                   Some
                     (Io_pool.wait
                        (Io_pool.run pool ~key:(key s) (fun () ->

@@ -93,7 +93,7 @@ val counted : 'a t -> ('a -> 'a -> int) -> 'a -> 'a -> int
 
 val measured : 'a t -> (unit -> 'b) -> 'b * Stats.delta
 (** [measured ctx f] runs [f] and reports exactly the I/Os and comparisons
-    it performed, leaving the cumulative counters untouched.  This is the
+    it performed, leaving the cumulative counters unchanged.  This is the
     one blessed way to bracket a computation for cost reporting; drivers and
     benchmarks should use it instead of hand-rolled snapshot plumbing. *)
 

@@ -60,7 +60,7 @@ let create ?(write_behind = 0) ctx =
 let check_open w = if w.closed then invalid_arg "Writer: already closed"
 
 (* Hand off one filled payload; [true] when it went into the write-behind
-   queue (and so must not be touched again).  The block id is allocated
+   queue (and so must not be used again).  The block id is allocated
    here, eagerly, so allocation order — and with it slot placement and
    golden block ids — is identical whether or not the write itself is
    deferred.  Queueing is opportunistic: each pending payload is charged [B]

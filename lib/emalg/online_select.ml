@@ -63,7 +63,6 @@ type 'a t = {
   ctx : 'a Em.Ctx.t;
   input : 'a Em.Vec.t;
   root : 'a node;
-  batch_plan : (ranks:int Em.Vec.t -> 'a Em.Vec.t) option;
   prefetch : int option;
   mutable queries : int;
   mutable refine_ios : int;
@@ -71,7 +70,6 @@ type 'a t = {
   mutable splits : int;
   mutable leaves : int;  (* leaf count of the tree, kept as it refines *)
   mutable sorted_leaves : int;
-  mutable touched : bool;  (* has any query refined or read the tree? *)
   mutable closed : bool;
   (* checkpointing *)
   mutable store : 'a snapshot Em.Checkpoint.t option;
@@ -84,8 +82,8 @@ type 'a t = {
   mutable budget_base : Em.Stats.delta option;
 }
 
-let make_session ?batch_plan ?prefetch ?store ?every_splits cmp ctx v root
-    ~queries ~refine_ios ~answer_ios ~splits ~leaves ~sorted_leaves ~touched =
+let make_session ?prefetch ?store ?every_splits cmp ctx v root ~queries ~refine_ios
+    ~answer_ios ~splits ~leaves ~sorted_leaves =
   (match every_splits with
   | Some k when k < 1 -> invalid_arg "Online_select: every_splits must be >= 1"
   | _ -> ());
@@ -94,7 +92,6 @@ let make_session ?batch_plan ?prefetch ?store ?every_splits cmp ctx v root
     ctx;
     input = v;
     root;
-    batch_plan;
     prefetch;
     queries;
     refine_ios;
@@ -102,7 +99,6 @@ let make_session ?batch_plan ?prefetch ?store ?every_splits cmp ctx v root
     splits;
     leaves;
     sorted_leaves;
-    touched;
     closed = false;
     store;
     every_splits;
@@ -113,14 +109,13 @@ let make_session ?batch_plan ?prefetch ?store ?every_splits cmp ctx v root
     budget_base = None;
   }
 
-let open_session ?batch_plan ?prefetch cmp ctx v =
+let open_session ?prefetch cmp ctx v =
   if not (Em.Vec.ctx v == ctx) then
     invalid_arg "Online_select.open_session: vector does not live on ctx";
   Layout.require_min_geometry ctx;
-  make_session ?batch_plan ?prefetch cmp ctx v
+  make_session ?prefetch cmp ctx v
     { lo = 0; len = Em.Vec.length v; state = Leaf Raw }
     ~queries:0 ~refine_ios:0 ~answer_ios:0 ~splits:0 ~leaves:1 ~sorted_leaves:0
-    ~touched:false
 
 let ensure_open t =
   if t.closed then invalid_arg "Online_select: session is closed"
@@ -235,7 +230,7 @@ let enable_checkpoints ?every_splits t =
 
 let checkpoint_store t = t.store
 
-let restore ?batch_plan ?prefetch ?every_splits cmp ctx v store =
+let restore ?prefetch ?every_splits cmp ctx v store =
   if not (Em.Vec.ctx v == ctx) then
     invalid_arg "Online_select.restore: vector does not live on ctx";
   Layout.require_min_geometry ctx;
@@ -283,17 +278,13 @@ let restore ?batch_plan ?prefetch ?every_splits cmp ctx v store =
             in
             { lo = 0; len = n; state = Split children }
       in
-      let pristine =
-        match snap.s_leaves with [ (_, _, H_raw) ] -> true | _ -> false
-      in
       let sorted_leaves =
         List.length (List.filter (function _, _, H_sorted _ -> true | _ -> false) snap.s_leaves)
       in
-      make_session ?batch_plan ?prefetch ~store ?every_splits cmp ctx v root
+      make_session ?prefetch ~store ?every_splits cmp ctx v root
         ~queries:snap.s_queries ~refine_ios:snap.s_refine_ios
         ~answer_ios:snap.s_answer_ios ~splits:snap.s_splits
         ~leaves:(List.length snap.s_leaves) ~sorted_leaves
-        ~touched:(snap.s_queries > 0 || not pristine)
 
 (* ---- per-query I/O budget ---- *)
 
@@ -338,10 +329,7 @@ let adopt_buckets t node buckets =
   t.leaves <- t.leaves + Array.length children - 1;
   t.splits <- t.splits + 1;
   t.splits_since_save <- t.splits_since_save + 1;
-  t.dirty_since_save <- true;
-  (* An aborted (faulted / over-budget) query that got this far has still
-     refined the tree: the session is no longer pristine. *)
-  t.touched <- true
+  t.dirty_since_save <- true
 
 (* Sort the whole (small) raw input in one memory load.  The stable sort
    gives positional tie-breaking without materialising tags. *)
@@ -353,8 +341,7 @@ let sort_raw t node =
   in
   node.state <- Leaf (Sorted sorted);
   t.sorted_leaves <- t.sorted_leaves + 1;
-  t.dirty_since_save <- true;
-  t.touched <- true
+  t.dirty_since_save <- true
 
 let split_raw t node =
   let buckets =
@@ -380,8 +367,7 @@ let sort_unsorted t node tv =
   defer_free t (fun () -> Em.Vec.free tv);
   node.state <- Leaf (Sorted sorted);
   t.sorted_leaves <- t.sorted_leaves + 1;
-  t.dirty_since_save <- true;
-  t.touched <- true
+  t.dirty_since_save <- true
 
 let split_unsorted t node tv =
   let tcmp = Order.tagged t.cmp in
@@ -432,7 +418,7 @@ let rec refine_span t p p1 =
     refine_span t (node.lo + node.len) p1
   end
 
-(* ---- answering (post-refinement: every touched leaf is sorted) ---- *)
+(* ---- answering (post-refinement: every leaf a query reaches is sorted) ---- *)
 
 let sorted_run t p =
   let node = find_leaf t.root p in
@@ -445,7 +431,7 @@ let answer_select t p =
   Em.Vec.get_io sv (p - node.lo)
 
 (* Gather ranks [p0 .. p1] by walking the sorted leaves and reading each
-   touched block once.  The result array is charged while assembled. *)
+   block the range covers once.  The result array is charged while assembled. *)
 let answer_range t p0 p1 =
   let count = p1 - p0 + 1 in
   let b = Em.Ctx.block_size t.ctx in
@@ -521,7 +507,6 @@ let query t q =
       t.queries <- t.queries + 1;
       t.refine_ios <- t.refine_ios + Em.Stats.delta_ios refine;
       t.answer_ios <- t.answer_ios + answer_ios;
-      t.touched <- true;
       (* End-of-query durability: with the automatic policy armed, any
          refinement this query did is checkpointed before the reply is
          emitted — counters updated first, so the saved snapshot records the
@@ -537,7 +522,7 @@ let query t q =
   | exception e ->
       (* The paid-for partial work (monotone refinement) is kept and
          accounted as refinement; the query itself did not complete, so the
-         query counter is untouched. *)
+         query counter does not move. *)
       t.budget_base <- None;
       let d = Em.Stats.delta stats snap in
       t.refine_ios <- t.refine_ios + Em.Stats.delta_ios d;
@@ -547,13 +532,8 @@ let select t k = (query t (Select k)).values.(0)
 
 let drain t ~ranks =
   ensure_open t;
-  match t.batch_plan with
-  | Some plan when not t.touched -> plan ~ranks
-  | _ ->
-      Em.Writer.with_writer t.ctx (fun w ->
-          Scan.iter ?prefetch:t.prefetch
-            (fun r -> Em.Writer.push w (select t r))
-            ranks)
+  Em.Writer.with_writer t.ctx (fun w ->
+      Scan.iter ?prefetch:t.prefetch (fun r -> Em.Writer.push w (select t r)) ranks)
 
 (* ---- introspection & teardown ---- *)
 

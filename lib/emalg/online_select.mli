@@ -21,7 +21,7 @@
     Cost accounting: every reply carries two {!Em.Stats.delta} brackets —
     the {e refine} part (tree restructuring: distribution passes and leaf
     sorts) and the whole-query [cost]; [answer_ios = cost - refine] is the
-    irreducible lookup price (one block read per touched sorted block).
+    irreducible lookup price (one block read per sorted block it reads).
     Deltas are taken with {!Em.Stats.effective_rounds}, so a query issued
     inside an already-open scheduling window at [D > 1] still reports its
     own round cost.
@@ -44,8 +44,12 @@
     save.  With no store attached, nothing changes: free timing, costs and
     traces are bit-identical to the historical behaviour.
 
-    Optional arguments follow the library-wide canonical order
-    [?batch_plan ?prefetch] before the comparator (see DESIGN.md). *)
+    Optional arguments follow the library-wide canonical order: [?prefetch]
+    before the comparator (see DESIGN.md).
+
+    Batch multiselection ({!Core.Multi_select}, Theorem 4) is a separate
+    algorithm and does not run through a session; {!drain} is the online
+    engine answering a whole rank stream. *)
 
 type 'a t
 (** A live query session. *)
@@ -66,7 +70,7 @@ type 'a reply = {
   cost : Em.Stats.delta;  (** whole-query cost bracket *)
   refine : Em.Stats.delta;
       (** the part of [cost] spent restructuring the tree (distribution
-          passes + leaf sorts); zero once the touched intervals are sorted *)
+          passes + leaf sorts); zero once the queried intervals are sorted *)
   answer_ios : int;
       (** I/Os of the lookup proper: [delta_ios cost - delta_ios refine] *)
   splits : int;  (** interval splits this query caused *)
@@ -85,7 +89,6 @@ type summary = {
     [BENCH_online.json]) divides by [queries]. *)
 
 val open_session :
-  ?batch_plan:(ranks:int Em.Vec.t -> 'a Em.Vec.t) ->
   ?prefetch:int ->
   ('a -> 'a -> int) ->
   'a Em.Ctx.t ->
@@ -95,16 +98,13 @@ val open_session :
     session.  Costs zero I/Os — the tree starts as one raw leaf backed by
     the preserved input.
 
-    [batch_plan] is the escape hatch that lets batch entry points
-    ({!Core.Multi_select}) be thin session wrappers without changing their
-    golden costs: a {!drain} on a {e pristine} session (no query answered
-    yet) delegates to the plan verbatim.  [prefetch] sets the reader
-    look-ahead of streaming fallbacks (default [D - 1]).
+    [prefetch] sets the reader look-ahead of the streaming scans, such as
+    {!drain}'s rank stream (default [D - 1]).
     @raise Invalid_argument if [v] does not live on [ctx] or the geometry
     is below the library minimum. *)
 
 val query : 'a t -> query -> 'a reply
-(** Answer one query, refining the touched intervals first.  Duplicate keys
+(** Answer one query, refining the intervals it reaches first.  Duplicate keys
     resolve positionally (stable), matching batch {!Core.Multi_select}.
     @raise Invalid_argument on an out-of-range rank/quantile or a closed
     session. *)
@@ -115,10 +115,8 @@ val select : 'a t -> int -> 'a
 val drain : 'a t -> ranks:int Em.Vec.t -> 'a Em.Vec.t
 (** Answer every rank of a strictly-increasing rank stream and return the
     selected elements in rank order (the batch multiselection contract).
-    On a pristine session with a [batch_plan], delegates to the plan —
-    bit-identical I/Os to the historical batch path.  Otherwise streams the
-    ranks through {!query}, reusing whatever refinement earlier queries
-    already paid for. *)
+    Streams the ranks through {!query}, reusing whatever refinement earlier
+    queries already paid for. *)
 
 (** {2 Checkpointing}
 
@@ -173,7 +171,6 @@ val checkpoint_store : 'a t -> 'a snapshot Em.Checkpoint.t option
     ([Em.Checkpoint.saves]/[save_ios]/[loads]/[load_ios]). *)
 
 val restore :
-  ?batch_plan:(ranks:int Em.Vec.t -> 'a Em.Vec.t) ->
   ?prefetch:int ->
   ?every_splits:int ->
   ('a -> 'a -> int) ->

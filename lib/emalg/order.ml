@@ -1,7 +1,3 @@
 let tagged cmp (k1, p1) (k2, p2) =
   let c = cmp k1 k2 in
   if c <> 0 then c else Int.compare p1 p2
-
-let by_snd_then_fst cmp (k1, g1) (k2, g2) =
-  let c = Int.compare g1 g2 in
-  if c <> 0 then c else cmp k1 k2

@@ -4,7 +4,3 @@ val tagged : ('a -> 'a -> int) -> ('a * int) -> ('a * int) -> int
 (** Lexicographic order on (key, position) pairs: the standard trick that
     makes keys pairwise distinct (the paper's set semantics) by breaking
     ties with the element's position in the input. *)
-
-val by_snd_then_fst : ('a -> 'a -> int) -> ('a * int) -> ('a * int) -> int
-(** Order by the integer tag first, then by key — groups become contiguous
-    segments (used by in-memory intermixed base cases). *)

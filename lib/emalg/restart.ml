@@ -60,80 +60,3 @@ let drive ctx ?(max_restarts = 100) ~init ~words ~step () =
     load_ios = Em.Checkpoint.load_ios cp;
     max_step_ios = !max_step_ios;
   }
-
-(* Restartable external sort.
-
-   The state machine cuts the sort at its natural pass boundaries: one
-   formed run per step, then one merged group per step.  All bulk data lives
-   on the device; the checkpoint state holds only handles (block ids of
-   already-written runs and the input), so its serialized size is a handful
-   of words per run. *)
-
-type 'a sort_state =
-  | Forming of { consumed : int; runs : 'a Em.Vec.t list (* newest first *) }
-  | Merging of { pending : 'a Em.Vec.t list; merged : 'a Em.Vec.t list (* newest first *) }
-
-let vec_words v = Em.Vec.num_blocks v + 2
-
-let sort_state_words = function
-  | Forming { runs; _ } -> 2 + List.fold_left (fun acc r -> acc + vec_words r) 0 runs
-  | Merging { pending; merged } ->
-      2 + List.fold_left (fun acc r -> acc + vec_words r) 0 (pending @ merged)
-
-let split_at n list =
-  let rec go n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> go (n - 1) (x :: acc) rest
-  in
-  go n [] list
-
-let sort_step cmp v state =
-  let ctx = Em.Vec.ctx v in
-  let b = Em.Ctx.block_size ctx in
-  let n = Em.Vec.length v in
-  let input_blocks = Em.Vec.block_ids v in
-  match state with
-  | Forming { consumed; runs } when consumed < n ->
-      (* Form the next run from a whole-block window of the input.  Reading
-         through a sub-vector keeps the step independent of any scan state
-         lost in a crash. *)
-      let load = Layout.load_size ctx ~reserved_blocks:2 in
-      let chunk_blocks = max 1 (load / b) in
-      let first_block = consumed / b in
-      let len = min (n - consumed) (chunk_blocks * b) in
-      let nblocks = Em.Params.blocks_of_elems ctx.Em.Ctx.params len in
-      let window = Em.Vec.of_blocks ctx (Array.sub input_blocks first_block nblocks) len in
-      let run =
-        Em.Phase.with_label ctx "run-formation" (fun () ->
-            Scan.with_loaded window (fun chunk ->
-                Mem_sort.sort cmp chunk;
-                Scan.vec_of_array_io ctx chunk))
-      in
-      Next (Forming { consumed = consumed + len; runs = run :: runs })
-  | Forming { runs; _ } -> (
-      match List.rev runs with
-      | [] -> Done (Em.Vec.empty ctx)
-      | [ single ] -> Done single
-      | pending -> Next (Merging { pending; merged = [] }))
-  | Merging { pending = []; merged = [ out ] } -> Done out
-  | Merging { pending = []; merged } -> Next (Merging { pending = List.rev merged; merged = [] })
-  | Merging { pending = [ single ]; merged = [] } -> Done single
-  | Merging { pending; merged } ->
-      let fanout = Merge.max_fanout ctx in
-      let group, rest = split_at fanout pending in
-      let out = Em.Phase.with_label ctx "merge" (fun () -> Merge.merge cmp group) in
-      (* Only reached when the merge completed: a crash inside [Merge.merge]
-         unwinds before this free, so the group is still intact (and still
-         referenced by the last checkpoint) on resume. *)
-      List.iter Em.Vec.free group;
-      Next (Merging { pending = rest; merged = out :: merged })
-
-let sort ?max_restarts cmp v =
-  let ctx = Em.Vec.ctx v in
-  Layout.require_min_geometry ctx;
-  drive ctx ?max_restarts
-    ~init:(Forming { consumed = 0; runs = [] })
-    ~words:sort_state_words
-    ~step:(sort_step cmp v)
-    ()

@@ -13,9 +13,10 @@
     cost plus the checkpoint overhead plus [k] times (one step's worth of
     I/O + one resume); the property tests assert exactly this bound.
 
-    {!sort} is the restartable external sort (one formed run / one merged
-    group per step).  The restartable multi-selection lives in
-    [Core.Restartable], which layers on the algorithms of [lib/core]. *)
+    The restartable external sort is {!External_sort.restartable} (the plain
+    sort's own steps: one formed run / one merged group per step).  The
+    restartable multi-selection lives in [Core.Restartable], which layers on
+    the algorithms of [lib/core]. *)
 
 type ('s, 'r) step = Next of 's | Done of 'r
 
@@ -50,10 +51,3 @@ val drive :
     computation: on a crash the driver wipes the memory ledger
     ({!Em.Stats.wipe_memory}), which assumes no live buffers outside the
     driver. *)
-
-type 'a sort_state
-
-val sort : ?max_restarts:int -> ('a -> 'a -> int) -> 'a Em.Vec.t -> 'a Em.Vec.t outcome
-(** Restartable external merge sort over the same passes as
-    {!External_sort.sort}: each formed run and each merged group is one
-    checkpointed step.  The input vector is not consumed. *)

@@ -159,14 +159,3 @@ let gap_bound ?(rate = default_rate) p ~n ~k =
       (rate * go (n / rate)) + (loads * (rate - 1))
   in
   go n
-
-let gap_lower_bound ?(rate = default_rate) p ~n ~k =
-  let base, chunk = params_sizes p in
-  let rec go n =
-    if n <= base then n / k
-    else
-      let loads = (n + chunk - 1) / chunk in
-      let sample = max 1 ((n / rate) - loads) in
-      max 0 ((rate * go sample) - (loads * (rate - 1)))
-  in
-  go n

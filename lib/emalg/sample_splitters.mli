@@ -54,7 +54,3 @@ val find_random :
 val gap_bound : ?rate:int -> Em.Params.t -> n:int -> k:int -> int
 (** Upper bound on the size of any bucket induced by [find]'s result on any
     input of [n] distinct elements. *)
-
-val gap_lower_bound : ?rate:int -> Em.Params.t -> n:int -> k:int -> int
-(** Lower bound on the size of any bucket {e except the last} (the residue
-    above the top splitter may be smaller). *)

@@ -157,7 +157,7 @@ let test_mem_ledger_misuse () =
     (fun () -> Em.Mem.charge p s (-3));
   Alcotest.check_raises "negative release"
     (Em.Em_error.Negative_words { op = "release"; n = -1 }) (fun () -> Em.Mem.release p s (-1));
-  Tu.check_int "ledger untouched by rejected calls" 10 s.Em.Stats.mem_in_use;
+  Tu.check_int "ledger unchanged by rejected calls" 10 s.Em.Stats.mem_in_use;
   Em.Mem.release p s 10
 
 let test_mem_with_words_releases_on_raise () =

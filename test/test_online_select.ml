@@ -204,28 +204,7 @@ let prop_full_stream_matches_batch =
       && sum.Os.refine_ios + sum.Os.answer_ios <= Em.Stats.delta_ios dbatch
       && sum.Os.refine_ios <= 4 * Em.Stats.delta_ios dsort)
 
-(* ---- drains: the batch wrappers are thin session shells ---- *)
-
-let test_pristine_drain_is_batch () =
-  let ctx = Tu.ctx ~mem:1024 ~block:16 () in
-  let n = 4_000 in
-  let a = Tu.random_perm ~seed:17 n in
-  let v = Tu.int_vec ctx a in
-  let s = Core.Multi_select.open_session Tu.icmp v in
-  let ranks = Tu.int_vec ctx [| 5; 1_000; 2_500; n |] in
-  let out = Os.drain s ~ranks in
-  Tu.check_int_array "pristine drain = batch answers"
-    [| 4; 999; 2_499; n - 1 |]
-    (Em.Vec.Oracle.to_array out);
-  (* The pristine drain delegated to the batch plan: the tree is untouched
-     (still one raw leaf) and the session accounted no queries. *)
-  let sum = Os.summary s in
-  Tu.check_int "no per-query accounting" 0 sum.Os.queries;
-  Tu.check_int "tree untouched" 1 sum.Os.leaves;
-  Em.Vec.free out;
-  Em.Vec.free ranks;
-  Os.close s;
-  Tu.check_no_leaks ~live:(Em.Vec.num_blocks v) ctx
+(* ---- drains: a streaming drain answers like batch multiselection ---- *)
 
 let test_warm_drain_matches_batch () =
   let ctx = Tu.ctx ~mem:1024 ~block:16 () in
@@ -417,8 +396,6 @@ let suite =
     Alcotest.test_case "intervals only split, never re-merge" `Quick
       test_intervals_monotone;
     prop_full_stream_matches_batch;
-    Alcotest.test_case "pristine drain delegates to the batch plan" `Quick
-      test_pristine_drain_is_batch;
     Alcotest.test_case "warm drain streams through the session" `Quick
       test_warm_drain_matches_batch;
     prop_counters_match_recount;

@@ -221,7 +221,7 @@ let test_take_boundary_reads () =
   Tu.check_int_array "in order" (Array.init n Fun.id) got;
   Em.Reader.close r;
   let reads = per_block Em.Trace.Read (events ()) in
-  Tu.check_int "every block touched" (Array.length (Em.Vec.block_ids v))
+  Tu.check_int "every block read" (Array.length (Em.Vec.block_ids v))
     (List.length reads);
   List.iter
     (fun (block, count) ->

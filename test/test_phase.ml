@@ -34,7 +34,7 @@ let families =
       fun ctx -> Array.iter Em.Vec.free (Core.Partitioning.solve Tu.icmp (vec ctx) spec) );
     ( "restartable sort",
       fun ctx ->
-        match (Emalg.Restart.sort Tu.icmp (vec ctx)).Emalg.Restart.result with
+        match (Emalg.External_sort.restartable Tu.icmp (vec ctx)).Emalg.Restart.result with
         | Ok sv -> Em.Vec.free sv
         | Error e -> Alcotest.failf "restartable sort: %s" (Em.Em_error.to_string e) );
     ( "checkpointed session",

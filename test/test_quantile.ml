@@ -6,7 +6,7 @@ let test_exact_quantiles_splitters () =
   let before = Array.copy a in
   let s = Quantile.Exact_quantiles.splitters Tu.icmp a ~k:5 in
   Tu.check_int_array "quintiles" [| 19; 39; 59; 79 |] s;
-  Tu.check_int_array "input untouched" before a
+  Tu.check_int_array "input unchanged" before a
 
 let test_exact_quantiles_rank () =
   let sorted = [| 1; 3; 3; 5; 9 |] in

@@ -15,7 +15,7 @@ let run_sort ?plan ?disks ?mem ?block data =
   Em.Ctx.arm ctx;
   (match plan with Some p -> Em.Ctx.inject ctx p | None -> ());
   let v = Tu.int_vec ctx data in
-  let out = Emalg.Restart.sort Tu.icmp v in
+  let out = Emalg.External_sort.restartable Tu.icmp v in
   let sorted =
     match out.Emalg.Restart.result with
     | Ok sv ->
@@ -37,7 +37,37 @@ let test_sort_crash_free () =
   Tu.check_bool "checkpointed at step boundaries" true (out.Emalg.Restart.saves > 1);
   Tu.check_int "no resumes" 0 out.Emalg.Restart.loads;
   mem_ok "mem within M" ctx;
-  Tu.check_no_leaks ctx
+  Tu.check_no_leaks ctx;
+  (* The restartable sort runs the plain sort's own steps: without crashes
+     it reads and compares exactly as much, and writes only the checkpoint
+     saves on top.  Both geometries need two merge passes. *)
+  List.iter
+    (fun (mem, block, n) ->
+      let cost f =
+        let ctx = Tu.ctx ~mem ~block () in
+        let v = Tu.int_vec ctx (Tu.random_perm ~seed:mem n) in
+        let cmp = Em.Ctx.counted ctx Tu.icmp in
+        snd (Em.Ctx.measured ctx (fun () -> f cmp v))
+      in
+      let what field = Printf.sprintf "M=%d B=%d n=%d: %s" mem block n field in
+      let plain = cost (fun cmp v -> Em.Vec.free (Emalg.External_sort.sort cmp v)) in
+      let save_ios = ref (-1) in
+      let restartable =
+        cost (fun cmp v ->
+            let out = Emalg.External_sort.restartable cmp v in
+            save_ios := out.Emalg.Restart.save_ios;
+            match out.Emalg.Restart.result with
+            | Ok sv -> Em.Vec.free sv
+            | Error e -> Alcotest.failf "%s" (Em.Em_error.to_string e))
+      in
+      Tu.check_int (what "reads") plain.Em.Stats.d_reads restartable.Em.Stats.d_reads;
+      Tu.check_int (what "comparisons") plain.Em.Stats.d_comparisons
+        restartable.Em.Stats.d_comparisons;
+      Tu.check_bool (what "checkpoints written") true (!save_ios > 0);
+      Tu.check_int (what "writes = plain + saves")
+        (plain.Em.Stats.d_writes + !save_ios)
+        restartable.Em.Stats.d_writes)
+    [ (256, 16, 4_096); (512, 16, 50_000) ]
 
 let test_sort_survives_crashes () =
   let data = Tu.random_ints ~seed:12 ~bound:10_000 600 in
@@ -95,7 +125,7 @@ let test_sort_gives_up_past_max_restarts () =
      computation can never make progress. *)
   Em.Ctx.inject ctx (Em.Fault.every_nth ~n:10 Em.Fault.Crash);
   let v = Tu.int_vec ctx data in
-  let out = Emalg.Restart.sort ~max_restarts:2 Tu.icmp v in
+  let out = Emalg.External_sort.restartable ~max_restarts:2 Tu.icmp v in
   (match out.Emalg.Restart.result with
   | Ok _ -> Alcotest.fail "expected to give up"
   | Error (Em.Em_error.Crashed _) -> ()

@@ -118,7 +118,7 @@ let test_parse_validation () =
     [ "quantile 1"; "quantile 0.5"; "quantile 1e-9"; "range 3 9"; "range 4 4"; "select 1" ]
 
 (* Malformed-line flood: every garbage line gets exactly one error reply and
-   the session is untouched (no query ever reaches it). *)
+   the session is unchanged (no query ever reaches it). *)
 let test_malformed_flood () =
   let ctx, srv = make_server () in
   let emit, emitted = collector () in
@@ -221,10 +221,10 @@ let test_crash_halts_loop () =
       Tu.check_bool "crash replied with its typed code" true
         (contains ~sub:"\"error\":\"crashed\"" last);
       (* A crashed process does not get to write: the shutdown path must
-         leave the last good state file untouched. *)
+         leave the last good state file unchanged. *)
       Core.Serve.shutdown_checkpoint srv;
       let bytes_after = In_channel.with_open_bin state In_channel.input_all in
-      Tu.check_bool "state file untouched after the crash" true (bytes_before = bytes_after);
+      Tu.check_bool "state file unchanged after the crash" true (bytes_before = bytes_after);
       teardown ctx srv)
 
 (* ---- state-file round trip (the --restore path, in-process) ---- *)
@@ -495,8 +495,10 @@ let warm_select_words ~leaves =
       teardown ctx srv;
       !worst)
 
-(* One ceiling for both sizes: about 750 words at either today, while a
-   per-leaf walk (3 words a leaf per pass) would put 1000 leaves far over. *)
+(* One ceiling for both sizes: about 730 words at either today, while a
+   per-leaf walk (3 words a leaf per pass) would put 1000 leaves far over.
+   [Tu.words_allocated] counts the calling domain only, so the I/O pool's
+   worker domains cannot inflate a reading. *)
 let test_warm_select_words_flat () =
   List.iter
     (fun leaves ->

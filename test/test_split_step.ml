@@ -63,7 +63,7 @@ let test_split_tagging_preserves_input () =
   let v = Tu.int_vec ctx a in
   let buckets = Emalg.Split_step.split_tagging Tu.icmp v ~target_buckets:6 in
   Array.iter Em.Vec.free buckets;
-  Tu.check_int_array "input untouched" a (Em.Vec.Oracle.to_array v)
+  Tu.check_int_array "input unchanged" a (Em.Vec.Oracle.to_array v)
 
 let test_default_target_bounds () =
   let ctx = Tu.ctx ~mem:4096 ~block:64 () in

@@ -58,15 +58,18 @@ let contains ~sub s =
   let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
   lsub = 0 || go 0
 
-(* Heap words [f] allocates (minor plus direct-major, promotions counted
-   once), for allocation gates.  Minor words come from [Gc.minor_words],
-   which counts the live minor heap too ([Gc.quick_stat]'s count only moves
-   at collections), and the minor heap is emptied first, so a short call
-   is measured exactly rather than charged a collection's stale counters. *)
+(* Heap words [f] allocates on the calling domain (minor plus direct-major,
+   promotions counted once), for allocation gates.  [Gc.counters] reads this
+   domain's live counters, the minor heap included.  [Gc.quick_stat] would
+   not do: on OCaml 5.1 its major and promoted terms add every other
+   domain's counters as last sampled, and a sample refreshes at a
+   collection, so a call could be charged words the I/O pool's worker
+   domains allocated long before it.  The minor heap is emptied first, so
+   a collection inside [f] promotes only [f]'s own words. *)
 let words_allocated f =
   let words () =
-    let s = Gc.quick_stat () in
-    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
   in
   Gc.minor ();
   let w0 = words () in
