@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test fmt goldens bench bench-json bench-file test-backends test-disks test-async test-async-stress smoke cli-smoke faults serve-smoke telemetry-smoke soak cluster perf-ab clean
+.PHONY: all build test fmt goldens bench bench-json bench-file test-backends test-disks test-async test-async-stress smoke cli-smoke examples faults serve-smoke telemetry-smoke soak cluster perf-ab clean
 
 all: build
 
@@ -69,10 +69,22 @@ test-async:
 test-async-stress:
 	EM_ASYNC_STRESS_ITERS=50 dune exec test/test_main.exe -- test async
 
-# Every end-to-end smoke in one go: the CLI surface, the fault runs and the
-# four golden transcripts (serve, telemetry, soak, cluster).  CI's main job
-# runs this.
-smoke: cli-smoke faults serve-smoke telemetry-smoke soak cluster
+# Every end-to-end smoke in one go: the CLI surface, the examples, the fault
+# runs and the four golden transcripts (serve, telemetry, soak, cluster).
+# CI's main job runs this.
+smoke: cli-smoke examples faults serve-smoke telemetry-smoke soak cluster
+
+# Example smoke: run every example executable.  Each one verifies its
+# results against the in-memory oracle and exits nonzero on a mismatch.
+EXAMPLES = quickstart histogram load_balance sublinear exact_chunks
+
+examples:
+	dune build $(EXAMPLES:%=examples/%.exe)
+	@set -e; for e in $(EXAMPLES); do \
+	  ./_build/default/examples/$$e.exe > /dev/null \
+	    || { echo "examples: $$e exited nonzero"; exit 1; }; \
+	done
+	@echo "examples: all $(words $(EXAMPLES)) examples ran."
 
 # CLI smoke: `profile` in all three report formats (the json dump must
 # parse) and `faults` on every algorithm of the table, `profile`'s --jsonl

@@ -21,6 +21,11 @@ let json_mode = ref false
 
 let scaled n = if !small_mode then max 4096 (n lsr 4) else n
 
+(* The input sizes of Figure SCALE's sweep, shared with the
+   Theorem-4-vs-sort gate. *)
+let scale_sizes () =
+  List.sort_uniq Int.compare (List.map scaled [ 1 lsl 14; 1 lsl 16; 1 lsl 18; 1 lsl 20 ])
+
 type measurement = {
   ios : int;
   reads : int;

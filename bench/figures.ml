@@ -116,9 +116,9 @@ let separation () =
   Printf.printf
     "  => the bound columns separate at small K (lg K/B vs lg K) and meet at large K.\n";
   Printf.printf
-    "     Measured costs carry the base case's constants (see EXPERIMENTS.md):\n";
+    "     Measured: for K <= m one base case beats multi-partition outright; above m\n";
   Printf.printf
-    "     the separation is asymptotic, not a constant-factor win at this scale.\n";
+    "     the general case pays a multi-partition plus a base case per batch.\n";
   List.rev !artifacts
 
 (* F-APPROX — the introduction's motivation: accepting slack [a, b] around
@@ -181,10 +181,6 @@ let scaling () =
     (Printf.sprintf "Figure SCALE — scans used vs input size   [%s]"
        (Exp.machine_name machine));
   let per_scan n ios = float_of_int ios /. (float_of_int n /. float_of_int machine.Exp.block) in
-  let sizes =
-    List.sort_uniq Int.compare
-      (List.map Exp.scaled [ 1 lsl 14; 1 lsl 16; 1 lsl 18; 1 lsl 20 ])
-  in
   let artifacts = ref [] in
   let rows =
     List.map
@@ -220,7 +216,7 @@ let scaling () =
           Exp.fmt_ratio (per_scan n ls.Exp.ios);
           Exp.fmt_ratio (per_scan n sort.Exp.ios);
         ])
-      sizes
+      (Exp.scale_sizes ())
   in
   Exp.table
     ~header:
@@ -229,11 +225,10 @@ let scaling () =
   Printf.printf
     "  => columns are I/Os divided by N/B.  The sort column steps up with each extra\n";
   Printf.printf
-    "     merge pass (lg_{M/B}(N/B)); the multi-select column grows more slowly — its\n";
+    "     merge pass (lg_{M/B}(N/B)); the multi-select and left-splitter columns stay\n";
   Printf.printf
-    "     residual growth is the Θ(M)-splitter substitute's distribution depth\n";
-  Printf.printf
-    "     (linear only for N = O(M^2); DESIGN.md section 2).\n";
+    "     flat: the base case is sample splitters plus one counting scan, O(N/B) at\n";
+  Printf.printf "     every N (DESIGN.md section 2).\n";
   List.rev !artifacts
 
 (* F-INTER — Lemma 6: intermixed selection is linear in |D|, independent of
@@ -364,11 +359,11 @@ let old_vs_new () =
     ~header:[ "K"; "Theorem 4 I/O"; "via multi-partition I/O"; "old / new" ]
     rows;
   Printf.printf
-    "  => at simulator scale the old route can be cheaper in constants; Theorem 4's\n";
+    "  => Theorem 4 wins while one base case covers every rank (K <= m); above m its\n";
   Printf.printf
-    "     advantage is the lg(K/B)-vs-lg(K) factor in the bounds, which dominates\n";
+    "     general case is cheaper than the old route only in the bounds' lg(K/B)-vs-lg(K)\n";
   Printf.printf
-    "     only once multi-partition needs deeper recursion (K >> M/B).\n";
+    "     factor, which dominates once multi-partition needs deeper recursion (K >> M/B).\n";
   List.rev !artifacts
 
 (* F-FLOOR — the lower-bound proofs, executed: the unconditional counting

@@ -279,8 +279,48 @@ let disks_sweep ~machine ~kind =
       ("sort_round_bound", worst_bound);
     ] )
 
-(* Runs all six rows plus the D-disk sweep; returns (row_name, worst ratio)
-   pairs for the ceiling gate in main.ml. *)
+(* Theorem 4's headline under a gate: multi-selecting K = 16 evenly spaced
+   ranks against one external sort of the same input, over Figure SCALE's
+   sweep of N.  The gate row is the worst Theorem-4 / sort I/O ratio. *)
+let multiselect_vs_sort ~machine ~kind =
+  let k = 16 in
+  let p = Exp.params machine in
+  Exp.section
+    (Printf.sprintf "Theorem 4 vs external sort — K=%d ranks   [%s, %s]" k
+       (Exp.machine_name machine) (Core.Workload.kind_name kind));
+  let ratios = ref [] and artifacts = ref [] in
+  let rows =
+    List.map
+      (fun n ->
+        let ranks = Array.init k (fun i -> (i + 1) * (n / k)) in
+        let ms =
+          Exp.measure ~machine ~kind ~seed ~n (fun _ctx v ->
+              let results = Core.Multi_select.select icmp v ~ranks in
+              let input = Em.Vec.Oracle.to_array v in
+              Exp.expect_ok "multi-select" (Core.Verify.multi_select icmp ~input ~ranks results))
+        in
+        let sort =
+          Exp.measure ~machine ~kind ~seed ~n (fun _ctx v ->
+              Em.Vec.free (Emalg.External_sort.sort icmp v))
+        in
+        let ratio = float_of_int ms.Exp.ios /. float_of_int sort.Exp.ios in
+        ratios := ratio :: !ratios;
+        artifacts :=
+          Exp.artifact_row ~row:"multiselect_vs_sort" ~label:(Printf.sprintf "N=%d" n) ~machine
+            ~n ~extra_geometry:[ ("k", k) ]
+            ~predicted:(Core.Bounds.multi_select p ~n ~k)
+            ms
+          :: !artifacts;
+        [ string_of_int n; string_of_int ms.Exp.ios; string_of_int sort.Exp.ios; Exp.fmt_ratio ratio ])
+      (Exp.scale_sizes ())
+  in
+  Exp.table ~header:[ "N"; "Theorem 4 I/O"; "sort I/O"; "ratio" ] rows;
+  let worst = List.fold_left Float.max neg_infinity !ratios in
+  Printf.printf "  => worst Theorem-4 / sort ratio across the sweep: %.3f\n" worst;
+  (List.rev !artifacts, ("multiselect_vs_sort", worst))
+
+(* Runs all six rows, the Theorem-4-vs-sort sweep and the D-disk sweep;
+   returns (row_name, worst ratio) pairs for the ceiling gate in main.ml. *)
 let all ?(machine = Exp.default_machine) ?(kind = Core.Workload.Pi_hard) () =
   (* Explicit lets: list elements would otherwise evaluate right-to-left,
      printing the rows in reverse. *)
@@ -290,7 +330,8 @@ let all ?(machine = Exp.default_machine) ?(kind = Core.Workload.Pi_hard) () =
   let r4 = row_partition_right ~machine ~kind in
   let r5 = row_partition_left ~machine ~kind in
   let r6 = row_partition_two_sided ~machine ~kind in
-  let results = [ r1; r2; r3; r4; r5; r6 ] in
+  let r7 = multiselect_vs_sort ~machine ~kind in
+  let results = [ r1; r2; r3; r4; r5; r6; r7 ] in
   let sweep_artifacts, sweep_ratios = disks_sweep ~machine ~kind in
   Exp.write_artifact ~bench:"table1"
     (List.concat_map fst results @ sweep_artifacts);

@@ -67,4 +67,6 @@ let () =
       (Array.map Em.Vec.Oracle.to_array pages)
   with
   | Ok () -> Printf.printf "verified: exact sizes, ordered pages, nothing lost.\n"
-  | Error msg -> Printf.printf "VERIFICATION FAILED: %s\n" msg
+  | Error msg ->
+      Printf.printf "VERIFICATION FAILED: %s\n" msg;
+      exit 2

@@ -30,7 +30,9 @@ let run label solve =
       (Array.map Em.Vec.Oracle.to_array parts)
   with
   | Ok () -> ()
-  | Error msg -> Printf.printf "  ORDERING VIOLATION: %s\n" msg
+  | Error msg ->
+      Printf.printf "  ORDERING VIOLATION: %s\n" msg;
+      exit 2
 
 let () =
   let k = 12 in

@@ -61,6 +61,8 @@ let () =
   let input = Em.Vec.Oracle.to_array v in
   (match Core.Verify.splitters icmp ~input spec (Em.Vec.Oracle.to_array splitters) with
   | Ok () -> Printf.printf "\nsplitters verified against the oracle: OK\n"
-  | Error msg -> Printf.printf "\nsplitters verification FAILED: %s\n" msg);
+  | Error msg ->
+      Printf.printf "\nsplitters verification FAILED: %s\n" msg;
+      exit 2);
   Printf.printf "peak memory in use: %d / %d words\n"
     ctx.Em.Ctx.stats.Em.Stats.mem_peak 4096

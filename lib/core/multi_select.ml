@@ -2,11 +2,54 @@
 
 let batch_size ctx = Intermixed.max_groups ctx
 
+(* Least index in the sorted int array [a] whose entry exceeds [x]. *)
+let first_beyond a x =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) > x then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* The counting scan: bucket [j] of the sorted tagged [splitters] holds the
+   pairs [p] with [splitters.(j-1) < p <= splitters.(j)].  Returns the
+   prefix sums [start] ([nsplit + 2] entries): bucket [j] holds the
+   positional ranks [start.(j) + 1 .. start.(j+1)]. *)
+let bucket_starts tcmp splitters v =
+  let nsplit = Array.length splitters in
+  let bucket_of pair =
+    let lo = ref 0 and hi = ref nsplit in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if tcmp pair splitters.(mid) <= 0 then hi := mid else lo := mid + 1
+    done;
+    !lo
+  in
+  let start = Array.make (nsplit + 2) 0 in
+  Em.Phase.with_label (Em.Vec.ctx v) "bucket-count" (fun () ->
+      let pos = ref (-1) in
+      Emalg.Scan.iter
+        (fun e ->
+          incr pos;
+          let j = bucket_of (e, !pos) + 1 in
+          start.(j) <- start.(j) + 1)
+        v);
+  for j = 1 to nsplit + 1 do
+    start.(j) <- start.(j) + start.(j - 1)
+  done;
+  start
+
 (* Base case: at most [batch_size] ranks, given in memory (strictly
-   increasing, already validated, re-based to this vector).  The rank/target
-   arrays the caller holds are covered by Intermixed's headroom discount.
-   The in-memory threshold leaves room for the general case's stream buffers
-   and rank arrays (up to four blocks plus a few rank batches). *)
+   increasing, already validated, re-based to this vector).  The rank array
+   the caller holds is covered by Intermixed's headroom discount.  The
+   in-memory threshold leaves room for the general case's stream buffers
+   and rank arrays (up to four blocks plus a few rank batches).
+
+   Above it, [Θ(M)] sample splitters cut the (key, position) order into
+   buckets of at most [Sample_splitters.gap_bound] elements, and one
+   counting scan gives every bucket its first rank.  D holds one copy of an
+   element per rank in its bucket, and the rank's target is its rank within
+   the bucket. *)
 let base_case cmp v ranks =
   let ctx = Em.Vec.ctx v in
   let n = Em.Vec.length v in
@@ -18,52 +61,71 @@ let base_case cmp v ranks =
         Emalg.Mem_sort.sort cmp a;
         Array.map (fun r -> a.(r - 1)) ranks)
   else begin
-    let tagged_splitters, spacing = Quantile.Mem_splitters.memory_splitters_tagged cmp v in
-    let nsplit = Array.length tagged_splitters in
+    let splitters =
+      Emalg.Sample_splitters.find_tagging cmp v ~k:(min n (Emalg.Sample_splitters.max_k ctx))
+    in
+    let nsplit = Array.length splitters in
     let tcmp = Emalg.Order.tagged cmp in
-    (* Bucket of a (key, position) pair: least splitter index it is <= of. *)
-    let bucket_of pair =
-      let lo = ref 0 and hi = ref nsplit in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if tcmp pair tagged_splitters.(mid) <= 0 then hi := mid else lo := mid + 1
-      done;
-      !lo
-    in
-    (* Ranks living in bucket j occupy the half-open index range
-       [first_rank_beyond (j * spacing), first_rank_beyond ((j+1) * spacing)). *)
-    let first_rank_beyond threshold =
-      let lo = ref 0 and hi = ref kcount in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if ranks.(mid) > threshold then hi := mid else lo := mid + 1
-      done;
-      !lo
-    in
-    (* Build D while the splitter array is charged; release it before the
-       intermixed selection runs (it only needs D and the targets). *)
-    let d =
-      Em.Ctx.with_words ctx (2 * nsplit) (fun () ->
-          let dctx : ('a * int) Em.Ctx.t = Em.Ctx.linked ctx in
-          let pos = ref (-1) in
-          Em.Writer.with_writer dctx (fun w ->
-              Emalg.Scan.iter
-                (fun e ->
-                  incr pos;
-                  let j = bucket_of (e, !pos) in
-                  let lo = first_rank_beyond (j * spacing) in
-                  let hi = first_rank_beyond ((j + 1) * spacing) in
-                  for i = lo to hi - 1 do
-                    Em.Writer.push w (e, i)
-                  done)
-                v))
-    in
-    let targets = Array.map (fun r -> r - (((r - 1) / spacing) * spacing)) ranks in
-    let selected =
-      Em.Ctx.with_words ctx kcount (fun () -> Intermixed.select cmp d ~targets)
-    in
-    Em.Vec.free d;
-    selected
+    (* Charged: the targets through the intermixed selection; the splitters,
+       the prefix array and the rank routing until D is built. *)
+    Em.Ctx.with_words ctx kcount (fun () ->
+        let targets = Array.make kcount 0 in
+        let d =
+          Em.Ctx.with_words ctx ((2 * nsplit) + (nsplit + 2) + ((2 * kcount) + 1)) (fun () ->
+              let start = bucket_starts tcmp splitters v in
+              (* The target buckets (those holding a rank), increasing: the
+                 ranks of target [t] are [ranks.(first.(t)) ..
+                 ranks.(first.(t+1) - 1)]. *)
+              let tb = Array.make kcount 0 and first = Array.make (kcount + 1) 0 in
+              let ntb = ref 0 in
+              Array.iteri
+                (fun i r ->
+                  let j = first_beyond start (r - 1) - 1 in
+                  if !ntb = 0 || tb.(!ntb - 1) <> j then begin
+                    tb.(!ntb) <- j;
+                    first.(!ntb) <- i;
+                    incr ntb
+                  end;
+                  targets.(i) <- r - start.(j))
+                ranks;
+              let ntb = !ntb in
+              first.(ntb) <- kcount;
+              (* Target of a pair, or -1: binary search over the target
+                 buckets' upper splitters, then one lower-splitter check,
+                 skipped when the previous target bucket is adjacent (the
+                 search already placed the pair above its upper splitter). *)
+              let target_of pair =
+                let lo = ref 0 and hi = ref ntb in
+                while !lo < !hi do
+                  let mid = (!lo + !hi) / 2 in
+                  let j = tb.(mid) in
+                  if j = nsplit || tcmp pair splitters.(j) <= 0 then hi := mid
+                  else lo := mid + 1
+                done;
+                let t = !lo in
+                if t = ntb then -1
+                else
+                  let j = tb.(t) in
+                  if j = 0 || (t > 0 && tb.(t - 1) = j - 1) || tcmp pair splitters.(j - 1) > 0
+                  then t
+                  else -1
+              in
+              let dctx : ('a * int) Em.Ctx.t = Em.Ctx.linked ctx in
+              let pos = ref (-1) in
+              Em.Writer.with_writer dctx (fun w ->
+                  Emalg.Scan.iter
+                    (fun e ->
+                      incr pos;
+                      let t = target_of (e, !pos) in
+                      if t >= 0 then
+                        for i = first.(t) to first.(t + 1) - 1 do
+                          Em.Writer.push w (e, i)
+                        done)
+                    v))
+        in
+        let selected = Intermixed.select cmp d ~targets in
+        Em.Vec.free d;
+        selected)
   end
 
 let check_ranks v ranks =

@@ -5,11 +5,15 @@
     Structure, following the paper exactly:
 
     - {b Base case} [K <= m = Θ(M)]: find [Θ(M)] splitters of [S] in linear
-      I/Os (the {!Quantile.Mem_splitters} stand-in for Hu et al. [6]), so
-      every rank falls into a bucket of known size; build one instance of
-      {!Intermixed} selection with one group per requested rank (an element
-      joins group [i] if it lies in the bucket containing rank [r_i]) and a
-      re-based target per group; solve it in [O(|D|/B) = O(N/B)] I/Os.
+      I/Os, so that every rank falls into a bucket of known first rank.
+      This stands in for Hu et al. [6]: {!Emalg.Sample_splitters.find_tagging}
+      at [k = max_k] gives buckets of at most [gap_bound] elements, and one
+      counting scan turns the bucket sizes into prefix sums.  Then build one
+      instance of {!Intermixed} selection with one group per requested rank
+      (an element joins group [i] if it lies in the bucket containing rank
+      [r_i]; only the buckets holding a rank are searched) and a re-based
+      target per group; solve it in [O(|D|/B) = O(N/B)] I/Os.  The whole
+      base case is [O(N/B)] I/Os at every [N].
     - {b General case} [K > m]: multi-partition [S] at the ranks
       [r_m, r_2m, ...] ([O((N/B) lg_{M/B} (K/B))] I/Os via
       {!Multi_partition}), then run the base case inside each partition with

@@ -58,8 +58,7 @@ type query =
   | Select of int  (** [Select k]: the element of rank [k], 1-based. *)
   | Quantile of float
       (** [Quantile phi]: the element of rank [max 1 (ceil (phi * n))],
-          [0 < phi <= 1] — same convention as
-          {!Quantile.Exact_quantiles.phi_quantile}. *)
+          [0 < phi <= 1] (the ceiling convention for phi-quantiles). *)
   | Range of int * int
       (** [Range (a, b)]: the elements of ranks [a .. b] inclusive
           (1-based), in rank order.  The reply holds [b - a + 1] values and

@@ -30,12 +30,13 @@ let suite =
         ignore (Emalg.Sample_splitters.find_tagging Tu.icmp v ~k:8));
     audit "split_step tagging" (fun _ctx v _n ->
         Array.iter Em.Vec.free (Emalg.Split_step.split_tagging Tu.icmp v ~target_buckets:8));
-    audit "mem_splitters" (fun _ctx v _n ->
-        ignore (Quantile.Mem_splitters.find Tu.icmp v ~spacing:500));
-    audit "histogram" (fun _ctx v _n ->
-        ignore (Quantile.Histogram.build Tu.icmp v ~buckets:12));
     audit "multi_select (base case)" (fun _ctx v n ->
         ignore (Core.Multi_select.select Tu.icmp v ~ranks:[| 1; n / 2; n |]));
+    audit "multi_select (base case, K = m)" (fun ctx v n ->
+        let m = Core.Multi_select.batch_size ctx in
+        ignore (Core.Multi_select.select Tu.icmp v ~ranks:(Array.init m (fun i -> 1 + (i * (n - 1) / m)))));
+    audit "multi_select (base case, one bucket)" (fun _ctx v n ->
+        ignore (Core.Multi_select.select Tu.icmp v ~ranks:(Array.init 5 (fun i -> (n / 2) + i))));
     audit "multi_select (general case)" (fun ctx v n ->
         let m = Core.Multi_select.batch_size ctx in
         let k = (3 * m) + 1 in

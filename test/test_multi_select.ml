@@ -107,10 +107,9 @@ let test_rank_validation () =
 
 let test_io_bound_vs_sort () =
   (* Multi-selecting a handful of ranks costs O((N/B) lg_{M/B}(K/B)); at
-     simulator scale the sort baseline only pays one extra merge pass, so we
-     assert (a) a small constant per scan and (b) staying within a whisker of
-     the baseline (the asymptotic separation needs deeper merge trees; the
-     benches sweep this — see EXPERIMENTS.md). *)
+     N = 2^16 the sort baseline only needs one merge pass, so we assert (a) a
+     small constant per scan and (b) staying within a whisker of the
+     baseline.  The next test checks the separation at N = 2^18. *)
   let ctx = Tu.ctx ~mem:4096 ~block:64 () in
   let n = 65_536 in
   let v = Tu.int_vec ctx (Core.Workload.generate Core.Workload.Pi_hard ~seed:10 ~n ~block:64) in
@@ -131,6 +130,22 @@ let test_io_bound_vs_sort () =
     true
     (10 * ours <= 13 * baseline)
 
+let test_below_sort () =
+  (* Theorem 4's headline at the default machine: a handful of ranks costs
+     fewer I/Os than sorting once the sort needs a second merge pass. *)
+  let ctx = Tu.ctx ~mem:4096 ~block:64 () in
+  let n = 1 lsl 18 in
+  let v = Core.Workload.vec ctx Core.Workload.Random_perm ~seed:11 ~n in
+  let ranks = Array.init 16 (fun i -> (i + 1) * (n / 16)) in
+  let (), ours =
+    Em.Ctx.measured ctx (fun () -> ignore (Core.Multi_select.select Tu.icmp v ~ranks))
+  in
+  let (), sort =
+    Em.Ctx.measured ctx (fun () -> Em.Vec.free (Emalg.External_sort.sort Tu.icmp v))
+  in
+  let ours = Em.Stats.delta_ios ours and sort = Em.Stats.delta_ios sort in
+  Tu.check_bool (Printf.sprintf "multiselect %d < sort %d I/Os" ours sort) true (ours < sort)
+
 let suite =
   [
     Alcotest.test_case "single rank" `Quick test_single_rank;
@@ -144,4 +159,5 @@ let suite =
     Alcotest.test_case "extreme duplicates" `Quick test_extreme_duplicates_with_ranks;
     Alcotest.test_case "rank validation" `Quick test_rank_validation;
     Alcotest.test_case "beats sort baseline" `Quick test_io_bound_vs_sort;
+    Alcotest.test_case "below external sort (K=16, N=2^18)" `Quick test_below_sort;
   ]

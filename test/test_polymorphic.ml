@@ -78,19 +78,23 @@ let test_tuple_key_custom_order () =
   let out = Emalg.External_sort.sort cmp v in
   Alcotest.(check (array (pair int int))) "sorted under custom order" sorted (Em.Vec.Oracle.to_array out)
 
-let test_strings_histogram () =
+(* String keys through the base case's splitter route (n > big_load), with
+   repeated keys so ranks resolve positionally. *)
+let test_strings_multi_select () =
   let ctx = Tu.ctx ~mem:1024 ~block:16 () in
   let n = 1_000 in
   let r = Tu.rng 5 in
-  let a = Array.init n (fun _ -> Printf.sprintf "%08x" (Tu.next_int r max_int)) in
+  let a = Array.init n (fun _ -> Printf.sprintf "%04x" (Tu.next_int r 4_096)) in
   let v = string_vec ctx a in
-  let h = Quantile.Histogram.build scmp v ~buckets:10 in
-  Tu.check_int "buckets" 10 (Quantile.Histogram.bucket_count h);
-  Array.iter
-    (fun x ->
-      let b = Quantile.Histogram.bucket_of scmp h x in
-      Tu.check_bool "bucket index in range" true (b >= 0 && b < 10))
-    a
+  let ranks = [| 1; 10; n / 3; n / 2; n - 1; n |] in
+  let results = Core.Multi_select.select scmp v ~ranks in
+  let sorted = Array.copy a in
+  Array.sort scmp sorted;
+  Alcotest.(check (array string))
+    "string ranks"
+    (Array.map (fun rk -> sorted.(rk - 1)) ranks)
+    results;
+  Tu.check_int "ledger drained" 0 ctx.Em.Ctx.stats.Em.Stats.mem_in_use
 
 let suite =
   [
@@ -98,5 +102,5 @@ let suite =
     Alcotest.test_case "floats: splitters" `Quick test_floats_splitters;
     Alcotest.test_case "strings: partitioning" `Quick test_strings_partitioning;
     Alcotest.test_case "tuples: custom order" `Quick test_tuple_key_custom_order;
-    Alcotest.test_case "strings: histogram" `Quick test_strings_histogram;
+    Alcotest.test_case "strings: multi-select" `Quick test_strings_multi_select;
   ]

@@ -187,28 +187,38 @@ let prop_sample_splitters_gap =
         !max_gap <= bound
       end)
 
-let prop_mem_splitters_exact_spacing =
+(* The base case above [big_load]: splitters, counting scan, D pass and
+   intermixed selection, against the sorted oracle on random, all-equal and
+   few-distinct keys, within the memory budget. *)
+let prop_multi_select_base_case =
+  let ctx0 = mk_ctx () in
+  let big = Emalg.Layout.big_load ctx0 and m = Core.Multi_select.batch_size ctx0 in
+  let mem = Em.Ctx.mem_capacity ctx0 in
   let gen =
     let open Gen in
-    let* inp = distinct_input_gen in
-    let (n, _, _) = inp in
-    let* spacing = int_range 1 (max 1 n) in
-    return (inp, spacing)
+    let* n = int_range (big + 1) (8 * mem) in
+    let* bound = oneofl [ max_int; 1; 3 ] in
+    let* nranks = int_range 1 m in
+    let* seed = int_range 0 1_000_000 in
+    return (n, bound, nranks, seed)
   in
-  Tu.qcheck_case ~count:60 "mem splitters land on exact ranks" gen (fun (inp, spacing) ->
-      let n, _, _ = inp in
-      let a = gen_array inp in
+  Tu.qcheck_case ~count:40 "multi_select base case: oracle within M" gen
+    (fun (n, bound, nranks, seed) ->
+      let a = Tu.random_ints ~seed ~bound n in
+      let r = Tu.rng (seed + 1) in
+      let set = Hashtbl.create nranks in
+      while Hashtbl.length set < nranks do
+        Hashtbl.replace set (1 + Tu.next_int r n) ()
+      done;
+      let ranks = Array.of_list (List.sort Tu.icmp (Hashtbl.fold (fun k () acc -> k :: acc) set [])) in
       let ctx = mk_ctx () in
       let v = Tu.int_vec ctx a in
-      let s = Quantile.Mem_splitters.find Tu.icmp v ~spacing in
+      let results = Core.Multi_select.select Tu.icmp v ~ranks in
       let sorted = Tu.sorted_copy a in
-      let expected = max 0 (((n + spacing - 1) / spacing) - 1) in
-      Array.length s = expected
-      && Array.for_all2
-           (fun got want -> got = want)
-           s
-           (Array.init expected (fun i -> sorted.(((i + 1) * spacing) - 1)))
-      && ctx.Em.Ctx.stats.Em.Stats.mem_in_use = 0)
+      let stats = ctx.Em.Ctx.stats in
+      results = Array.map (fun rk -> sorted.(rk - 1)) ranks
+      && stats.Em.Stats.mem_peak <= mem
+      && stats.Em.Stats.mem_in_use = 0)
 
 let prop_intermixed_oracle =
   let gen =
@@ -343,7 +353,7 @@ let suite =
     prop_em_select_oracle;
     prop_external_sort;
     prop_sample_splitters_gap;
-    prop_mem_splitters_exact_spacing;
+    prop_multi_select_base_case;
     prop_intermixed_oracle;
     prop_packed_matches_separate;
     prop_reduction_precise;

@@ -92,18 +92,6 @@ let test_pretty_printers () =
   Alcotest.(check string) "spec" "{ n = 10; k = 2; a = 1; b = 9 }"
     (Format.asprintf "%a" Core.Problem.pp_spec { Core.Problem.n = 10; k = 2; a = 1; b = 9 })
 
-let test_histogram_pp () =
-  let ctx = Tu.ctx ~mem:256 ~block:16 () in
-  let v = Tu.int_vec ctx (Tu.random_perm ~seed:2 100) in
-  let h = Quantile.Histogram.build Tu.icmp v ~buckets:4 in
-  let rendered = Format.asprintf "%a" (Quantile.Histogram.pp Format.pp_print_int) h in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  Tu.check_bool "mentions bucket count" true (contains rendered "4 buckets")
-
 let test_workload_names () =
   Alcotest.(check string) "pi-hard" "pi-hard" (Core.Workload.kind_name Core.Workload.Pi_hard);
   Alcotest.(check string) "zipf" "zipf-1.5" (Core.Workload.kind_name (Core.Workload.Zipf 1.5));
@@ -117,12 +105,14 @@ let test_bounds_guards () =
   Tu.check_bool "sort 0 finite" true (Float.is_finite (Core.Bounds.sort p ~n:0))
 
 let test_exact_quantiles_guards () =
-  Alcotest.check_raises "phi 0"
-    (Invalid_argument "Exact_quantiles.phi_quantile: phi must be in (0, 1]")
-    (fun () -> ignore (Quantile.Exact_quantiles.phi_quantile Tu.icmp [| 1 |] ~phi:0.));
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Exact_quantiles.phi_quantile: empty array")
-    (fun () -> ignore (Quantile.Exact_quantiles.phi_quantile Tu.icmp [||] ~phi:0.5))
+  let ctx = Tu.ctx () in
+  let v = Tu.int_vec ctx [| 1; 2; 3 |] in
+  Alcotest.check_raises "k 0"
+    (Invalid_argument "Splitters.exact_quantiles: k must be >= 1")
+    (fun () -> ignore (Core.Splitters.exact_quantiles Tu.icmp v ~k:0));
+  Alcotest.check_raises "k > n"
+    (Invalid_argument "Splitters.exact_quantiles: k exceeds the input length")
+    (fun () -> ignore (Core.Splitters.exact_quantiles Tu.icmp v ~k:4))
 
 let suite =
   [
@@ -134,7 +124,6 @@ let suite =
     Alcotest.test_case "vec: of_blocks" `Quick test_vec_of_blocks_validation;
     Alcotest.test_case "writer: push_array" `Quick test_writer_push_array;
     Alcotest.test_case "pretty printers" `Quick test_pretty_printers;
-    Alcotest.test_case "histogram pp" `Quick test_histogram_pp;
     Alcotest.test_case "workload names" `Quick test_workload_names;
     Alcotest.test_case "bounds guards" `Quick test_bounds_guards;
     Alcotest.test_case "exact quantiles guards" `Quick test_exact_quantiles_guards;
