@@ -128,13 +128,18 @@ cli-smoke:
 	usage_error EM_DISKS=abc ""; usage_error EM_BACKEND=bogus ""
 	@echo "cli-smoke: profile formats, faults, JSONL stream and usage errors as expected."
 
-# Fault-injection smoke: one recoverable run per algorithm family, plus a
-# crash-restart run.  Each exits non-zero on an unexpected failure (exit 2:
+# Fault-injection smoke: one recoverable run per algorithm family (three
+# for multi-selection: -k 12 is one base case, -k 64 > m runs the general
+# case, which sorts 20 000 elements in one merge pass at the default
+# machine and distributes them by counting at M=512), plus a crash-restart
+# run.  Each exits non-zero on an unexpected failure (exit 2:
 # verification, exit 3: unrecovered typed fault).
 faults:
 	dune exec bin/em_repro.exe -- faults sort -n 20000 --fault-p 0.01 \
 	  --fault-kinds transient-read,transient-write,bit-corruption,torn-write --verify-writes
 	dune exec bin/em_repro.exe -- faults multiselect -n 20000 -k 12 --fault-p 0.02
+	dune exec bin/em_repro.exe -- faults multiselect -n 20000 -k 64 --fault-p 0.02
+	dune exec bin/em_repro.exe -- faults multiselect -n 20000 -k 64 --mem 512 --block 16 --fault-p 0.02
 	dune exec bin/em_repro.exe -- faults splitters -n 20000 -k 16 -a 128 --fault-seed 7
 	dune exec bin/em_repro.exe -- faults sort -n 20000 --restartable --crash-every 800
 

@@ -62,6 +62,28 @@ let measure ?(machine = default_machine) ?(kind = Core.Workload.Pi_hard) ?disks
 
 let icmp = Int.compare
 
+(* Multi-selection the way it was done before Theorem 4: multi-partition
+   at the ranks, then report each partition's maximum (one extra scan).
+   Figure GAP and the multiselect_vs_route gate measure Theorem 4 against
+   it. *)
+let multi_partition_route cmp v ~ranks =
+  let interior = Array.sub ranks 0 (Array.length ranks - 1) in
+  let ictx : int Em.Ctx.t = Em.Ctx.linked (Em.Vec.ctx v) in
+  let bounds = Emalg.Scan.vec_of_array_io ictx interior in
+  let parts = Core.Multi_partition.partition cmp v ~bounds in
+  Array.iter
+    (fun part ->
+      let best = ref None in
+      Emalg.Scan.iter
+        (fun e ->
+          match !best with
+          | Some b when cmp e b <= 0 -> ()
+          | _ -> best := Some e)
+        part;
+      Em.Vec.free part)
+    parts;
+  Em.Vec.free bounds
+
 (* ---- table printing ---- *)
 
 let hrule width = String.make width '-'

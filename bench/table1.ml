@@ -319,7 +319,47 @@ let multiselect_vs_sort ~machine ~kind =
   Printf.printf "  => worst Theorem-4 / sort ratio across the sweep: %.3f\n" worst;
   (List.rev !artifacts, ("multiselect_vs_sort", worst))
 
-(* Runs all six rows, the Theorem-4-vs-sort sweep and the D-disk sweep;
+(* Theorem 4's general case under a gate: multi-selecting K = 64 and 256
+   evenly spaced ranks (both above m) against the multi-partition route it
+   replaced, Figure GAP's old route.  The gate row is the worst Theorem-4 /
+   route I/O ratio. *)
+let multiselect_vs_route ~machine ~kind =
+  let n = Exp.scaled n_default in
+  let p = Exp.params machine in
+  Exp.section
+    (Printf.sprintf "Theorem 4 vs the multi-partition route — N=%d   [%s, %s]" n
+       (Exp.machine_name machine) (Core.Workload.kind_name kind));
+  let ratios = ref [] and artifacts = ref [] in
+  let rows =
+    List.map
+      (fun k ->
+        let ranks = Array.init k (fun i -> (i + 1) * (n / k)) in
+        let ms =
+          Exp.measure ~machine ~kind ~seed ~n (fun _ctx v ->
+              let results = Core.Multi_select.select icmp v ~ranks in
+              let input = Em.Vec.Oracle.to_array v in
+              Exp.expect_ok "multi-select" (Core.Verify.multi_select icmp ~input ~ranks results))
+        in
+        let route =
+          Exp.measure ~machine ~kind ~seed ~n (fun _ctx v -> Exp.multi_partition_route icmp v ~ranks)
+        in
+        let ratio = float_of_int ms.Exp.ios /. float_of_int route.Exp.ios in
+        ratios := ratio :: !ratios;
+        artifacts :=
+          Exp.artifact_row ~row:"multiselect_vs_route" ~label:(Printf.sprintf "K=%d" k) ~machine
+            ~n ~extra_geometry:[ ("k", k) ]
+            ~predicted:(Core.Bounds.multi_select p ~n ~k)
+            ms
+          :: !artifacts;
+        [ string_of_int k; string_of_int ms.Exp.ios; string_of_int route.Exp.ios; Exp.fmt_ratio ratio ])
+      [ 64; 256 ]
+  in
+  Exp.table ~header:[ "K"; "Theorem 4 I/O"; "route I/O"; "ratio" ] rows;
+  let worst = List.fold_left Float.max neg_infinity !ratios in
+  Printf.printf "  => worst Theorem-4 / multi-partition-route ratio: %.3f\n" worst;
+  (List.rev !artifacts, ("multiselect_vs_route", worst))
+
+(* Runs all six rows, the two Theorem-4 sweeps and the D-disk sweep;
    returns (row_name, worst ratio) pairs for the ceiling gate in main.ml. *)
 let all ?(machine = Exp.default_machine) ?(kind = Core.Workload.Pi_hard) () =
   (* Explicit lets: list elements would otherwise evaluate right-to-left,
@@ -331,7 +371,8 @@ let all ?(machine = Exp.default_machine) ?(kind = Core.Workload.Pi_hard) () =
   let r5 = row_partition_left ~machine ~kind in
   let r6 = row_partition_two_sided ~machine ~kind in
   let r7 = multiselect_vs_sort ~machine ~kind in
-  let results = [ r1; r2; r3; r4; r5; r6; r7 ] in
+  let r8 = multiselect_vs_route ~machine ~kind in
+  let results = [ r1; r2; r3; r4; r5; r6; r7; r8 ] in
   let sweep_artifacts, sweep_ratios = disks_sweep ~machine ~kind in
   Exp.write_artifact ~bench:"table1"
     (List.concat_map fst results @ sweep_artifacts);

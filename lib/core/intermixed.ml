@@ -80,69 +80,83 @@ let subgroup_medians kcmp ctx d ~l =
       in
       (sigma, sigma_counts))
 
+(* [go] owns [d] and [tvec]: it frees both, also when it raises. *)
 let rec go cmp ctx d tvec =
   let kcmp = seq_cmp cmp in
   let l = Em.Vec.length tvec in
   let n = Em.Vec.length d in
   let base = Emalg.Layout.half_load ctx in
-  if n + l <= base then begin
-    let result =
+  let owned = ref true in
+  let release () =
+    if !owned then begin
+      owned := false;
+      Em.Vec.free d;
+      Em.Vec.free tvec
+    end
+  in
+  match
+    if n + l <= base then
+      `Solved
+        (Em.Ctx.with_words ctx l (fun () ->
+             let targets = Emalg.Scan.array_of_vec_io tvec in
+             Emalg.Scan.with_loaded d (fun pairs -> solve_in_memory kcmp pairs targets)))
+    else begin
+      Log.debug (fun m -> m "level: |D|=%d L=%d" n l);
+      let ictx = Em.Vec.ctx tvec in
+      (* Phase 1: subgroup medians into sigma; derive the median targets. *)
+      let sigma, t'vec =
+        Em.Ctx.with_words ctx l (fun () ->
+            let sigma, sigma_counts = subgroup_medians kcmp ctx d ~l in
+            let t' = Array.map (fun c -> (c + 1) / 2) sigma_counts in
+            match spill_ints ictx t' with
+            | t'vec -> (sigma, t'vec)
+            | exception e ->
+                Em.Vec.free sigma;
+                raise e)
+      in
+      (* Phase 2: recurse for the per-group medians of sigma.  Nothing from
+         this frame stays charged across the call. *)
+      let mu = go cmp ctx sigma t'vec in
+      (* Phase 3: rank of mu_g within its group, original targets, and the
+         shrunken instance D'. *)
       Em.Ctx.with_words ctx l (fun () ->
-          let targets = Emalg.Scan.array_of_vec_io tvec in
-          Emalg.Scan.with_loaded d (fun pairs -> solve_in_memory kcmp pairs targets))
-    in
-    Em.Vec.free d;
-    Em.Vec.free tvec;
-    result
-  end
-  else begin
-    Log.debug (fun m -> m "level: |D|=%d L=%d" n l);
-    let ictx = Em.Vec.ctx tvec in
-    (* Phase 1: subgroup medians into sigma; derive the median targets. *)
-    let sigma, t'vec =
-      Em.Ctx.with_words ctx l (fun () ->
-          let sigma, sigma_counts = subgroup_medians kcmp ctx d ~l in
-          let t' = Array.map (fun c -> (c + 1) / 2) sigma_counts in
-          (sigma, spill_ints ictx t'))
-    in
-    (* Phase 2: recurse for the per-group medians of sigma.  Nothing from
-       this frame stays charged across the call. *)
-    let mu = go cmp ctx sigma t'vec in
-    Em.Mem.charge ctx.Em.Ctx.params ctx.Em.Ctx.stats l;
-    (* Phase 3: rank of mu_g within its group, original targets, and the
-       shrunken instance D'. *)
-    let result =
-      Em.Ctx.with_words ctx (3 * l) (fun () ->
-          let theta = Array.make l 0 in
-          Emalg.Scan.iter
-            (fun (x, g) -> if kcmp x mu.(g) <= 0 then theta.(g) <- theta.(g) + 1)
-            d;
-          let targets = Emalg.Scan.array_of_vec_io tvec in
-          let t'' = Array.make l 0 in
-          for g = 0 to l - 1 do
-            if targets.(g) <= theta.(g) then t''.(g) <- targets.(g)
-            else t''.(g) <- targets.(g) - theta.(g)
-          done;
-          let d' =
-            Em.Writer.with_writer (Em.Vec.ctx d) (fun w ->
-                Emalg.Scan.iter
-                  (fun (x, g) ->
-                    let keep =
-                      if targets.(g) <= theta.(g) then kcmp x mu.(g) <= 0
-                      else kcmp x mu.(g) > 0
-                    in
-                    if keep then Em.Writer.push w (x, g))
-                  d)
-          in
-          Em.Vec.free d;
-          Em.Vec.free tvec;
-          let t''vec = spill_ints ictx t'' in
-          (d', t''vec))
-    in
-    let d', t''vec = result in
-    Em.Mem.release ctx.Em.Ctx.params ctx.Em.Ctx.stats l;
-    go cmp ctx d' t''vec
-  end
+          Em.Ctx.with_words ctx (3 * l) (fun () ->
+              let theta = Array.make l 0 in
+              Emalg.Scan.iter
+                (fun (x, g) -> if kcmp x mu.(g) <= 0 then theta.(g) <- theta.(g) + 1)
+                d;
+              let targets = Emalg.Scan.array_of_vec_io tvec in
+              let t'' = Array.make l 0 in
+              for g = 0 to l - 1 do
+                if targets.(g) <= theta.(g) then t''.(g) <- targets.(g)
+                else t''.(g) <- targets.(g) - theta.(g)
+              done;
+              let d' =
+                Em.Writer.with_writer (Em.Vec.ctx d) (fun w ->
+                    Emalg.Scan.iter
+                      (fun (x, g) ->
+                        let keep =
+                          if targets.(g) <= theta.(g) then kcmp x mu.(g) <= 0
+                          else kcmp x mu.(g) > 0
+                        in
+                        if keep then Em.Writer.push w (x, g))
+                      d)
+              in
+              release ();
+              match spill_ints ictx t'' with
+              | t''vec -> `Shrunk (d', t''vec)
+              | exception e ->
+                  Em.Vec.free d';
+                  raise e))
+    end
+  with
+  | `Solved result ->
+      release ();
+      result
+  | `Shrunk (d', t''vec) -> go cmp ctx d' t''vec
+  | exception e ->
+      release ();
+      raise e
 
 let select cmp d ~targets =
   let ctx = Em.Vec.ctx d in
@@ -178,7 +192,13 @@ let select cmp d ~targets =
           ((x, !seq), g))
         d
     in
-    let tvec = spill_ints ictx targets in
+    let tvec =
+      match spill_ints ictx targets with
+      | tvec -> tvec
+      | exception e ->
+          Em.Vec.free d0;
+          raise e
+    in
     let tagged_results =
       Em.Phase.with_label ctx "intermixed" (fun () -> go cmp ctx d0 tvec)
     in

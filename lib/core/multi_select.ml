@@ -39,6 +39,25 @@ let bucket_starts tcmp splitters v =
   done;
   start
 
+(* Index of [pair] among the target buckets [tb.(0 .. ntb-1)] (increasing
+   bucket indices), or -1: binary search over their upper splitters, then one
+   lower-splitter check, skipped when the previous target bucket is adjacent
+   (the search already placed the pair above its upper splitter). *)
+let target_of tcmp splitters tb ntb pair =
+  let nsplit = Array.length splitters in
+  let lo = ref 0 and hi = ref ntb in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let j = tb.(mid) in
+    if j = nsplit || tcmp pair splitters.(j) <= 0 then hi := mid else lo := mid + 1
+  done;
+  let t = !lo in
+  if t = ntb then -1
+  else
+    let j = tb.(t) in
+    if j = 0 || (t > 0 && tb.(t - 1) = j - 1) || tcmp pair splitters.(j - 1) > 0 then t
+    else -1
+
 (* Base case: at most [batch_size] ranks, given in memory (strictly
    increasing, already validated, re-based to this vector).  The rank array
    the caller holds is covered by Intermixed's headroom discount.  The
@@ -90,43 +109,278 @@ let base_case cmp v ranks =
                 ranks;
               let ntb = !ntb in
               first.(ntb) <- kcount;
-              (* Target of a pair, or -1: binary search over the target
-                 buckets' upper splitters, then one lower-splitter check,
-                 skipped when the previous target bucket is adjacent (the
-                 search already placed the pair above its upper splitter). *)
-              let target_of pair =
-                let lo = ref 0 and hi = ref ntb in
-                while !lo < !hi do
-                  let mid = (!lo + !hi) / 2 in
-                  let j = tb.(mid) in
-                  if j = nsplit || tcmp pair splitters.(j) <= 0 then hi := mid
-                  else lo := mid + 1
-                done;
-                let t = !lo in
-                if t = ntb then -1
-                else
-                  let j = tb.(t) in
-                  if j = 0 || (t > 0 && tb.(t - 1) = j - 1) || tcmp pair splitters.(j - 1) > 0
-                  then t
-                  else -1
-              in
               let dctx : ('a * int) Em.Ctx.t = Em.Ctx.linked ctx in
               let pos = ref (-1) in
               Em.Writer.with_writer dctx (fun w ->
                   Emalg.Scan.iter
                     (fun e ->
                       incr pos;
-                      let t = target_of (e, !pos) in
+                      let t = target_of tcmp splitters tb ntb (e, !pos) in
                       if t >= 0 then
                         for i = first.(t) to first.(t + 1) - 1 do
                           Em.Writer.push w (e, i)
                         done)
                     v))
         in
-        let selected = Intermixed.select cmp d ~targets in
-        Em.Vec.free d;
-        selected)
+        Fun.protect ~finally:(fun () -> Em.Vec.free d) (fun () -> Intermixed.select cmp d ~targets))
   end
+
+(* The general case's splitter count, from the words free on entry.  Its
+   arrays (two words per tagged splitter, the prefix sums, the target and
+   group arrays) take about 5k words beside two stream buffers; bounding k
+   by a sixth of the free words leaves at least a third of them for the
+   distribution's writers once the prefix sums go.  At M = 4096, B = 64 the
+   bound is max_k (480) and the fan-out at least 33. *)
+let splitter_count ctx ~n =
+  let b = Em.Ctx.block_size ctx in
+  let free = Em.Ctx.mem_capacity ctx - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in
+  max 2 (min n (min (Emalg.Sample_splitters.max_k ctx) ((free - (4 * b)) / 6)))
+
+(* One pass over the ranks.  It finds the target buckets [tb] (those that
+   hold a rank, increasing) and groups consecutive ones greedily while a
+   group holds at most [big] elements ([gid] maps a target to its group; a
+   bucket above [big] is a group alone).  Each group's ranks go to a vector
+   of their own, re-based to the group's (key, position) order: a rank in
+   bucket [j] drops the elements of the non-target buckets below [j] and of
+   the groups before its own.  Returns the target count and the rank
+   vectors in group order. *)
+let route_ranks ~big start tb gid ranks =
+  let ictx = Em.Vec.ctx ranks in
+  let size j = start.(j + 1) - start.(j) in
+  let ntb = ref 0 and groups = ref [] and ngroups = ref 0 in
+  let j = ref 0 and skipped = ref 0 and taken = ref 0 in
+  let base = ref 0 and gsize = ref 0 in
+  let w = ref (Em.Writer.create ictx) in
+  match
+    Emalg.Scan.iter
+      (fun r ->
+        while start.(!j + 1) < r do
+          if !ntb > 0 && tb.(!ntb - 1) = !j then taken := !taken + size !j
+          else skipped := !skipped + size !j;
+          incr j
+        done;
+        if !ntb = 0 || tb.(!ntb - 1) <> !j then begin
+          let s = size !j in
+          if !ntb > 0 && !gsize + s <= big then gsize := !gsize + s
+          else begin
+            if !ngroups > 0 then begin
+              groups := Em.Writer.finish !w :: !groups;
+              w := Em.Writer.create ictx
+            end;
+            incr ngroups;
+            base := !taken;
+            gsize := s
+          end;
+          tb.(!ntb) <- !j;
+          gid.(!ntb) <- !ngroups - 1;
+          incr ntb
+        end;
+        Em.Writer.push !w (r - !skipped - !base))
+      ranks;
+    Em.Writer.finish !w
+  with
+  | last -> (!ntb, Array.of_list (List.rev (last :: !groups)))
+  | exception e ->
+      Em.Writer.abandon !w;
+      List.iter Em.Vec.free !groups;
+      raise e
+
+(* Distribute the (key, target) pairs [iter] yields into one vector per
+   group of [lo, hi).  A pass opens at most [fanout] writers; with more
+   groups than that it writes runs of consecutive groups, then
+   redistributes each run by the same target-to-group map [gid], with no
+   comparisons.  On an exception every vector it wrote is freed. *)
+let rec spread pctx ~fanout gid iter lo hi =
+  let count = hi - lo in
+  let stride = if count <= fanout then 1 else (count + fanout - 1) / fanout in
+  let writers = Array.init ((count + stride - 1) / stride) (fun _ -> Em.Writer.create pctx) in
+  let runs = Array.make (Array.length writers) None in
+  (match
+     Em.Phase.with_label pctx "distribute" (fun () ->
+         iter (fun ((_, t) as p) -> Em.Writer.push writers.((gid.(t) - lo) / stride) p));
+     Array.iteri (fun c w -> runs.(c) <- Some (Em.Writer.finish w)) writers
+   with
+  | () -> ()
+  | exception e ->
+      Array.iteri
+        (fun c w -> match runs.(c) with Some run -> Em.Vec.free run | None -> Em.Writer.abandon w)
+        writers;
+      raise e);
+  let runs = Array.map Option.get runs in
+  if stride = 1 then runs
+  else begin
+    let next = ref 0 and parts = ref [] in
+    match
+      while !next < Array.length runs do
+        let first = lo + (!next * stride) in
+        let run = runs.(!next) in
+        parts :=
+          spread pctx ~fanout gid (fun f -> Emalg.Scan.iter f run) first (min hi (first + stride))
+          :: !parts;
+        Em.Vec.free run;
+        incr next
+      done
+    with
+    | () -> Array.concat (List.rev !parts)
+    | exception e ->
+        for c = !next to Array.length runs - 1 do
+          Em.Vec.free runs.(c)
+        done;
+        List.iter (Array.iter Em.Vec.free) !parts;
+        raise e
+  end
+
+type 'a group = { part : ('a * int) Em.Vec.t; ranks : int Em.Vec.t }
+
+let free_group g =
+  Em.Vec.free g.part;
+  Em.Vec.free g.ranks
+
+(* The general case's distribution, above one merge pass: one splitter
+   sample and one counting scan give every bucket its first rank, and only
+   the target buckets' elements are kept, as (key, target index) pairs in
+   one vector per group, beside the group's re-based ranks.  The index
+   orders a group by bucket, so only keys of one bucket are ever compared,
+   and the group vectors keep input order, so ties stay positional.  The
+   splitters, prefix sums and target arrays are released on return. *)
+let distribute vcmp key v ranks =
+  let ctx = Em.Vec.ctx v in
+  let n = Em.Vec.length v in
+  let big = Emalg.Layout.big_load ctx in
+  let tcmp = Emalg.Order.tagged vcmp in
+  let splitters = Emalg.Sample_splitters.find_tagging vcmp v ~k:(splitter_count ctx ~n) in
+  let nsplit = Array.length splitters in
+  let ntargets = min (Em.Vec.length ranks) (nsplit + 1) in
+  let pctx = Em.Ctx.linked ctx in
+  Em.Ctx.with_words ctx ((2 * nsplit) + (2 * ntargets)) (fun () ->
+      let tb = Array.make ntargets 0 and gid = Array.make ntargets 0 in
+      let ntb, rank_vecs =
+        Em.Ctx.with_words ctx (nsplit + 2) (fun () ->
+            route_ranks ~big (bucket_starts tcmp splitters v) tb gid ranks)
+      in
+      let b = Em.Ctx.block_size ctx in
+      let free = Em.Ctx.mem_capacity ctx - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in
+      let targets f =
+        let pos = ref (-1) in
+        Emalg.Scan.iter
+          (fun e ->
+            incr pos;
+            let t = target_of tcmp splitters tb ntb (e, !pos) in
+            if t >= 0 then f (key e, t))
+          v
+      in
+      match spread pctx ~fanout:(max 2 ((free - b) / b)) gid targets 0 (Array.length rank_vecs) with
+      | parts -> Array.map2 (fun part ranks -> { part; ranks }) parts rank_vecs
+      | exception e ->
+          Array.iter Em.Vec.free rank_vecs;
+          raise e)
+
+(* Whether [n > big_load] elements sort in one merge pass: runs of
+   [big_load] elements, a reader buffer and two heap words per run, beside
+   the rank reader (the output writer is already open). *)
+let one_merge ctx n =
+  let b = Em.Ctx.block_size ctx and big = Emalg.Layout.big_load ctx in
+  let free = Em.Ctx.mem_capacity ctx - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in
+  (n + big - 1) / big <= (free - b) / (b + 2)
+
+(* Sort [v] into runs of [big_load] elements, then merge them once,
+   emitting the ranked elements as they pass: three scans, where the
+   sample, counting and distribution passes read the input three times
+   and write more.  Stable, so ties stay positional. *)
+let sort_select vcmp key v ranks emit =
+  let ctx = Em.Vec.ctx v in
+  let runs = ref [] in
+  match
+    Em.Phase.with_label ctx "run-formation" (fun () ->
+        Emalg.Scan.chunks ~size:(Emalg.Layout.big_load ctx)
+          (fun load ->
+            Emalg.Mem_sort.sort vcmp load;
+            runs := Emalg.Scan.vec_of_array_io ctx load :: !runs)
+          v);
+    Em.Reader.with_reader ranks (fun rr ->
+        let pos = ref 0 and next = ref (Em.Reader.next rr) in
+        Em.Phase.with_label ctx "merge" (fun () ->
+            Emalg.Merge.iter vcmp (List.rev !runs) (fun e ->
+                incr pos;
+                if !pos = !next then begin
+                  emit (key e);
+                  if Em.Reader.has_next rr then next := Em.Reader.next rr
+                end)))
+  with
+  | () -> List.iter Em.Vec.free !runs
+  | exception e ->
+      List.iter Em.Vec.free !runs;
+      raise e
+
+(* General case, [K > m]: ranks stream from [ranks] (validated, re-based to
+   [v]) and answers go to [emit] in rank order.  [v]'s elements compare
+   under [vcmp]; [key] projects one to its answer, ordered by [cmp].  At
+   most [big_load] elements are sorted in memory, an input that sorts in
+   one merge pass is sorted so, and a larger one is distributed into
+   groups, answered in order.  A group of at most [big_load] elements is
+   sorted in memory, a larger one (always a single bucket) with at most
+   [m] ranks is one base case, and only a single bucket with more of both
+   recurses.  The recursion reads the group's pairs with [key = fst] and
+   writes fresh ones, so elements never nest deeper. *)
+let rec general :
+    'a 'b.
+    ('a -> 'a -> int) ->
+    ('b -> 'b -> int) ->
+    ('b -> 'a) ->
+    'b Em.Vec.t ->
+    int Em.Vec.t ->
+    ('a -> unit) ->
+    unit =
+ fun cmp vcmp key v ranks emit ->
+  let ctx = Em.Vec.ctx v in
+  let n = Em.Vec.length v and big = Emalg.Layout.big_load ctx in
+  if n <= big then
+    Emalg.Scan.with_loaded v (fun a ->
+        Emalg.Mem_sort.sort vcmp a;
+        Emalg.Scan.iter (fun r -> emit (key a.(r - 1))) ranks)
+  else if one_merge ctx n then sort_select vcmp key v ranks emit
+  else begin
+    let groups = distribute vcmp key v ranks in
+    let next = ref 0 in
+    match
+      while !next < Array.length groups do
+        if Em.Vec.length groups.(!next).part = Em.Vec.length v then
+          invalid_arg "Multi_select: internal error (bucket holds the input)";
+        answer cmp groups.(!next) emit;
+        free_group groups.(!next);
+        incr next
+      done
+    with
+    | () -> ()
+    | exception e ->
+        for i = !next to Array.length groups - 1 do
+          free_group groups.(i)
+        done;
+        raise e
+  end
+
+and answer : 'a. ('a -> 'a -> int) -> 'a group -> ('a -> unit) -> unit =
+ fun cmp { part; ranks } emit ->
+  let ctx = Em.Vec.ctx part in
+  let size = Em.Vec.length part and kcount = Em.Vec.length ranks in
+  if size <= Emalg.Layout.big_load ctx then
+    Em.Phase.with_label ctx "leaf-emit" (fun () ->
+        Emalg.Scan.with_loaded part (fun a ->
+            Emalg.Mem_sort.sort (fun (x, s) (y, t) -> if s <> t then Int.compare s t else cmp x y) a;
+            Emalg.Scan.iter (fun r -> emit (fst a.(r - 1))) ranks))
+  else begin
+    let pcmp (x, _) (y, _) = cmp x y in
+    if kcount <= batch_size ctx then
+      (* The rank array and the results. *)
+      Em.Ctx.with_words ctx (2 * kcount) (fun () ->
+          Array.iter (fun (e, _) -> emit e) (base_case pcmp part (Emalg.Scan.array_of_vec_io ranks)))
+    else general cmp pcmp fst part ranks emit
+  end
+
+let groups cmp v ~ranks =
+  let ctx = Em.Vec.ctx v and n = Em.Vec.length v in
+  if n <= Emalg.Layout.big_load ctx || one_merge ctx n then None
+  else Some (distribute cmp Fun.id v ranks)
 
 let check_ranks v ranks =
   let n = Em.Vec.length v in
@@ -144,53 +398,19 @@ let select_vec cmp v ~ranks =
   Emalg.Layout.require_min_geometry ctx;
   check_ranks v ranks;
   let kcount = Em.Vec.length ranks in
-  let m = batch_size ctx in
-  if kcount <= m then
+  if kcount <= batch_size ctx then
     Em.Ctx.with_words ctx kcount (fun () ->
         let ranks_arr = Emalg.Scan.array_of_vec_io ranks in
         let results = base_case cmp v ranks_arr in
         Em.Writer.with_writer ctx (fun w -> Em.Writer.push_array w results))
-  else begin
-    (* General case: multi-partition at every m-th rank, then solve a base
-       case inside each partition.  The partition boundary ranks are exactly
-       the last rank of each batch, so offsets need no extra storage. *)
-    let ictx : int Em.Ctx.t = Em.Ctx.linked ctx in
-    let g = (kcount + m - 1) / m in
-    let bounds =
-      Em.Writer.with_writer ictx (fun w ->
-          let idx = ref 0 in
-          Emalg.Scan.iter
-            (fun r ->
-              incr idx;
-              if !idx mod m = 0 && !idx < kcount then Em.Writer.push w r)
-            ranks)
-    in
-    let partitions = Multi_partition.partition cmp v ~bounds in
-    if Array.length partitions <> g then
-      invalid_arg "Multi_select: internal error (batch count)";
-    Em.Vec.free bounds;
-    let out = Em.Writer.create ctx in
-    let offset = ref 0 in
-    Em.Reader.with_reader ranks (fun rr ->
-        Array.iter
-          (fun part ->
-            let batch = Em.Reader.take rr m in
-            Em.Ctx.with_words ctx (2 * Array.length batch) (fun () ->
-                let rebased = Array.map (fun r -> r - !offset) batch in
-                let results = base_case cmp part rebased in
-                Array.iter (Em.Writer.push out) results;
-                offset := batch.(Array.length batch - 1));
-            Em.Vec.free part)
-          partitions);
-    Em.Writer.finish out
-  end
+  else Em.Writer.with_writer ctx (fun w -> general cmp cmp Fun.id v ranks (Em.Writer.push w))
 
 let select cmp v ~ranks =
   let ctx = Em.Vec.ctx v in
   let ictx : int Em.Ctx.t = Em.Ctx.linked ctx in
   let ranks_vec = Emalg.Scan.vec_of_array_io ictx ranks in
-  let out = select_vec cmp v ~ranks:ranks_vec in
-  let results = Emalg.Scan.array_of_vec_io out in
-  Em.Vec.free out;
-  Em.Vec.free ranks_vec;
-  results
+  Fun.protect
+    ~finally:(fun () -> Em.Vec.free ranks_vec)
+    (fun () ->
+      let out = select_vec cmp v ~ranks:ranks_vec in
+      Fun.protect ~finally:(fun () -> Em.Vec.free out) (fun () -> Emalg.Scan.array_of_vec_io out))

@@ -1,24 +1,26 @@
 (* Crash-restartable multi-selection over Emalg.Restart.drive; see the
-   interface.  The step boundaries are the natural phase boundaries of
-   Theorem 4's general case: one step for the multi-partition at every m-th
-   rank, then one step per batch of <= m ranks. *)
+   interface.  The step boundaries are the phase boundaries of
+   Multi_select's general case: one step for the distribution into groups,
+   then one step per group. *)
 
 type ('s, 'r) step_kind = ('s, 'r) Emalg.Restart.step = Next of 's | Done of 'r
 
 type 'a state =
   | Start
-  | Selecting of {
-      parts : 'a Em.Vec.t list;  (* remaining partitions, leftmost first *)
-      batch_idx : int;  (* index of the next rank batch *)
-      results : 'a Em.Vec.t list;  (* selected batches on disk, newest first *)
+  | Answering of {
+      groups : 'a Multi_select.group list;  (* remaining groups, leftmost first *)
+      results : 'a Em.Vec.t list;  (* answered groups on disk, newest first *)
     }
 
 let vec_words v = Em.Vec.num_blocks v + 2
 
 let state_words = function
   | Start -> 2
-  | Selecting { parts; results; _ } ->
-      3 + List.fold_left (fun acc v -> acc + vec_words v) 0 (parts @ results)
+  | Answering { groups; results } ->
+      List.fold_left
+        (fun acc g -> acc + vec_words g.Multi_select.part + vec_words g.Multi_select.ranks)
+        (List.fold_left (fun acc v -> acc + vec_words v) 2 results)
+        groups
 
 let check_ranks v ranks =
   let n = Em.Vec.length v in
@@ -32,40 +34,34 @@ let check_ranks v ranks =
 
 let step cmp v ranks state =
   let ctx = Em.Vec.ctx v in
-  let m = Multi_select.batch_size ctx in
-  let kcount = Array.length ranks in
   match state with
-  | Start ->
-      if kcount = 0 then Done [||]
-      else if kcount <= m then Done (Multi_select.select cmp v ~ranks)
-      else begin
-        let nbatches = (kcount + m - 1) / m in
-        (* Partition boundaries are the last rank of every batch but the
-           final one, so batch offsets need no extra storage. *)
-        let boundary = Array.init (nbatches - 1) (fun j -> ranks.(((j + 1) * m) - 1)) in
+  | Start -> (
+      if Array.length ranks <= Multi_select.batch_size ctx then Done (Multi_select.select cmp v ~ranks)
+      else
         let ictx : int Em.Ctx.t = Em.Ctx.linked ctx in
-        let bounds = Emalg.Scan.vec_of_array_io ictx boundary in
-        let parts = Multi_partition.partition cmp v ~bounds in
-        Em.Vec.free bounds;
-        Next (Selecting { parts = Array.to_list parts; batch_idx = 0; results = [] })
-      end
-  | Selecting { parts = []; results; _ } ->
-      (* Load every batch's results, then free their blocks.  All metered
+        let rv = Emalg.Scan.vec_of_array_io ictx ranks in
+        match Multi_select.groups cmp v ~ranks:rv with
+        | Some groups ->
+            Em.Vec.free rv;
+            Next (Answering { groups = Array.to_list groups; results = [] })
+        | None ->
+            let out = Multi_select.select_vec cmp v ~ranks:rv in
+            Em.Vec.free rv;
+            let selected = Emalg.Scan.array_of_vec_io out in
+            Em.Vec.free out;
+            Done selected)
+  | Answering { groups = []; results } ->
+      (* Load every group's answers, then free their blocks.  All metered
          reads happen before any free: a crash mid-load leaves the result
          vectors intact for the resumed step. *)
       let loaded = List.rev_map Emalg.Scan.array_of_vec_io results in
       List.iter Em.Vec.free results;
       Done (Array.concat loaded)
-  | Selecting { parts = part :: rest; batch_idx; results } ->
-      let lo = batch_idx * m in
-      let hi = min kcount (lo + m) in
-      let offset = if batch_idx = 0 then 0 else ranks.(lo - 1) in
-      let batch = Array.init (hi - lo) (fun i -> ranks.(lo + i) - offset) in
-      let selected = Multi_select.select cmp part ~ranks:batch in
-      (* Spill the batch's results so the checkpoint holds only handles. *)
-      let rv = Emalg.Scan.vec_of_array_io ctx selected in
-      Em.Vec.free part;
-      Next (Selecting { parts = rest; batch_idx = batch_idx + 1; results = rv :: results })
+  | Answering { groups = g :: rest; results } ->
+      (* The answers go to disk so the checkpoint holds only handles. *)
+      let out = Em.Writer.with_writer ctx (fun w -> Multi_select.answer cmp g (Em.Writer.push w)) in
+      Multi_select.free_group g;
+      Next (Answering { groups = rest; results = out :: results })
 
 let select ?max_restarts cmp v ~ranks =
   let ctx = Em.Vec.ctx v in

@@ -1,9 +1,11 @@
 (** Crash-restartable multi-selection (Theorem 4 under a crash-fault model).
 
     Layers {!Multi_select} on the generic {!Emalg.Restart.drive} harness:
-    the multi-partition at every [m]-th rank is one checkpointed step, each
-    batch of [<= m] ranks is another, and batch results are spilled to disk
-    so the checkpoint state holds only block handles.  With [k] crashes the
+    the general case's distribution ({!Multi_select.groups}) is one
+    checkpointed step, each group's answer ({!Multi_select.answer}) is
+    another, and a group's answers are spilled to disk so the checkpoint
+    state holds only block handles.  Inputs that fit in memory and rank
+    sets of at most [m] run as one step.  With [k] crashes the
     total I/O stays within the crash-free cost plus checkpoint overhead plus
     [k] times (one step + one resume); the output is identical to
     {!Multi_select.select}. *)

@@ -1,19 +1,9 @@
 module Rng = struct
-  type t = { mutable state : int64 }
-
-  let create seed = { state = Int64.of_int seed }
-
-  let next64 r =
-    let open Int64 in
-    r.state <- add r.state 0x9E3779B97F4A7C15L;
-    let z = r.state in
-    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-    logxor z (shift_right_logical z 31)
+  include Em.Splitmix
 
   let int r bound =
     if bound <= 0 then invalid_arg "Workload.Rng.int: bound must be positive";
-    Int64.to_int (Int64.rem (Int64.shift_right_logical (next64 r) 1) (Int64.of_int bound))
+    Em.Splitmix.int r bound
 
   let shuffle r a =
     for i = Array.length a - 1 downto 1 do

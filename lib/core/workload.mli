@@ -4,7 +4,7 @@
     All generators are seeded and reproducible; nothing touches the global
     [Random] state. *)
 
-(** A splitmix64 pseudo-random number generator. *)
+(** {!Em.Splitmix} with a workload-level bound check and a shuffle. *)
 module Rng : sig
   type t
 

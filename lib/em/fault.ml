@@ -35,28 +35,9 @@ let is_silent = function
   | Torn_write | Bit_corruption -> true
   | Transient_read | Permanent_read | Transient_write | Permanent_write | Crash -> false
 
-(* A private splitmix64, so plans never touch the global [Random] state and
-   replay identically for a given seed (mirrors Core.Workload.Rng, which this
-   library cannot depend on). *)
-module Rng = struct
-  type t = { mutable state : int64 }
-
-  let create seed = { state = Int64.of_int seed }
-
-  let next r =
-    r.state <- Int64.add r.state 0x9E3779B97F4A7C15L;
-    let z = r.state in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-    Int64.logxor z (Int64.shift_right_logical z 31)
-
-  (* Uniform in [0, 1), using the top 53 bits. *)
-  let float01 r = Int64.to_float (Int64.shift_right_logical (next r) 11) /. 9007199254740992.0
-
-  let int r bound =
-    if bound <= 0 then invalid_arg "Fault.Rng.int: bound must be positive";
-    Int64.to_int (Int64.rem (Int64.shift_right_logical (next r) 1) (Int64.of_int bound))
-end
+(* Plans draw from a seeded splitmix64, so they never touch the global
+   [Random] state and replay identically for a given seed. *)
+module Rng = Splitmix
 
 type plan = {
   mutable seen : int;  (* metered I/O attempts presented to this plan *)

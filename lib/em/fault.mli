@@ -47,15 +47,9 @@ val is_permanent : kind -> bool
 val is_silent : kind -> bool
 (** Silent faults corrupt data without failing the I/O. *)
 
-(** The seeded splitmix64 PRNG used by probabilistic plans (exposed for
-    tests that need to predict a schedule). *)
-module Rng : sig
-  type t
-
-  val create : int -> t
-  val float01 : t -> float
-  val int : t -> int -> int
-end
+(** The seeded generator probabilistic plans draw from (exposed for tests
+    that need to predict a schedule). *)
+module Rng = Splitmix
 
 type plan
 

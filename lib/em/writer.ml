@@ -138,10 +138,15 @@ let abandon w =
   w.blocks <- [];
   release_buffer w
 
+(* [finish] leaves the writer open when its last writes fail, so a failed
+   finish is abandoned like a failed [f]. *)
 let with_writer ?write_behind ctx f =
   let w = create ?write_behind ctx in
-  match f w with
-  | () -> finish w
+  match
+    f w;
+    finish w
+  with
+  | v -> v
   | exception e ->
       abandon w;
       raise e

@@ -2,7 +2,9 @@ let max_fanout ctx =
   let m = Em.Ctx.mem_capacity ctx and b = Em.Ctx.block_size ctx in
   max 1 ((m - b) / (b + 2))
 
-let merge cmp vecs =
+(* The merge proper, with its output abstracted: [output body] runs [body]
+   with the function that receives the merged elements in order. *)
+let merge_with cmp vecs ~output =
   match vecs with
   | [] -> invalid_arg "Merge.merge: no input runs"
   | first :: _ ->
@@ -71,10 +73,10 @@ let merge cmp vecs =
       let run () =
         Em.Ctx.with_words ctx (2 * nruns) (fun () ->
             let heap = Heap.create ~cmp:heap_cmp ~capacity:nruns in
-            (* The writer opens before the heap pulls the first element, so
+            (* The output opens before the heap pulls the first element, so
                every mandatory charge lands before the readers' opportunistic
                read-ahead starts nibbling at the spare budget. *)
-            Em.Writer.with_writer ~write_behind:(d - 1) ctx (fun w ->
+            output (fun push ->
                 (* Initial fill: every run faults on its first block, so
                    group those mandatory reads D to a window (each rides its
                    reader's base charge — no ledger pressure). *)
@@ -90,7 +92,7 @@ let merge cmp vecs =
                 done;
                 while not (Heap.is_empty heap) do
                   let e, i = Heap.pop heap in
-                  Em.Writer.push w e;
+                  push e;
                   let r = readers.(i) in
                   if Em.Reader.has_next r then begin
                     if d > 1 && Em.Reader.pending_io r then forecast_refill i;
@@ -107,3 +109,14 @@ let merge cmp vecs =
       | exception e ->
           Array.iter Em.Reader.close readers;
           raise e)
+
+let merge cmp vecs =
+  match vecs with
+  | [] -> invalid_arg "Merge.merge: no input runs"
+  | first :: _ ->
+      let ctx = Em.Vec.ctx first in
+      merge_with cmp vecs ~output:(fun body ->
+          Em.Writer.with_writer ~write_behind:(Em.Ctx.disks ctx - 1) ctx (fun w ->
+              body (Em.Writer.push w)))
+
+let iter cmp vecs f = merge_with cmp vecs ~output:(fun body -> body f)

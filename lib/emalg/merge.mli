@@ -11,3 +11,8 @@ val merge : ('a -> 'a -> int) -> 'a Em.Vec.t list -> 'a Em.Vec.t
     from a stable run formation is itself stable.  Inputs are {e not} freed.
     Cost: one read per input block, one write per output block.
     @raise Invalid_argument if the list is empty or exceeds [max_fanout]. *)
+
+val iter : ('a -> 'a -> int) -> 'a Em.Vec.t list -> ('a -> unit) -> unit
+(** [iter cmp vecs f] is {!merge} without the output vector: [f] receives
+    the merged elements in order.  Cost: one read per input block.  The
+    [max_fanout] limit counts a writer buffer the caller may hold. *)

@@ -31,9 +31,7 @@ let rec find_rec ~rate cmp v ~k =
               done)
             v)
     in
-    let result = find_rec ~rate cmp sample ~k in
-    Em.Vec.free sample;
-    result
+    Fun.protect ~finally:(fun () -> Em.Vec.free sample) (fun () -> find_rec ~rate cmp sample ~k)
   end
 
 let find ?(rate = default_rate) cmp v ~k =
@@ -109,9 +107,9 @@ let find_tagging ?(rate = default_rate) cmp v ~k =
                 base := !base + count
               done))
     in
-    let result = find_rec ~rate (Order.tagged cmp) sample ~k in
-    Em.Vec.free sample;
-    result
+    Fun.protect
+      ~finally:(fun () -> Em.Vec.free sample)
+      (fun () -> find_rec ~rate (Order.tagged cmp) sample ~k)
   end)
 
 let find_random ~rng ?(oversample = 8) cmp v ~k =

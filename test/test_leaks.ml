@@ -14,8 +14,44 @@ let audit name f =
       Tu.check_int "all intermediate blocks freed" baseline_blocks
         (Em.Device.live_blocks ctx.Em.Ctx.dev))
 
+(* The general case under a fault that aborts it: at every probed I/O of
+   the crash-free run, a crash there must leave the ledger drained and only
+   the input's blocks live.  At M=1024 the input sorts in one merge pass;
+   at M=256 it is distributed, the groups outnumber the writers, and
+   base-case groups and recursions on a bucket are probed too. *)
+let faulted_general ~mem ~k =
+  Alcotest.test_case (Printf.sprintf "multi_select (general case, aborted by a fault, M=%d)" mem) `Quick
+    (fun () ->
+      let n = 6_000 in
+      let data = Tu.random_perm ~seed:19 n in
+      let ranks = Array.init k (fun i -> 1 + (i * (n - 1) / k)) in
+      let run plan =
+        let ctx = Tu.ctx ~mem ~block:16 () in
+        let v = Tu.int_vec ctx data in
+        (* Blocks live across the context's family: the general case keeps
+           its groups on linked devices. *)
+        let live () = ctx.Em.Ctx.stats.Em.Stats.allocated_blocks - ctx.Em.Ctx.stats.Em.Stats.freed_blocks in
+        let baseline = live () in
+        Option.iter (Em.Ctx.inject ctx) plan;
+        let ios = ref 0 in
+        (match
+           Em.Ctx.measured ctx (fun () -> Core.Multi_select.select Tu.icmp v ~ranks)
+         with
+        | _, d -> ios := Em.Stats.delta_ios d
+        | exception Em.Em_error.Error (Em.Em_error.Crashed _) -> ());
+        Tu.check_int "memory ledger drained" 0 ctx.Em.Ctx.stats.Em.Stats.mem_in_use;
+        Tu.check_int "all intermediate blocks freed" baseline (live ());
+        !ios
+      in
+      let total = run None in
+      for i = 1 to 40 do
+        ignore (run (Some (Em.Fault.crash_at [ 1 + (i * (total - 1) / 41) ])))
+      done)
+
 let suite =
   [
+    faulted_general ~mem:1024 ~k:40;
+    faulted_general ~mem:256 ~k:64;
     audit "external sort" (fun _ctx v _n ->
         Em.Vec.free (Emalg.External_sort.sort Tu.icmp v));
     audit "em_select" (fun _ctx v n ->

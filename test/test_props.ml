@@ -220,6 +220,44 @@ let prop_multi_select_base_case =
       && stats.Em.Stats.mem_peak <= mem
       && stats.Em.Stats.mem_in_use = 0)
 
+(* The general case ([K > m] above [big_load]) against the sorted oracle on
+   random, all-equal and few-distinct keys.  Half the inputs are at most 16M
+   (mostly the one-merge sort), half lie above M * M/B, where the splitter
+   sample, counting scan, rank routing, grouped distribution and per-group
+   answers run.  The small geometries (m = 2 at M = 256, m = 4 at M = 512)
+   drive those through base-case groups, fresh recursions and multi-pass
+   distribution within M. *)
+let prop_multi_select_general_case =
+  let gen =
+    let open Gen in
+    let* mem, block = oneofl [ (4096, 64); (256, 16); (512, 8) ] in
+    let ctx0 = Tu.ctx ~mem ~block () in
+    let big = Emalg.Layout.big_load ctx0 and m = Core.Multi_select.batch_size ctx0 in
+    let counted = mem * (mem / block) in
+    let* n = oneof [ int_range (big + 1) (16 * mem); int_range (counted + 1) (counted + (16 * mem)) ] in
+    let* nranks = int_range (m + 1) (min n (4 * mem)) in
+    let* bound = oneofl [ max_int; 1; 3 ] in
+    let* seed = int_range 0 1_000_000 in
+    return (mem, block, n, bound, nranks, seed)
+  in
+  Tu.qcheck_case ~count:30 "multi_select general case: oracle within M" gen
+    (fun (mem, block, n, bound, nranks, seed) ->
+      let a = Tu.random_ints ~seed ~bound n in
+      let r = Tu.rng (seed + 1) in
+      let set = Hashtbl.create nranks in
+      while Hashtbl.length set < nranks do
+        Hashtbl.replace set (1 + Tu.next_int r n) ()
+      done;
+      let ranks = Array.of_list (List.sort Tu.icmp (Hashtbl.fold (fun k () acc -> k :: acc) set [])) in
+      let ctx = Tu.ctx ~mem ~block () in
+      let v = Tu.int_vec ctx a in
+      let results = Core.Multi_select.select Tu.icmp v ~ranks in
+      let sorted = Tu.sorted_copy a in
+      let stats = ctx.Em.Ctx.stats in
+      results = Array.map (fun rk -> sorted.(rk - 1)) ranks
+      && stats.Em.Stats.mem_peak <= mem
+      && stats.Em.Stats.mem_in_use = 0)
+
 let prop_intermixed_oracle =
   let gen =
     let open Gen in
@@ -354,6 +392,7 @@ let suite =
     prop_external_sort;
     prop_sample_splitters_gap;
     prop_multi_select_base_case;
+    prop_multi_select_general_case;
     prop_intermixed_oracle;
     prop_packed_matches_separate;
     prop_reduction_precise;
