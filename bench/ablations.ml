@@ -147,7 +147,7 @@ let geometry () =
         let spec = { Core.Problem.n; k = 64; a = 0; b = n / 16 } in
         let lp =
           Exp.measure ~machine ~seed ~n (fun _ctx v ->
-              Array.iter Em.Vec.free (Core.Partitioning.left_grounded icmp v spec))
+              Array.iter Em.Vec.free (Core.Partitioning.solve icmp v spec))
         in
         let sort =
           Exp.measure ~machine ~seed ~n (fun _ctx v ->
@@ -247,7 +247,7 @@ let phases () =
         (Core.Multi_partition.partition_sizes icmp v ~sizes:(Array.make 64 (n / 64))));
   show "two-sided splitters" (fun _ctx v ->
       Em.Vec.free
-        (Core.Splitters.two_sided icmp v
+        (Core.Splitters.solve icmp v
            { Core.Problem.n; k = 64; a = max 1 (n / 512); b = n / 8 }));
   show "external sort" (fun _ctx v -> Em.Vec.free (Emalg.External_sort.sort icmp v));
   Printf.printf

@@ -31,7 +31,7 @@ let sublinear () =
         else begin
           let m =
             Exp.measure ~machine ~seed ~n (fun _ctx v ->
-                let out = Core.Splitters.right_grounded icmp v spec in
+                let out = Core.Splitters.solve icmp v spec in
                 let input = Em.Vec.Oracle.to_array v in
                 Exp.expect_ok "splitters"
                   (Core.Verify.splitters icmp ~input spec (Em.Vec.Oracle.to_array out)))
@@ -195,7 +195,7 @@ let scaling () =
         let left_spec = { Core.Problem.n; k = 16; a = 0; b = n / 4 } in
         let ls =
           Exp.measure ~machine ~seed ~n (fun _ctx v ->
-              Em.Vec.free (Core.Splitters.left_grounded icmp v left_spec))
+              Em.Vec.free (Core.Splitters.solve icmp v left_spec))
         in
         let sort =
           Exp.measure ~machine ~seed ~n (fun _ctx v ->
@@ -406,16 +406,16 @@ let floors () =
       [
         ( "right a=64 K=256",
           { Core.Problem.n; k = 256; a = 64; b = n },
-          fun v spec -> Em.Vec.free (Core.Splitters.right_grounded icmp v spec) );
+          fun v spec -> Em.Vec.free (Core.Splitters.solve icmp v spec) );
         ( "right a=512 K=64",
           { Core.Problem.n; k = 64; a = 512; b = n },
-          fun v spec -> Em.Vec.free (Core.Splitters.right_grounded icmp v spec) );
+          fun v spec -> Em.Vec.free (Core.Splitters.solve icmp v spec) );
         ( "left b=N/16 K=64",
           { Core.Problem.n; k = 64; a = 0; b = n / 16 },
-          fun v spec -> Em.Vec.free (Core.Splitters.left_grounded icmp v spec) );
+          fun v spec -> Em.Vec.free (Core.Splitters.solve icmp v spec) );
         ( "left b=N/4 K=16",
           { Core.Problem.n; k = 16; a = 0; b = n / 4 },
-          fun v spec -> Em.Vec.free (Core.Splitters.left_grounded icmp v spec) );
+          fun v spec -> Em.Vec.free (Core.Splitters.solve icmp v spec) );
       ]
   in
   Exp.table
@@ -466,7 +466,7 @@ let reduction () =
           Exp.measure ~machine ~seed ~n (fun _ctx v ->
               let k = (n + chunk - 1) / chunk in
               Array.iter Em.Vec.free
-                (Core.Partitioning.left_grounded icmp v
+                (Core.Partitioning.solve icmp v
                    { Core.Problem.n; k; a = 0; b = chunk }))
         in
         let post = reduction.Exp.ios - approx.Exp.ios in
@@ -520,7 +520,7 @@ let disks_sweep () =
         in
         let spl =
           Exp.measure ~machine ~seed ~n ~disks:d (fun _ctx v ->
-              Em.Vec.free (Core.Splitters.left_grounded icmp v spec))
+              Em.Vec.free (Core.Splitters.solve icmp v spec))
         in
         let geom = [ ("disks", d) ] in
         artifacts :=

@@ -24,7 +24,7 @@ let () =
           let v = Core.Workload.vec ctx Core.Workload.Pi_hard ~seed:11 ~n in
           let spec = { Core.Problem.n; k; a; b = n } in
           let out, cost =
-            Em.Ctx.measured ctx (fun () -> Core.Splitters.right_grounded icmp v spec)
+            Em.Ctx.measured ctx (fun () -> Core.Splitters.solve icmp v spec)
           in
           let ios = Em.Stats.delta_ios cost in
           (match

@@ -5,170 +5,67 @@ let check v spec =
   if spec.Problem.n <> Em.Vec.length v then
     invalid_arg "Partitioning: spec.n does not match the input length"
 
-(* Stream-generate the cut positions [f 1 .. f count] to a fresh int vec. *)
-let gen_bounds ictx ~count f =
-  Em.Writer.with_writer ictx (fun w ->
-      for i = 1 to count do
-        Em.Writer.push w (f i)
-      done)
-
-(* Multi-partition [v] at the given generated cut positions. *)
-let partition_at cmp v ~count f =
-  if count = 0 then [| Emalg.Scan.copy v |]
-  else begin
-    let ictx : int Em.Ctx.t = Em.Ctx.linked (Em.Vec.ctx v) in
-    let bounds = gen_bounds ictx ~count f in
-    let parts = Multi_partition.partition cmp v ~bounds in
-    Em.Vec.free bounds;
-    parts
-  end
-
-let append_empties ctx parts count =
-  Array.append parts (Array.init count (fun _ -> Em.Vec.empty ctx))
-
-let right_grounded cmp v spec =
-  check v spec;
+(* The one dispatch, shared by both output modes.  Every regime
+   multi-partitions at the plan's cuts below [n] (a cut at [n] closes an
+   empty trailing partition); right-grounded first cuts off its large last
+   partition with one exact selection and multi-partitions only the [a(K-1)]
+   smallest elements.  Returns the vector to multi-partition, the number of
+   cuts inside it, and that owned last partition, if any. *)
+let plan cmp v spec =
   let { Problem.k; a; _ } = spec in
-  let ctx = Em.Vec.ctx v in
-  if k = 1 then [| Emalg.Scan.copy v |]
-  else if a = 0 then
-    (* Unconstrained minimum: the first K-1 partitions may be empty. *)
-    Array.append (Array.init (k - 1) (fun _ -> Em.Vec.empty ctx)) [| Emalg.Scan.copy v |]
-  else begin
-    let low, high, _ = Emalg.Em_select.split_at cmp v ~rank:(a * (k - 1)) in
-    let low_parts = partition_at cmp low ~count:(k - 2) (fun i -> i * a) in
-    Em.Vec.free low;
-    Array.append low_parts [| high |]
-  end
+  match Problem.classify spec with
+  | Problem.Right_grounded when k > 1 ->
+      let low, high = Emalg.Em_select.split_at cmp v ~rank:(a * (k - 1)) in
+      (low, k - 2, Some high)
+  | _ -> (v, Problem.nonempty spec - 1, None)
 
-let left_grounded cmp v spec =
-  check v spec;
-  let { Problem.n; k; b; _ } = spec in
-  let ctx = Em.Vec.ctx v in
-  let k' = (n + b - 1) / b in
-  (* k' <= k is guaranteed by validation (b * k >= n). *)
-  let parts = partition_at cmp v ~count:(k' - 1) (fun i -> i * b) in
-  append_empties ctx parts (k - Array.length parts)
-
-let even_partition cmp v ~k =
-  let n = Em.Vec.length v in
-  partition_at cmp v ~count:(k - 1) (fun i -> ((i * n) + k - 1) / k)
-
-let two_sided cmp v spec =
-  check v spec;
-  let { Problem.n; k; a; b } = spec in
-  if k = 1 then [| Emalg.Scan.copy v |]
-  else if 2 * a * k >= n || b * k <= 2 * n then even_partition cmp v ~k
-  else begin
-    let k' = ((b * k) - n) / (b - a) in
-    if k' < 1 || k' > k - 1 then
-      invalid_arg "Partitioning.two_sided: internal error (K' out of range)";
-    let low, high, _ = Emalg.Em_select.split_at cmp v ~rank:(a * k') in
-    let g = k - k' in
-    let low_parts = partition_at cmp low ~count:(k' - 1) (fun i -> i * a) in
-    let high_parts = even_partition cmp high ~k:g in
-    Em.Vec.free low;
-    Em.Vec.free high;
-    Array.append low_parts high_parts
-  end
+(* Run [f] on the first [count] cuts of the plan, spilled to a fresh vector. *)
+let with_bounds spec src ~count f =
+  let ictx : int Em.Ctx.t = Em.Ctx.linked (Em.Vec.ctx src) in
+  let bounds =
+    Em.Writer.with_writer ictx (fun w ->
+        for i = 1 to count do
+          Em.Writer.push w (Problem.cut spec i)
+        done)
+  in
+  let result = f bounds in
+  Em.Vec.free bounds;
+  result
 
 let solve cmp v spec =
   check v spec;
-  match Problem.classify spec with
-  | Problem.Unconstrained ->
-      let ctx = Em.Vec.ctx v in
-      Array.append
-        [| Emalg.Scan.copy v |]
-        (Array.init (spec.Problem.k - 1) (fun _ -> Em.Vec.empty ctx))
-  | Problem.Right_grounded -> right_grounded cmp v spec
-  | Problem.Left_grounded -> left_grounded cmp v spec
-  | Problem.Two_sided -> two_sided cmp v spec
+  let src, count, last = plan cmp v spec in
+  let parts =
+    if count = 0 then [| Emalg.Scan.copy src |]
+    else with_bounds spec src ~count (fun bounds -> Multi_partition.partition cmp src ~bounds)
+  in
+  let parts =
+    match last with
+    | None -> parts
+    | Some high ->
+        Em.Vec.free src;
+        Array.append parts [| high |]
+  in
+  let ctx = Em.Vec.ctx v in
+  Array.append parts
+    (Array.init (spec.Problem.k - Array.length parts) (fun _ -> Em.Vec.empty ctx))
 
 type 'a packed = { data : 'a Em.Vec.t; sizes : int array }
 
-(* Packed variants: same algorithms, all partitions streamed in order into
-   one writer (the paper's linked-list output format). *)
-
-(* Multi-partition [v] at generated cuts straight into [w]; [count] may be
-   zero (plain append). *)
-let partition_into cmp v ~count f w =
-  if count = 0 then Emalg.Scan.append w v
-  else begin
-    let ictx : int Em.Ctx.t = Em.Ctx.linked (Em.Vec.ctx v) in
-    let bounds = gen_bounds ictx ~count f in
-    Multi_partition.partition_packed_into cmp v ~bounds w;
-    Em.Vec.free bounds
-  end
-
-let even_sizes ~total ~parts =
-  Array.init parts (fun i ->
-      let hi = ((i + 1) * total) + parts - 1 in
-      let lo = (i * total) + parts - 1 in
-      (hi / parts) - (lo / parts))
-
 let solve_packed cmp v spec =
   check v spec;
-  let { Problem.n; k; a; b } = spec in
-  let ctx = Em.Vec.ctx v in
-  match Problem.classify spec with
-  | Problem.Unconstrained ->
-      let data = Em.Writer.with_writer ctx (fun w -> Emalg.Scan.append w v) in
-      { data; sizes = Array.init k (fun i -> if i = 0 then n else 0) }
-  | Problem.Right_grounded ->
-      if k = 1 then
-        { data = Emalg.Scan.copy v; sizes = [| n |] }
-      else if a = 0 then
-        {
-          data = Emalg.Scan.copy v;
-          sizes = Array.init k (fun i -> if i = k - 1 then n else 0);
-        }
-      else begin
-        let low, high, _ = Emalg.Em_select.split_at cmp v ~rank:(a * (k - 1)) in
-        let data =
-          Em.Writer.with_writer ctx (fun w ->
-              partition_into cmp low ~count:(k - 2) (fun i -> i * a) w;
-              Emalg.Scan.append w high)
-        in
-        Em.Vec.free low;
-        Em.Vec.free high;
-        let sizes = Array.init k (fun i -> if i < k - 1 then a else n - (a * (k - 1))) in
-        { data; sizes }
-      end
-  | Problem.Left_grounded ->
-      let k' = (n + b - 1) / b in
-      let data =
-        Em.Writer.with_writer ctx (fun w ->
-            partition_into cmp v ~count:(k' - 1) (fun i -> i * b) w)
-      in
-      let sizes =
-        Array.init k (fun i ->
-            if i < k' - 1 then b
-            else if i = k' - 1 then n - (b * (k' - 1))
-            else 0)
-      in
-      { data; sizes }
-  | Problem.Two_sided ->
-      if 2 * a * k >= n || b * k <= 2 * n then begin
-        let sizes = even_sizes ~total:n ~parts:k in
-        let data =
-          Em.Writer.with_writer ctx (fun w ->
-              partition_into cmp v ~count:(k - 1)
-                (fun i -> ((i * n) + k - 1) / k)
-                w)
-        in
-        { data; sizes }
-      end
-      else begin
-        let k' = ((b * k) - n) / (b - a) in
-        let low, high, _ = Emalg.Em_select.split_at cmp v ~rank:(a * k') in
-        let h = n - (a * k') and g = k - k' in
-        let data =
-          Em.Writer.with_writer ctx (fun w ->
-              partition_into cmp low ~count:(k' - 1) (fun i -> i * a) w;
-              partition_into cmp high ~count:(g - 1) (fun i -> ((i * h) + g - 1) / g) w)
-        in
-        Em.Vec.free low;
-        Em.Vec.free high;
-        let sizes = Array.append (Array.make k' a) (even_sizes ~total:h ~parts:g) in
-        { data; sizes }
-      end
+  let src, count, last = plan cmp v spec in
+  let data =
+    Em.Writer.with_writer (Em.Vec.ctx v) (fun w ->
+        if count = 0 then Emalg.Scan.append w src
+        else
+          with_bounds spec src ~count (fun bounds ->
+              Multi_partition.partition_packed_into cmp src ~bounds w);
+        Option.iter (Emalg.Scan.append w) last)
+  in
+  Option.iter
+    (fun high ->
+      Em.Vec.free src;
+      Em.Vec.free high)
+    last;
+  { data; sizes = Problem.sizes spec }

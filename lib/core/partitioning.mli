@@ -2,7 +2,8 @@
     physically divide [S] into [K] ordered partitions whose sizes all lie in
     [[a, b]].
 
-    The paper's algorithms, per regime:
+    The partition sizes are the spec's {!Problem.cut} plan; the paper's
+    algorithms, per regime:
 
     - {b right-grounded} ([b = N]): cut off the [a(K-1)] smallest elements
       (exact external selection, [O(N/B)]) and multi-partition them into
@@ -11,15 +12,15 @@
     - {b left-grounded} ([a = 0]): multi-partition at ranks [ib] for
       [i < K' = ceil(N/b)] and append [K - K'] empty partitions —
       [O((N/B) lg_{M/B} min(N/b, N/B))] I/Os;
-    - {b two-sided}: the same [K'] split as the splitters algorithm, with
-      multi-partition replacing multi-selection on each side.
+    - {b two-sided}: one multi-partition at the same [K'] cut ranks as the
+      splitters algorithm.
 
     Partitions come back as an array of vectors in order; empty partitions
     are empty vectors. *)
 
 val solve :
   ('a -> 'a -> int) -> 'a Em.Vec.t -> Problem.spec -> 'a Em.Vec.t array
-(** Dispatch on the spec's {!Problem.variant}; input preserved.
+(** Partition by the spec's plan; input preserved.
     @raise Invalid_argument if the spec is invalid or does not match the
     input length. *)
 
@@ -35,12 +36,3 @@ type 'a packed = {
 val solve_packed :
   ('a -> 'a -> int) -> 'a Em.Vec.t -> Problem.spec -> 'a packed
 (** Same algorithms as {!solve}, with the linked-list output format. *)
-
-val right_grounded :
-  ('a -> 'a -> int) -> 'a Em.Vec.t -> Problem.spec -> 'a Em.Vec.t array
-
-val left_grounded :
-  ('a -> 'a -> int) -> 'a Em.Vec.t -> Problem.spec -> 'a Em.Vec.t array
-
-val two_sided :
-  ('a -> 'a -> int) -> 'a Em.Vec.t -> Problem.spec -> 'a Em.Vec.t array

@@ -24,6 +24,32 @@ let classify { n; a; b; _ } =
   | false, true -> Right_grounded
   | false, false -> Two_sided
 
+let cut ({ n; k; a; b } as spec) i =
+  if i <= 0 then 0
+  else if i >= k then n
+  else
+    match classify spec with
+    | Unconstrained -> n
+    | Right_grounded -> i * a
+    | Left_grounded -> min (i * b) n
+    | Two_sided ->
+        if 2 * a * k >= n || b * k <= 2 * n then ((i * n) + k - 1) / k
+        else begin
+          let k' = ((b * k) - n) / (b - a) in
+          if i <= k' then i * a
+          else
+            let h = n - (a * k') and g = k - k' in
+            (a * k') + ((((i - k') * h) + g - 1) / g)
+        end
+
+let nonempty ({ n; k; b; _ } as spec) =
+  match classify spec with
+  | Unconstrained -> 1
+  | Left_grounded -> (n + b - 1) / b
+  | Right_grounded | Two_sided -> k
+
+let sizes spec = Array.init spec.k (fun i -> cut spec (i + 1) - cut spec i)
+
 let even_spec ~n ~k = { n; k; a = n / k; b = (n + k - 1) / k }
 
 let variant_name = function

@@ -23,6 +23,28 @@ val validate_exn : spec -> unit
 
 val classify : spec -> variant
 
+val cut : spec -> int -> int
+(** [cut spec i] is the number of elements in the first [i] partitions of
+    the spec's plan ([cut spec 0 = 0], [cut spec k = n]); for [0 < i < k] it
+    is the global rank of the [i]-th splitter.  The plan per regime:
+
+    - unconstrained: everything in the first partition;
+    - right-grounded: [K - 1] partitions of exactly [a], the rest last;
+    - left-grounded: partitions of [b] while [K' = ceil(N/b)] last, then
+      [K - K'] empty ones;
+    - two-sided: the paper's [K' = (bK - N)/(b - a)] partitions of exactly
+      [a], then the remaining [N - aK'] elements cut evenly into [K - K'];
+      when [a >= N/2K] or [b <= 2N/K] simply [ceil(iN/K)] (even quantiles).
+
+    The spec must be valid ({!validate}). *)
+
+val nonempty : spec -> int
+(** How many of the plan's partitions are nonempty; they come first, so
+    [cut spec i < n] exactly for [i < nonempty spec]. *)
+
+val sizes : spec -> int array
+(** The [K] partition sizes of the plan: [cut spec (i+1) - cut spec i]. *)
+
 val even_spec : n:int -> k:int -> spec
 (** The perfectly balanced instance [a = floor(n/k)], [b = ceil(n/k)] (the
     paper's [a = b = N/K] when [k] divides [n]). *)

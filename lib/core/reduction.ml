@@ -3,7 +3,7 @@
 (* Split a buffer vector into its [count] smallest elements and the rest.
    The buffer is consumed. *)
 let cut_buffer cmp r ~count =
-  let low, high, _ = Emalg.Em_select.split_at cmp r ~rank:count in
+  let low, high = Emalg.Em_select.split_at cmp r ~rank:count in
   Em.Vec.free r;
   (low, high)
 
@@ -16,7 +16,7 @@ let precise_by_approximate cmp v ~chunk =
     let k = (n + chunk - 1) / chunk in
     (* Step 1: left-grounded approximate K-partitioning with b = chunk. *)
     let spec = { Problem.n; k; a = 0; b = min chunk n } in
-    let approx = Partitioning.left_grounded cmp v spec in
+    let approx = Partitioning.solve cmp v spec in
     (* Step 2: stream the partitions through the buffer R, emitting an exact
        [chunk]-sized partition whenever R holds more than [chunk] elements.
        Each append is a copy scan and each cut is linear in |R| <= 2*chunk,

@@ -21,7 +21,8 @@ val precise_by_approximate :
 (** [precise_by_approximate cmp v ~chunk] divides [v] into partitions of
     exactly [chunk] elements (the last may be smaller when [chunk] does not
     divide the length), in order, using the Section 3 reduction on top of
-    {!Partitioning.left_grounded}.  The input is preserved.
+    left-grounded {!Partitioning.solve} ([a = 0], [b = chunk]).  The input
+    is preserved.
     @raise Invalid_argument if [chunk < 1]. *)
 
 val sort_by_partitioning :

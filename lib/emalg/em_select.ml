@@ -161,4 +161,4 @@ let split_at cmp v ~rank =
       if tcmp (e, !pos) (x, px) <= 0 then Em.Writer.push low e
       else Em.Writer.push high e)
     v;
-  (Em.Writer.finish low, Em.Writer.finish high, x)
+  (Em.Writer.finish low, Em.Writer.finish high)

@@ -19,9 +19,8 @@ val select_tagged : ('a -> 'a -> int) -> 'a Em.Vec.t -> rank:int -> 'a * int
 (** Like {!select} but also reports the input position of the selected
     occurrence, so callers can split exactly at the rank under duplicates. *)
 
-val split_at : ('a -> 'a -> int) -> 'a Em.Vec.t -> rank:int -> 'a Em.Vec.t * 'a Em.Vec.t * 'a
-(** [split_at cmp v ~rank] returns [(low, high, x)] where [low] holds exactly
-    [rank] elements, every one [<=] every element of [high], and [x] is the
-    largest element of [low] (the element of the given rank).  Duplicate keys
-    straddling the cut are routed by input position (stable).  [O(N/B)]
-    I/Os; the input is preserved. *)
+val split_at : ('a -> 'a -> int) -> 'a Em.Vec.t -> rank:int -> 'a Em.Vec.t * 'a Em.Vec.t
+(** [split_at cmp v ~rank] returns [(low, high)] where [low] holds exactly
+    [rank] elements and every one is [<=] every element of [high].
+    Duplicate keys straddling the cut are routed by input position
+    (stable).  [O(N/B)] I/Os; the input is preserved. *)

@@ -15,8 +15,10 @@ while read -r args; do
 done <<EOF
 splitters -n 20000 -k 16 -a 128
 splitters -n 20000 -k 16 -a 128 --baseline
+splitters -n 20000 -k 16 -a 200 -b 4000
 partition -n 20000 -k 10 -b 4000
 partition -n 20000 -k 10 -b 4000 --baseline
+partition -n 20000 -k 16 -a 200 -b 4000
 multiselect -n 20000 --ranks 1,5000,10000,20000
 multiselect -n 20000 --ranks 1,5000,10000,20000 --baseline
 multipartition -n 20000 --sizes 5000,5000,10000

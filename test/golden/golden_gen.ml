@@ -42,6 +42,7 @@ let specs =
     { Core.Problem.n; k = 16; a = 32; b = n };
     { Core.Problem.n; k = 16; a = 0; b = 512 };
     { Core.Problem.n; k = 8; a = 64; b = 1024 };
+    { Core.Problem.n; k = 16; a = 32; b = 1024 };
   ]
 
 let ranks = [| 1; 100; 2048; 4095 |]

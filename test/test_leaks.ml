@@ -57,7 +57,7 @@ let suite =
     audit "em_select" (fun _ctx v n ->
         ignore (Emalg.Em_select.select Tu.icmp v ~rank:(n / 3)));
     audit "em_select split_at" (fun _ctx v n ->
-        let low, high, _ = Emalg.Em_select.split_at Tu.icmp v ~rank:(n / 4) in
+        let low, high = Emalg.Em_select.split_at Tu.icmp v ~rank:(n / 4) in
         Em.Vec.free low;
         Em.Vec.free high);
     audit "sample splitters" (fun _ctx v _n ->
@@ -84,23 +84,23 @@ let suite =
           (Core.Multi_partition.partition_sizes Tu.icmp v ~sizes:[| n / 2; n / 4; n / 4 |]));
     audit "splitters right" (fun _ctx v n ->
         Em.Vec.free
-          (Core.Splitters.right_grounded Tu.icmp v { Core.Problem.n; k = 8; a = 16; b = n }));
+          (Core.Splitters.solve Tu.icmp v { Core.Problem.n; k = 8; a = 16; b = n }));
     audit "splitters left (with padding)" (fun _ctx v n ->
         Em.Vec.free
-          (Core.Splitters.left_grounded Tu.icmp v { Core.Problem.n; k = 32; a = 0; b = n / 2 }));
+          (Core.Splitters.solve Tu.icmp v { Core.Problem.n; k = 32; a = 0; b = n / 2 }));
     audit "splitters two-sided" (fun _ctx v n ->
         Em.Vec.free
-          (Core.Splitters.two_sided Tu.icmp v
+          (Core.Splitters.solve Tu.icmp v
              { Core.Problem.n; k = 8; a = n / 64; b = n / 2 }));
     audit "partitioning right" (fun _ctx v n ->
         Array.iter Em.Vec.free
-          (Core.Partitioning.right_grounded Tu.icmp v { Core.Problem.n; k = 8; a = 16; b = n }));
+          (Core.Partitioning.solve Tu.icmp v { Core.Problem.n; k = 8; a = 16; b = n }));
     audit "partitioning left" (fun _ctx v n ->
         Array.iter Em.Vec.free
-          (Core.Partitioning.left_grounded Tu.icmp v { Core.Problem.n; k = 16; a = 0; b = n / 4 }));
+          (Core.Partitioning.solve Tu.icmp v { Core.Problem.n; k = 16; a = 0; b = n / 4 }));
     audit "partitioning two-sided" (fun _ctx v n ->
         Array.iter Em.Vec.free
-          (Core.Partitioning.two_sided Tu.icmp v
+          (Core.Partitioning.solve Tu.icmp v
              { Core.Problem.n; k = 8; a = n / 64; b = n / 2 }));
     audit "quantiles" (fun _ctx v _n ->
         Em.Vec.free (Core.Splitters.exact_quantiles Tu.icmp v ~k:10));

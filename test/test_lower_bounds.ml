@@ -22,7 +22,7 @@ let test_splitters_right_seen_elements () =
       let reads, n =
         measure_reads (fun _ctx v n ->
             let spec = { Core.Problem.n; k; a; b = n } in
-            Em.Vec.free (Core.Splitters.right_grounded Tu.icmp v spec))
+            Em.Vec.free (Core.Splitters.solve Tu.icmp v spec))
       in
       ignore n;
       let minimum = a * k / machine_block in
@@ -37,7 +37,7 @@ let test_splitters_left_seen_elements () =
   let reads, n =
     measure_reads (fun _ctx v n ->
         let spec = { Core.Problem.n; k = 16; a = 0; b = n / 2 } in
-        Em.Vec.free (Core.Splitters.left_grounded Tu.icmp v spec))
+        Em.Vec.free (Core.Splitters.solve Tu.icmp v spec))
   in
   Tu.check_bool
     (Printf.sprintf "reads %d >= N/2B = %d" reads (n / (2 * machine_block)))
@@ -50,7 +50,7 @@ let test_partitioning_right_sees_everything () =
   let reads, n =
     measure_reads (fun _ctx v n ->
         let spec = { Core.Problem.n; k = 8; a = 4; b = n } in
-        Array.iter Em.Vec.free (Core.Partitioning.right_grounded Tu.icmp v spec))
+        Array.iter Em.Vec.free (Core.Partitioning.solve Tu.icmp v spec))
   in
   Tu.check_bool
     (Printf.sprintf "reads %d >= N/B = %d" reads (n / machine_block))
@@ -62,7 +62,7 @@ let test_partitioning_left_sees_everything () =
   let reads, n =
     measure_reads (fun _ctx v n ->
         let spec = { Core.Problem.n; k = 16; a = 0; b = n / 8 } in
-        Array.iter Em.Vec.free (Core.Partitioning.left_grounded Tu.icmp v spec))
+        Array.iter Em.Vec.free (Core.Partitioning.solve Tu.icmp v spec))
   in
   Tu.check_bool "full scan forced" true (reads >= n / machine_block)
 

@@ -77,7 +77,7 @@ let test_right_grounded_avoids_full_sort () =
   let v = Tu.int_vec ctx (Core.Workload.generate perm ~seed:13 ~n ~block:32) in
   let spec = { Core.Problem.n; k = 8; a = 32; b = n } in
   let snap = Em.Stats.snapshot ctx.Em.Ctx.stats in
-  let parts = Core.Partitioning.right_grounded Tu.icmp v spec in
+  let parts = Core.Partitioning.solve Tu.icmp v spec in
   let ours = Em.Stats.ios_since ctx.Em.Ctx.stats snap in
   Array.iter Em.Vec.free parts;
   let snap2 = Em.Stats.snapshot ctx.Em.Ctx.stats in

@@ -56,7 +56,7 @@ let test_precise_linear_io () =
   Array.iter Em.Vec.free parts;
   let snap2 = Em.Stats.snapshot ctx.Em.Ctx.stats in
   let spec = { Core.Problem.n; k = n / chunk; a = 0; b = chunk } in
-  Array.iter Em.Vec.free (Core.Partitioning.left_grounded Tu.icmp v spec);
+  Array.iter Em.Vec.free (Core.Partitioning.solve Tu.icmp v spec);
   let approx_only = Em.Stats.ios_since ctx.Em.Ctx.stats snap2 in
   let nb = n / 64 in
   (* Each buffer cut pays an external split_at (~5 scans of <= 2*chunk) plus

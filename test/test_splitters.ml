@@ -33,7 +33,7 @@ let test_right_grounded_sublinear_io () =
   let v = Tu.int_vec ctx (Core.Workload.generate perm ~seed:4 ~n ~block:64) in
   let spec = { Core.Problem.n; k = 16; a = 8; b = n } in
   let snap = Em.Stats.snapshot ctx.Em.Ctx.stats in
-  let out = Core.Splitters.right_grounded Tu.icmp v spec in
+  let out = Core.Splitters.solve Tu.icmp v spec in
   let ios = Em.Stats.ios_since ctx.Em.Ctx.stats snap in
   let one_scan = n / 64 in
   Tu.check_bool
@@ -61,13 +61,31 @@ let test_two_sided_easy_case () =
     (solve_and_verify ~seed:8 ~kind:perm { Core.Problem.n = 10_000; k = 10; a = 600; b = 1_500 })
 
 let test_two_sided_hard_case () =
-  (* a < n/2K and b > 2n/K: the K' low/high split. *)
+  (* a < n/2K and b > 2n/K: the K' cut plan. *)
   ignore
     (solve_and_verify ~seed:9 ~kind:perm { Core.Problem.n = 10_000; k = 10; a = 100; b = 4_000 })
 
 let test_two_sided_extreme_slack () =
   ignore
     (solve_and_verify ~seed:10 ~kind:perm { Core.Problem.n = 10_000; k = 100; a = 1; b = 9_000 })
+
+let test_two_sided_below_sort () =
+  (* The K' plan's K-1 cut ranks in one multi-selection: cheaper than
+     sorting the input (Pi_hard, N = 2^17, K = 64, a = 512, b = 8192 gives
+     K' = 51; a < N/2K and b > 2N/K, so no shortcut). *)
+  let ctx = Tu.ctx ~mem:4096 ~block:64 () in
+  let n = 1 lsl 17 in
+  let v = Tu.int_vec ctx (Core.Workload.generate Core.Workload.Pi_hard ~seed:4 ~n ~block:64) in
+  let spec = { Core.Problem.n; k = 64; a = 512; b = 8_192 } in
+  let snap = Em.Stats.snapshot ctx.Em.Ctx.stats in
+  Em.Vec.free (Core.Splitters.solve Tu.icmp v spec);
+  let ours = Em.Stats.ios_since ctx.Em.Ctx.stats snap in
+  let snap = Em.Stats.snapshot ctx.Em.Ctx.stats in
+  Em.Vec.free (Emalg.External_sort.sort Tu.icmp v);
+  let sort = Em.Stats.ios_since ctx.Em.Ctx.stats snap in
+  Tu.check_bool
+    (Printf.sprintf "two-sided splitters %d I/Os < sort %d" ours sort)
+    true (ours < sort)
 
 let test_unconstrained () =
   ignore
@@ -113,6 +131,7 @@ let suite =
     Alcotest.test_case "two-sided: shortcut case" `Quick test_two_sided_easy_case;
     Alcotest.test_case "two-sided: K' split case" `Quick test_two_sided_hard_case;
     Alcotest.test_case "two-sided: extreme slack" `Quick test_two_sided_extreme_slack;
+    Alcotest.test_case "two-sided: K' plan below sort" `Quick test_two_sided_below_sort;
     Alcotest.test_case "unconstrained" `Quick test_unconstrained;
     Alcotest.test_case "k = 1" `Quick test_k_equals_one;
     Alcotest.test_case "exact quantile spec" `Quick test_exact_quantile_spec;
