@@ -69,27 +69,24 @@ let emit_sorted_leaf ~proj st items local_bounds =
    boundary land in the earlier bucket (local bound = bucket size). *)
 let route_bounds ictx bounds_vec cumulative =
   let nbuckets = Array.length cumulative in
-  let per_bucket = Array.make nbuckets None in
-  let current = ref 0 in
+  let finished = ref [] (* newest first *) and current = ref 0 in
   let writer = ref (Em.Writer.create ictx) in
-  let close_current () =
-    per_bucket.(!current) <- Some (Em.Writer.finish !writer) in
+  let next_bucket () =
+    finished := Em.Writer.finish !writer :: !finished;
+    incr current;
+    writer := Em.Writer.create ictx
+  in
   Emalg.Scan.iter
     (fun r ->
-      let start j = if j = 0 then 0 else cumulative.(j - 1) in
       while r > cumulative.(!current) do
-        close_current ();
-        incr current;
-        writer := Em.Writer.create ictx
+        next_bucket ()
       done;
-      Em.Writer.push !writer (r - start !current))
+      Em.Writer.push !writer (if !current = 0 then r else r - cumulative.(!current - 1)))
     bounds_vec;
-  close_current ();
-  for j = !current + 1 to nbuckets - 1 do
-    writer := Em.Writer.create ictx;
-    per_bucket.(j) <- Some (Em.Writer.finish !writer)
+  while !current < nbuckets - 1 do
+    next_bucket ()
   done;
-  Array.map (function Some v -> v | None -> assert false) per_bucket
+  Array.of_list (List.rev (Em.Writer.finish !writer :: !finished))
 
 (* Route the bounds of freshly split buckets and recurse in order.  Buckets
    hold (key, position) pairs; [recurse] consumes each (bucket, bounds). *)
@@ -151,7 +148,8 @@ let check_bounds v bounds =
       prev := r)
     bounds
 
-(* Shared driver: route everything into [st]. *)
+(* Shared driver: route everything into [st].  The output writer is open,
+   so [one_merge] sees its buffer. *)
 let run cmp st v ~bounds =
   let ctx = Em.Vec.ctx v in
   let n = Em.Vec.length v in
@@ -169,6 +167,20 @@ let run cmp st v ~bounds =
                 (* Stable sort = positional tie-breaking, no tags needed. *)
                 Emalg.Mem_sort.sort cmp a;
                 emit_sorted_leaf ~proj:(fun x -> x) st a local_bounds)))
+  else if Emalg.External_sort.one_merge ctx n then
+    (* Sort in one merge pass and cut as the bounds stream past: four
+       scans, below the sampling, distribution and leaf passes.  Stable,
+       so ties stay positional. *)
+    Emalg.External_sort.with_one_merge cmp v (fun merged ->
+        Em.Reader.with_reader bounds (fun br ->
+            let pos = ref 0 and next = ref (Em.Reader.next br) in
+            merged (fun e ->
+                out_push st e;
+                incr pos;
+                if !pos = !next then begin
+                  out_cut st;
+                  if Em.Reader.has_next br then next := Em.Reader.next br
+                end)))
   else begin
     let target = Emalg.Split_step.default_target ctx ~n in
     let buckets = Emalg.Split_step.split_tagging cmp v ~target_buckets:target in
@@ -221,6 +233,4 @@ let partition_sizes cmp v ~sizes =
     invalid_arg "Multi_partition.partition_sizes: sizes must sum to the input length";
   let ictx = Em.Ctx.linked (Em.Vec.ctx v) in
   let bounds = bounds_of_sizes ictx sizes in
-  let parts = partition cmp v ~bounds in
-  Em.Vec.free bounds;
-  parts
+  Fun.protect ~finally:(fun () -> Em.Vec.free bounds) (fun () -> partition cmp v ~bounds)

@@ -4,12 +4,17 @@
 
     The cut positions ("bounds") are given as a stream of strictly
     increasing cumulative ranks so that [K] may exceed the memory budget.
-    The algorithm is the distribution-sort skeleton: tag elements with their
+    An input that fits in memory is sorted and cut there.  One that sorts
+    in a single merge pass ({!Emalg.External_sort.one_merge}: [N] up to
+    about [M²/B]) is sorted into runs and merged once, the output cut at
+    each bound as the merge passes it: four scans at any [K].  Above that,
+    the algorithm is the distribution-sort skeleton: tag elements with their
     position (set semantics under duplicates), pick [Θ(min(M/B, M/8))]
     approximate pivots per level with {!Emalg.Sample_splitters}, distribute
     while counting, re-base each bound into its bucket, and recurse; buckets
     without interior bounds are streamed straight to the output, buckets that
-    fit in memory are sorted and cut exactly.
+    fit in memory are sorted and cut exactly.  Ties keep input order on
+    every route.
 
     Output partitions are materialised one writer at a time (the traversal
     emits them in order), costing up to one partial block per partition on

@@ -275,42 +275,20 @@ let distribute vcmp key v ranks =
           Array.iter Em.Vec.free rank_vecs;
           raise e)
 
-(* Whether [n > big_load] elements sort in one merge pass: runs of
-   [big_load] elements, a reader buffer and two heap words per run, beside
-   the rank reader (the output writer is already open). *)
-let one_merge ctx n =
-  let b = Em.Ctx.block_size ctx and big = Emalg.Layout.big_load ctx in
-  let free = Em.Ctx.mem_capacity ctx - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in
-  (n + big - 1) / big <= (free - b) / (b + 2)
-
 (* Sort [v] into runs of [big_load] elements, then merge them once,
    emitting the ranked elements as they pass: three scans, where the
    sample, counting and distribution passes read the input three times
    and write more.  Stable, so ties stay positional. *)
 let sort_select vcmp key v ranks emit =
-  let ctx = Em.Vec.ctx v in
-  let runs = ref [] in
-  match
-    Em.Phase.with_label ctx "run-formation" (fun () ->
-        Emalg.Scan.chunks ~size:(Emalg.Layout.big_load ctx)
-          (fun load ->
-            Emalg.Mem_sort.sort vcmp load;
-            runs := Emalg.Scan.vec_of_array_io ctx load :: !runs)
-          v);
-    Em.Reader.with_reader ranks (fun rr ->
-        let pos = ref 0 and next = ref (Em.Reader.next rr) in
-        Em.Phase.with_label ctx "merge" (fun () ->
-            Emalg.Merge.iter vcmp (List.rev !runs) (fun e ->
-                incr pos;
-                if !pos = !next then begin
-                  emit (key e);
-                  if Em.Reader.has_next rr then next := Em.Reader.next rr
-                end)))
-  with
-  | () -> List.iter Em.Vec.free !runs
-  | exception e ->
-      List.iter Em.Vec.free !runs;
-      raise e
+  Emalg.External_sort.with_one_merge vcmp v (fun merged ->
+      Em.Reader.with_reader ranks (fun rr ->
+          let pos = ref 0 and next = ref (Em.Reader.next rr) in
+          merged (fun e ->
+              incr pos;
+              if !pos = !next then begin
+                emit (key e);
+                if Em.Reader.has_next rr then next := Em.Reader.next rr
+              end)))
 
 (* General case, [K > m]: ranks stream from [ranks] (validated, re-based to
    [v]) and answers go to [emit] in rank order.  [v]'s elements compare
@@ -338,7 +316,7 @@ let rec general :
     Emalg.Scan.with_loaded v (fun a ->
         Emalg.Mem_sort.sort vcmp a;
         Emalg.Scan.iter (fun r -> emit (key a.(r - 1))) ranks)
-  else if one_merge ctx n then sort_select vcmp key v ranks emit
+  else if Emalg.External_sort.one_merge ctx n then sort_select vcmp key v ranks emit
   else begin
     let groups = distribute vcmp key v ranks in
     let next = ref 0 in
@@ -379,7 +357,7 @@ and answer : 'a. ('a -> 'a -> int) -> 'a group -> ('a -> unit) -> unit =
 
 let groups cmp v ~ranks =
   let ctx = Em.Vec.ctx v and n = Em.Vec.length v in
-  if n <= Emalg.Layout.big_load ctx || one_merge ctx n then None
+  if n <= Emalg.Layout.big_load ctx || Emalg.External_sort.one_merge ctx n then None
   else Some (distribute cmp Fun.id v ranks)
 
 let check_ranks v ranks =

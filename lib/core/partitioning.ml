@@ -28,9 +28,7 @@ let with_bounds spec src ~count f =
           Em.Writer.push w (Problem.cut spec i)
         done)
   in
-  let result = f bounds in
-  Em.Vec.free bounds;
-  result
+  Fun.protect ~finally:(fun () -> Em.Vec.free bounds) (fun () -> f bounds)
 
 let solve cmp v spec =
   check v spec;

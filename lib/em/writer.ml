@@ -13,15 +13,19 @@ type 'a t = {
 
 (* Write out every queued block, oldest first, as one scheduling window so a
    D-disk machine overlaps them into few parallel rounds; each block's
-   deferred [B]-word charge is released as it reaches the device. *)
+   deferred [B]-word charge is released as it reaches the device, or as
+   its write fails ([abandon] releases only the blocks still queued).  A
+   block leaves the queue before its write, which may re-enter [drain]
+   through a pressure callback. *)
 let drain w =
   if not (Queue.is_empty w.queue) then begin
     let b = Ctx.block_size w.ctx in
     let write_all () =
       while not (Queue.is_empty w.queue) do
         let id, payload = Queue.pop w.queue in
-        Resilient.write w.ctx.Ctx.dev id payload;
-        Mem.release w.ctx.Ctx.params w.ctx.Ctx.stats b
+        Fun.protect
+          ~finally:(fun () -> Mem.release w.ctx.Ctx.params w.ctx.Ctx.stats b)
+          (fun () -> Resilient.write w.ctx.Ctx.dev id payload)
       done
     in
     if Queue.length w.queue > 1 then Stats.with_window w.ctx.Ctx.stats write_all

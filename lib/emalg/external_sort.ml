@@ -106,6 +106,32 @@ let state_words state =
   | Forming { runs; _ } -> runs_words runs
   | Merging { pending; merged } -> runs_words (pending @ merged)
 
+(* Whether [n] elements sort in one merge pass with the words free now:
+   runs of [big_load] elements, a reader buffer and two heap words per run,
+   beside one more block buffer the caller opens for the merge (an output
+   writer the caller holds is already open, so already counted). *)
+let one_merge ctx n =
+  let b = Em.Ctx.block_size ctx and big = Layout.big_load ctx in
+  let free = Em.Ctx.mem_capacity ctx - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in
+  (n + big - 1) / big <= (free - b) / (b + 2)
+
+let with_one_merge cmp v f =
+  let ctx = Em.Vec.ctx v in
+  let runs = ref [] in
+  let merged emit =
+    Em.Phase.with_label ctx "merge" (fun () -> Merge.iter cmp (List.rev !runs) emit)
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Em.Vec.free !runs)
+    (fun () ->
+      Em.Phase.with_label ctx "run-formation" (fun () ->
+          Scan.chunks ~size:(Layout.big_load ctx)
+            (fun load ->
+              Mem_sort.sort cmp load;
+              runs := Scan.vec_of_array_io ctx load :: !runs)
+            v);
+      f merged)
+
 let restartable ?max_restarts cmp v =
   let ctx = Em.Vec.ctx v in
   Layout.require_min_geometry ctx;

@@ -29,3 +29,19 @@ val merge_passes : ('a -> 'a -> int) -> 'a Em.Vec.t list -> 'a Em.Vec.t
 (** Repeatedly merge up to [Merge.max_fanout] runs until one remains.  The
     given runs are consumed (freed), except when a single run is passed,
     which is returned as-is. *)
+
+val one_merge : 'a Em.Ctx.t -> int -> bool
+(** [one_merge ctx n]: whether [n] elements, formed into runs of
+    [Layout.big_load] elements, merge in one pass with the memory free now,
+    keeping one block buffer spare for a stream the caller opens beside the
+    merge.  An output writer the caller holds must already be open. *)
+
+val with_one_merge :
+  ('a -> 'a -> int) -> 'a Em.Vec.t -> ((('a -> unit) -> unit) -> 'b) -> 'b
+(** [with_one_merge cmp v f] sorts [v] into runs of [Layout.big_load]
+    elements (phase ["run-formation"]) and calls [f merged], where
+    [merged emit] merges the runs once (phase ["merge"]), passing every
+    element to [emit] in order.  Stable: ties keep input order.  Cost: two
+    scans to form the runs, one to merge them.  The runs are freed when [f]
+    returns or raises; the input is not freed.  Call it only when
+    {!one_merge} holds for [length v]. *)

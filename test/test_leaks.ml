@@ -48,10 +48,44 @@ let faulted_general ~mem ~k =
         ignore (run (Some (Em.Fault.crash_at [ 1 + (i * (total - 1) / 41) ])))
       done)
 
+(* Multi-partition's one-merge route under a fault that aborts it: at
+   M=1024 the input sorts in one merge pass, and crashes probed through the
+   run formation, the merge and the cuts inside it must leave the ledger
+   drained and only the input's blocks live. *)
+let faulted_one_merge =
+  Alcotest.test_case "multi_partition (one merge, aborted by a fault)" `Quick (fun () ->
+      let n = 6_000 in
+      let data = Tu.random_perm ~seed:29 n in
+      let sizes = [| n / 2; n / 4; n / 4 |] in
+      let run plan =
+        let ctx = Tu.ctx ~mem:1024 ~block:16 () in
+        let v = Tu.int_vec ctx data in
+        let live () = ctx.Em.Ctx.stats.Em.Stats.allocated_blocks - ctx.Em.Ctx.stats.Em.Stats.freed_blocks in
+        let baseline = live () in
+        Option.iter (Em.Ctx.inject ctx) plan;
+        let ios = ref 0 in
+        (match
+           Em.Ctx.measured ctx (fun () -> Core.Multi_partition.partition_sizes Tu.icmp v ~sizes)
+         with
+        | parts, d ->
+            ios := Em.Stats.delta_ios d;
+            Array.iter Em.Vec.free parts
+        | exception Em.Em_error.Error (Em.Em_error.Crashed _) -> ());
+        Tu.check_int "memory ledger drained" 0 ctx.Em.Ctx.stats.Em.Stats.mem_in_use;
+        Tu.check_int "all intermediate blocks freed" baseline (live ());
+        !ios
+      in
+      let total = run None in
+      Tu.check_bool "sorts in one merge (four scans)" true (total <= (4 * n / 16) + 8);
+      for i = 1 to 40 do
+        ignore (run (Some (Em.Fault.crash_at [ 1 + (i * (total - 1) / 41) ])))
+      done)
+
 let suite =
   [
     faulted_general ~mem:1024 ~k:40;
     faulted_general ~mem:256 ~k:64;
+    faulted_one_merge;
     audit "external sort" (fun _ctx v _n ->
         Em.Vec.free (Emalg.External_sort.sort Tu.icmp v));
     audit "em_select" (fun _ctx v n ->
