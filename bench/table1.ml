@@ -359,8 +359,79 @@ let multiselect_vs_route ~machine ~kind =
   Printf.printf "  => worst Theorem-4 / multi-partition-route ratio: %.3f\n" worst;
   (List.rev !artifacts, ("multiselect_vs_route", worst))
 
-(* Runs all six rows, the two Theorem-4 sweeps and the D-disk sweep;
-   returns (row_name, worst ratio) pairs for the ceiling gate in main.ml. *)
+(* Multi-partition against the external sort: K equal parts over a grid of
+   machines and N.  The grid's (M, B) = (1024, 32), N = 2^14 cells sort in
+   one merge pass, where multi-partition is that sort plus its cuts; they
+   are printed but left out of the gate, which holds the counting route.
+   The gate row is the worst multi-partition / sort I/O ratio over
+   K = 2 and 16 above one merge pass; K = 256 is printed only. *)
+let multipartition_vs_sort ~kind =
+  let grid =
+    [
+      ({ Exp.mem = 512; block = 16 }, [ 1 lsl 14; 1 lsl 15 ]);
+      ({ mem = 1024; block = 32 }, [ 1 lsl 14; 1 lsl 15 ]);
+    ]
+    @ if !Exp.small_mode then [] else [ ({ mem = 4096; block = 64 }, [ 1 lsl 18; 1 lsl 19 ]) ]
+  in
+  Exp.section
+    (Printf.sprintf "Multi-partition vs external sort — K equal parts   [%s]"
+       (Core.Workload.kind_name kind));
+  let ratios = ref [] and artifacts = ref [] in
+  let rows =
+    List.concat_map
+      (fun (machine, ns) ->
+        List.concat_map
+          (fun n ->
+            let sort =
+              Exp.measure ~machine ~kind ~seed ~n (fun _ctx v ->
+                  Em.Vec.free (Emalg.External_sort.sort icmp v))
+            in
+            let one_merge =
+              Emalg.External_sort.one_merge (Em.Ctx.create (Exp.params machine) : int Em.Ctx.t) n
+            in
+            List.map
+              (fun k ->
+                let sizes = Array.init k (fun i -> ((i + 1) * n / k) - (i * n / k)) in
+                let mp =
+                  Exp.measure ~machine ~kind ~seed ~n (fun _ctx v ->
+                      let parts = Core.Multi_partition.partition_sizes icmp v ~sizes in
+                      let input = Em.Vec.Oracle.to_array v in
+                      Exp.expect_ok "multi-partition"
+                        (Core.Verify.multi_partition icmp ~input ~sizes
+                           (Array.map Em.Vec.Oracle.to_array parts));
+                      Array.iter Em.Vec.free parts)
+                in
+                let ratio = float_of_int mp.Exp.ios /. float_of_int sort.Exp.ios in
+                let gated = k < 256 && not one_merge in
+                if gated then ratios := ratio :: !ratios;
+                artifacts :=
+                  Exp.artifact_row ~row:"multipartition_vs_sort"
+                    ~label:(Printf.sprintf "M=%d N=%d K=%d" machine.mem n k)
+                    ~machine ~n ~extra_geometry:[ ("k", k) ]
+                    ~predicted:(Core.Bounds.multi_partition (Exp.params machine) ~n ~k)
+                    mp
+                  :: !artifacts;
+                [
+                  Printf.sprintf "%d, %d" machine.mem machine.block;
+                  string_of_int n;
+                  string_of_int k;
+                  string_of_int mp.Exp.ios;
+                  string_of_int sort.Exp.ios;
+                  (Exp.fmt_ratio ratio
+                  ^ if gated then "" else if one_merge then " (one merge)" else " (not gated)");
+                ])
+              [ 2; 16; 256 ])
+          ns)
+      grid
+  in
+  Exp.table ~header:[ "M, B"; "N"; "K"; "multi-partition I/O"; "sort I/O"; "ratio" ] rows;
+  let worst = List.fold_left Float.max neg_infinity !ratios in
+  Printf.printf "  => worst multi-partition / sort ratio above one merge, K <= 16: %.3f\n" worst;
+  (List.rev !artifacts, ("multipartition_vs_sort", worst))
+
+(* Runs all six rows, the two Theorem-4 sweeps, the multi-partition sweep
+   and the D-disk sweep; returns (row_name, worst ratio) pairs for the
+   ceiling gate in main.ml. *)
 let all ?(machine = Exp.default_machine) ?(kind = Core.Workload.Pi_hard) () =
   (* Explicit lets: list elements would otherwise evaluate right-to-left,
      printing the rows in reverse. *)
@@ -372,7 +443,8 @@ let all ?(machine = Exp.default_machine) ?(kind = Core.Workload.Pi_hard) () =
   let r6 = row_partition_two_sided ~machine ~kind in
   let r7 = multiselect_vs_sort ~machine ~kind in
   let r8 = multiselect_vs_route ~machine ~kind in
-  let results = [ r1; r2; r3; r4; r5; r6; r7; r8 ] in
+  let r9 = multipartition_vs_sort ~kind in
+  let results = [ r1; r2; r3; r4; r5; r6; r7; r8; r9 ] in
   let sweep_artifacts, sweep_ratios = disks_sweep ~machine ~kind in
   Exp.write_artifact ~bench:"table1"
     (List.concat_map fst results @ sweep_artifacts);

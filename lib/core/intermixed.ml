@@ -48,18 +48,15 @@ let spill_ints ictx a = Emalg.Scan.vec_of_array_io ictx a
 let subgroup_medians kcmp ctx d ~l =
   let stash_words = (5 * l) + l + l in
   Em.Ctx.with_words ctx stash_words (fun () ->
-      let stash = Array.make (5 * l) None in
+      (* Created at the first element, which fills every slot until
+         overwritten. *)
+      let stash = ref [||] in
       let fill = Array.make l 0 in
       let sigma_counts = Array.make l 0 in
       let flush_group w g =
         let s = fill.(g) in
         if s > 0 then begin
-          let members =
-            Array.init s (fun i ->
-                match stash.((5 * g) + i) with
-                | Some x -> x
-                | None -> assert false)
-          in
+          let members = Array.sub !stash (5 * g) s in
           let median = Emalg.Select_mem.select kcmp members ~rank:((s + 1) / 2) in
           Em.Writer.push w (median, g);
           sigma_counts.(g) <- sigma_counts.(g) + 1;
@@ -70,7 +67,8 @@ let subgroup_medians kcmp ctx d ~l =
         Em.Writer.with_writer (Em.Vec.ctx d) (fun w ->
             Emalg.Scan.iter
               (fun (x, g) ->
-                stash.((5 * g) + fill.(g)) <- Some x;
+                if Array.length !stash = 0 then stash := Array.make (5 * l) x;
+                !stash.((5 * g) + fill.(g)) <- x;
                 fill.(g) <- fill.(g) + 1;
                 if fill.(g) = 5 then flush_group w g)
               d;

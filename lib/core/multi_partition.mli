@@ -6,20 +6,19 @@
     increasing cumulative ranks so that [K] may exceed the memory budget.
     An input that fits in memory is sorted and cut there.  One that sorts
     in a single merge pass ({!Emalg.External_sort.one_merge}: [N] up to
-    about [M²/B]) is sorted into runs and merged once, the output cut at
-    each bound as the merge passes it: four scans at any [K].  Above that,
-    the algorithm is the distribution-sort skeleton: tag elements with their
-    position (set semantics under duplicates), pick [Θ(min(M/B, M/8))]
-    approximate pivots per level with {!Emalg.Sample_splitters}, distribute
-    while counting, re-base each bound into its bucket, and recurse; buckets
-    without interior bounds are streamed straight to the output, buckets that
-    fit in memory are sorted and cut exactly.  Ties keep input order on
-    every route.
+    about [M²/B]), or whose parts outnumber the writers one distribution
+    pass can hold, is sorted and cut as its last merge passes each bound.
+    Otherwise one counting step places every bound: approximate splitters
+    of the (key, position) order ({!Emalg.Sample_splitters.find_tagging}),
+    one scan counting every bucket, and one distribution that writes each
+    part's whole buckets to a vector of its own and the buckets a bound
+    cuts to one boundary vector, which is sorted and cut.  Ties keep input
+    order on every route.
 
-    Output partitions are materialised one writer at a time (the traversal
-    emits them in order), costing up to one partial block per partition on
-    top of the [2N/B] output I/Os — the in-memory equivalent of the paper's
-    linked-list output format. *)
+    Output partitions are materialised one writer at a time (in order),
+    costing up to one partial block per partition on top of the [2N/B]
+    output I/Os — the in-memory equivalent of the paper's linked-list
+    output format. *)
 
 val partition :
   ('a -> 'a -> int) -> 'a Em.Vec.t -> bounds:int Em.Vec.t -> 'a Em.Vec.t array

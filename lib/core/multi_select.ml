@@ -11,34 +11,6 @@ let first_beyond a x =
   done;
   !lo
 
-(* The counting scan: bucket [j] of the sorted tagged [splitters] holds the
-   pairs [p] with [splitters.(j-1) < p <= splitters.(j)].  Returns the
-   prefix sums [start] ([nsplit + 2] entries): bucket [j] holds the
-   positional ranks [start.(j) + 1 .. start.(j+1)]. *)
-let bucket_starts tcmp splitters v =
-  let nsplit = Array.length splitters in
-  let bucket_of pair =
-    let lo = ref 0 and hi = ref nsplit in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if tcmp pair splitters.(mid) <= 0 then hi := mid else lo := mid + 1
-    done;
-    !lo
-  in
-  let start = Array.make (nsplit + 2) 0 in
-  Em.Phase.with_label (Em.Vec.ctx v) "bucket-count" (fun () ->
-      let pos = ref (-1) in
-      Emalg.Scan.iter
-        (fun e ->
-          incr pos;
-          let j = bucket_of (e, !pos) + 1 in
-          start.(j) <- start.(j) + 1)
-        v);
-  for j = 1 to nsplit + 1 do
-    start.(j) <- start.(j) + start.(j - 1)
-  done;
-  start
-
 (* Index of [pair] among the target buckets [tb.(0 .. ntb-1)] (increasing
    bucket indices), or -1: binary search over their upper splitters, then one
    lower-splitter check, skipped when the previous target bucket is adjacent
@@ -91,7 +63,7 @@ let base_case cmp v ranks =
         let targets = Array.make kcount 0 in
         let d =
           Em.Ctx.with_words ctx ((2 * nsplit) + (nsplit + 2) + ((2 * kcount) + 1)) (fun () ->
-              let start = bucket_starts tcmp splitters v in
+              let start = Emalg.Distribute.bucket_starts tcmp splitters v in
               (* The target buckets (those holding a rank), increasing: the
                  ranks of target [t] are [ranks.(first.(t)) ..
                  ranks.(first.(t+1) - 1)]. *)
@@ -124,17 +96,6 @@ let base_case cmp v ranks =
         in
         Fun.protect ~finally:(fun () -> Em.Vec.free d) (fun () -> Intermixed.select cmp d ~targets))
   end
-
-(* The general case's splitter count, from the words free on entry.  Its
-   arrays (two words per tagged splitter, the prefix sums, the target and
-   group arrays) take about 5k words beside two stream buffers; bounding k
-   by a sixth of the free words leaves at least a third of them for the
-   distribution's writers once the prefix sums go.  At M = 4096, B = 64 the
-   bound is max_k (480) and the fan-out at least 33. *)
-let splitter_count ctx ~n =
-  let b = Em.Ctx.block_size ctx in
-  let free = Em.Ctx.mem_capacity ctx - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in
-  max 2 (min n (min (Emalg.Sample_splitters.max_k ctx) ((free - (4 * b)) / 6)))
 
 (* One pass over the ranks.  It finds the target buckets [tb] (those that
    hold a rank, increasing) and groups consecutive ones greedily while a
@@ -193,20 +154,10 @@ let route_ranks ~big start tb gid ranks =
 let rec spread pctx ~fanout gid iter lo hi =
   let count = hi - lo in
   let stride = if count <= fanout then 1 else (count + fanout - 1) / fanout in
-  let writers = Array.init ((count + stride - 1) / stride) (fun _ -> Em.Writer.create pctx) in
-  let runs = Array.make (Array.length writers) None in
-  (match
-     Em.Phase.with_label pctx "distribute" (fun () ->
-         iter (fun ((_, t) as p) -> Em.Writer.push writers.((gid.(t) - lo) / stride) p));
-     Array.iteri (fun c w -> runs.(c) <- Some (Em.Writer.finish w)) writers
-   with
-  | () -> ()
-  | exception e ->
-      Array.iteri
-        (fun c w -> match runs.(c) with Some run -> Em.Vec.free run | None -> Em.Writer.abandon w)
-        writers;
-      raise e);
-  let runs = Array.map Option.get runs in
+  let runs =
+    Emalg.Distribute.pass pctx ~nwriters:((count + stride - 1) / stride) (fun push ->
+        iter (fun ((_, t) as p) -> push ((gid.(t) - lo) / stride) p))
+  in
   if stride = 1 then runs
   else begin
     let next = ref 0 and parts = ref [] in
@@ -248,7 +199,9 @@ let distribute vcmp key v ranks =
   let n = Em.Vec.length v in
   let big = Emalg.Layout.big_load ctx in
   let tcmp = Emalg.Order.tagged vcmp in
-  let splitters = Emalg.Sample_splitters.find_tagging vcmp v ~k:(splitter_count ctx ~n) in
+  let splitters =
+    Emalg.Sample_splitters.find_tagging vcmp v ~k:(Emalg.Sample_splitters.splitter_count ctx ~n)
+  in
   let nsplit = Array.length splitters in
   let ntargets = min (Em.Vec.length ranks) (nsplit + 1) in
   let pctx = Em.Ctx.linked ctx in
@@ -256,7 +209,7 @@ let distribute vcmp key v ranks =
       let tb = Array.make ntargets 0 and gid = Array.make ntargets 0 in
       let ntb, rank_vecs =
         Em.Ctx.with_words ctx (nsplit + 2) (fun () ->
-            route_ranks ~big (bucket_starts tcmp splitters v) tb gid ranks)
+            route_ranks ~big (Emalg.Distribute.bucket_starts tcmp splitters v) tb gid ranks)
       in
       let b = Em.Ctx.block_size ctx in
       let free = Em.Ctx.mem_capacity ctx - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in
@@ -280,7 +233,7 @@ let distribute vcmp key v ranks =
    sample, counting and distribution passes read the input three times
    and write more.  Stable, so ties stay positional. *)
 let sort_select vcmp key v ranks emit =
-  Emalg.External_sort.with_one_merge vcmp v (fun merged ->
+  Emalg.External_sort.with_sorted vcmp v (fun merged ->
       Em.Reader.with_reader ranks (fun rr ->
           let pos = ref 0 and next = ref (Em.Reader.next rr) in
           merged (fun e ->

@@ -13,6 +13,25 @@ let bucket_index cmp pivots e =
   done;
   !lo
 
+(* Bucket [j] of the sorted tagged [splitters] holds the pairs [p] with
+   [splitters.(j-1) < p <= splitters.(j)]; [start] has [nsplit + 2]
+   entries. *)
+let bucket_starts tcmp splitters v =
+  let nsplit = Array.length splitters in
+  let start = Array.make (nsplit + 2) 0 in
+  Em.Phase.with_label (Em.Vec.ctx v) "bucket-count" (fun () ->
+      let pos = ref (-1) in
+      Scan.iter
+        (fun e ->
+          incr pos;
+          let j = bucket_index tcmp splitters (e, !pos) + 1 in
+          start.(j) <- start.(j) + 1)
+        v);
+  for j = 1 to nsplit + 1 do
+    start.(j) <- start.(j) + start.(j - 1)
+  done;
+  start
+
 let check_sorted cmp pivots =
   for i = 1 to Array.length pivots - 1 do
     if cmp pivots.(i - 1) pivots.(i) > 0 then
@@ -79,6 +98,20 @@ let rec by_pivots_deep cmp ~pivots ~owned v =
     in
     Array.concat (Array.to_list parts)
   end
+
+let pass ctx ~nwriters iter =
+  let writers = Array.init nwriters (fun _ -> Em.Writer.create ctx) in
+  let runs = Array.make nwriters None in
+  match
+    Em.Phase.with_label ctx "distribute" (fun () -> iter (fun w x -> Em.Writer.push writers.(w) x));
+    Array.iteri (fun c w -> runs.(c) <- Some (Em.Writer.finish w)) writers
+  with
+  | () -> Array.map Option.get runs
+  | exception e ->
+      Array.iteri
+        (fun c w -> match runs.(c) with Some run -> Em.Vec.free run | None -> Em.Writer.abandon w)
+        writers;
+      raise e
 
 let three_way cmp v ~pivot =
   let ctx = Em.Vec.ctx v in

@@ -10,6 +10,17 @@ val bucket_index : ('a -> 'a -> int) -> 'a array -> 'a -> int
     [Array.length pivots] when [e] is greater than every pivot (binary
     search; pivots must be sorted). *)
 
+val bucket_starts :
+  ('a * int -> 'a * int -> int) -> ('a * int) array -> 'a Em.Vec.t -> int array
+(** The counting scan (phase ["bucket-count"]): prefix sums [start] over the
+    buckets of the sorted tagged splitters, so bucket [j] holds the
+    positional ranks [start.(j) + 1 .. start.(j+1)] of [v]. *)
+
+val pass : 'a Em.Ctx.t -> nwriters:int -> ((int -> 'a -> unit) -> unit) -> 'a Em.Vec.t array
+(** [pass ctx ~nwriters iter]: one pass (phase ["distribute"]) in which
+    [iter push] writes [x] to vector [w] by [push w x]; on an exception
+    every vector it wrote is freed. *)
+
 val max_fanout : 'a Em.Ctx.t -> int
 (** Largest number of output buckets: one writer buffer per bucket plus one
     reader buffer and one word per pivot: [(M - B) / (B + 1)]. *)

@@ -43,12 +43,12 @@ let split_at n list =
 
 (* One merge group of the current pass, over [(pending, merged)]: the runs
    still to merge in this pass, and the pass's outputs so far. *)
-let merge_step cmp = function
+let merge_step ?fanin cmp = function
   | [], [ out ] | [ out ], [] -> Restart.Done out
   | [], merged -> Next (List.rev merged, [])
   | (first :: _ as pending), merged ->
       let ctx = Em.Vec.ctx first in
-      let fanout = Merge.max_fanout ctx in
+      let fanout = match fanin with Some f -> f | None -> Merge.max_fanout ctx in
       (* Balance group sizes across the pass (ceil(n/groups) runs per merge
          rather than greedy fanout-sized groups).  The group {e count} —
          hence the pass count and the I/O count — is unchanged, but no merge
@@ -115,22 +115,38 @@ let one_merge ctx n =
   let free = Em.Ctx.mem_capacity ctx - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in
   (n + big - 1) / big <= (free - b) / (b + 2)
 
-let with_one_merge cmp v f =
+let with_sorted cmp v f =
   let ctx = Em.Vec.ctx v in
-  let runs = ref [] in
-  let merged emit =
-    Em.Phase.with_label ctx "merge" (fun () -> Merge.iter cmp (List.rev !runs) emit)
+  let b = Em.Ctx.block_size ctx in
+  let free = Em.Ctx.mem_capacity ctx - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in
+  let fanin = max 2 ((free - b) / (b + 2)) in
+  (* The live runs: those of a pass still to merge, and its outputs so far
+     (newest first). *)
+  let live = ref ([], []) in
+  let rec reduce () =
+    match !live with
+    | [], merged ->
+        live := (List.rev merged, []);
+        reduce ()
+    | pending, [] when List.length pending <= fanin -> ()
+    | state ->
+        (match merge_step ~fanin cmp state with
+        | Restart.Next state -> live := state
+        | Done run -> live := ([ run ], []));
+        reduce ()
   in
   Fun.protect
-    ~finally:(fun () -> List.iter Em.Vec.free !runs)
+    ~finally:(fun () -> List.iter Em.Vec.free (fst !live @ snd !live))
     (fun () ->
       Em.Phase.with_label ctx "run-formation" (fun () ->
           Scan.chunks ~size:(Layout.big_load ctx)
             (fun load ->
               Mem_sort.sort cmp load;
-              runs := Scan.vec_of_array_io ctx load :: !runs)
+              live := (Scan.vec_of_array_io ctx load :: fst !live, []))
             v);
-      f merged)
+      live := (List.rev (fst !live), []);
+      reduce ();
+      f (fun emit -> Em.Phase.with_label ctx "merge" (fun () -> Merge.iter cmp (fst !live) emit)))
 
 let restartable ?max_restarts cmp v =
   let ctx = Em.Vec.ctx v in

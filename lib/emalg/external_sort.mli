@@ -36,12 +36,14 @@ val one_merge : 'a Em.Ctx.t -> int -> bool
     keeping one block buffer spare for a stream the caller opens beside the
     merge.  An output writer the caller holds must already be open. *)
 
-val with_one_merge :
+val with_sorted :
   ('a -> 'a -> int) -> 'a Em.Vec.t -> ((('a -> unit) -> unit) -> 'b) -> 'b
-(** [with_one_merge cmp v f] sorts [v] into runs of [Layout.big_load]
+(** [with_sorted cmp v f] sorts [v] into runs of [Layout.big_load]
     elements (phase ["run-formation"]) and calls [f merged], where
     [merged emit] merges the runs once (phase ["merge"]), passing every
-    element to [emit] in order.  Stable: ties keep input order.  Cost: two
-    scans to form the runs, one to merge them.  The runs are freed when [f]
-    returns or raises; the input is not freed.  Call it only when
-    {!one_merge} holds for [length v]. *)
+    element to [emit] in order.  When {!one_merge} holds for [length v] that
+    is two scans to form the runs and one to merge them; otherwise balanced
+    merge passes first cut the runs to the fan-in the memory free on entry
+    allows, beside one stream the caller opens.  Stable: ties keep input
+    order.  The runs are freed when [f] returns or raises; the input is not
+    freed. *)

@@ -11,6 +11,17 @@ let chunk_size = Layout.half_load
    elements — k may not exceed that. *)
 let max_k ?(rate = default_rate) ctx = max 2 (base_size ctx / rate)
 
+(* The counting step's arrays (two words per tagged splitter, the prefix
+   sums and up to two words of routing per bucket) take about 5k words
+   beside two stream buffers; bounding k by a sixth of the free words leaves
+   at least a third of them for the distribution's writers once the prefix
+   sums go.  At M = 4096, B = 64 the bound is max_k (480) and the fan-out at
+   least 33. *)
+let splitter_count ctx ~n =
+  let b = Em.Ctx.block_size ctx in
+  let free = Em.Ctx.mem_capacity ctx - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in
+  max 2 (min n (min (max_k ctx) ((free - (4 * b)) / 6)))
+
 let rec find_rec ~rate cmp v ~k =
   let ctx = Em.Vec.ctx v in
   let n = Em.Vec.length v in

@@ -22,6 +22,10 @@ val max_k : ?rate:int -> 'a Em.Ctx.t -> int
 (** The largest supported splitter count for this machine geometry (the
     recursion's base case must still hold at least [k] elements). *)
 
+val splitter_count : 'a Em.Ctx.t -> n:int -> int
+(** The splitter count of a counting step over [n] elements, from the words
+    free now: about [5k] words of arrays leave a third for its writers. *)
+
 val find :
   ?rate:int -> ('a -> 'a -> int) -> 'a Em.Vec.t -> k:int -> 'a array
 (** @raise Invalid_argument if [k < 1], [k > length v], or [rate < 2].

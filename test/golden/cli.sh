@@ -4,8 +4,8 @@
 # so the EM_BACKEND / EM_DISKS / EM_ASYNC matrix legs print the same bytes.
 # These reports print no wall-clock time, so no normalisation is needed.
 # The M=512 multipartition line forms 57 runs against a fan-in of 27, so it
-# pins the distribution route; at the default machine the input sorts in
-# one merge pass.
+# pins the counting route (sample, counting scan, one distribution, sorted
+# boundary); at the default machine the input sorts in one merge pass.
 #
 #   usage: cli.sh EM_REPRO
 set -e

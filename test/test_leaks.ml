@@ -81,11 +81,61 @@ let faulted_one_merge =
         ignore (run (Some (Em.Fault.crash_at [ 1 + (i * (total - 1) / 41) ])))
       done)
 
+(* Multi-partition above one merge pass under a fault that aborts it, in
+   both output modes: at M=256 the input needs more than one merge pass.
+   Four parts are cut by counting (crashes probe the sample, the counting
+   scan, the distribution and the boundary sort); 64 outnumber the
+   distribution's writers and are cut in the last of several merge passes. *)
+let faulted_partition ~k ~packed =
+  Alcotest.test_case
+    (Printf.sprintf "multi_partition (%s, K=%d, M=256, aborted by a fault)"
+       (if packed then "packed" else "separate")
+       k)
+    `Quick
+    (fun () ->
+      let n = 6_000 in
+      let data = Tu.random_perm ~seed:31 n in
+      let sizes = Array.init k (fun i -> ((i + 1) * n / k) - (i * n / k)) in
+      let partition ctx v =
+        let bounds = Core.Multi_partition.bounds_of_sizes (Em.Ctx.linked ctx) sizes in
+        Fun.protect
+          ~finally:(fun () -> Em.Vec.free bounds)
+          (fun () ->
+            if packed then
+              Em.Vec.free
+                (Em.Writer.with_writer ctx (fun w ->
+                     Core.Multi_partition.partition_packed_into Tu.icmp v ~bounds w))
+            else Array.iter Em.Vec.free (Core.Multi_partition.partition Tu.icmp v ~bounds))
+      in
+      let run plan =
+        let ctx = Tu.ctx ~mem:256 ~block:16 () in
+        let v = Tu.int_vec ctx data in
+        let live () = ctx.Em.Ctx.stats.Em.Stats.allocated_blocks - ctx.Em.Ctx.stats.Em.Stats.freed_blocks in
+        let baseline = live () in
+        Option.iter (Em.Ctx.inject ctx) plan;
+        let ios = ref 0 in
+        (match Em.Ctx.measured ctx (fun () -> partition ctx v) with
+        | (), d -> ios := Em.Stats.delta_ios d
+        | exception Em.Em_error.Error (Em.Em_error.Crashed _) -> ());
+        Tu.check_int "memory ledger drained" 0 ctx.Em.Ctx.stats.Em.Stats.mem_in_use;
+        Tu.check_int "all intermediate blocks freed" baseline (live ());
+        !ios
+      in
+      let total = run None in
+      Tu.check_bool "more than one merge pass (over four scans)" true (total > 4 * n / 16);
+      for i = 1 to 40 do
+        ignore (run (Some (Em.Fault.crash_at [ 1 + (i * (total - 1) / 41) ])))
+      done)
+
 let suite =
   [
     faulted_general ~mem:1024 ~k:40;
     faulted_general ~mem:256 ~k:64;
     faulted_one_merge;
+    faulted_partition ~k:4 ~packed:false;
+    faulted_partition ~k:4 ~packed:true;
+    faulted_partition ~k:64 ~packed:false;
+    faulted_partition ~k:64 ~packed:true;
     audit "external sort" (fun _ctx v _n ->
         Em.Vec.free (Emalg.External_sort.sort Tu.icmp v));
     audit "em_select" (fun _ctx v n ->

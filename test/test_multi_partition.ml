@@ -1,53 +1,60 @@
 (* Tests for multi-partition (Aggarwal–Vitter). *)
 
-let run ?(mem = 4096) ?(block = 64) ~seed ~n sizes =
+(* The paper's default machine, and a small one on which every input [run]
+   gives it needs more than one merge pass, so the parts are cut by
+   counting or, when they outnumber the distribution's writers, in the
+   last of several merge passes. *)
+let default = (4096, 64)
+let small = (512, 16)
+
+let run ?input (mem, block) ~seed ~n sizes =
   let ctx = Tu.ctx ~mem ~block () in
-  let a = Tu.random_perm ~seed n in
+  let a = match input with Some a -> a | None -> Tu.random_perm ~seed n in
+  if (mem, block) = small then
+    Tu.check_bool "above one merge pass" false (Emalg.External_sort.one_merge ctx n);
   let v = Tu.int_vec ctx a in
   let parts = Core.Multi_partition.partition_sizes Tu.icmp v ~sizes in
   let contents = Array.map Em.Vec.Oracle.to_array parts in
   Tu.check_ok "verifier" (Core.Verify.multi_partition Tu.icmp ~input:a ~sizes contents);
   Tu.check_int "ledger drained" 0 ctx.Em.Ctx.stats.Em.Stats.mem_in_use;
+  Tu.check_bool "mem_peak <= M" true (ctx.Em.Ctx.stats.Em.Stats.mem_peak <= mem);
   (ctx, parts)
 
-let test_two_way () = ignore (run ~seed:1 ~n:10_000 [| 4_000; 6_000 |])
+let test_two_way () = ignore (run default ~seed:1 ~n:10_000 [| 4_000; 6_000 |])
 
 let test_many_even () =
-  ignore (run ~seed:2 ~n:12_000 (Array.make 60 200))
+  ignore (run default ~seed:2 ~n:12_000 (Array.make 60 200))
 
-let test_skewed_sizes () =
-  ignore (run ~seed:3 ~n:10_001 [| 1; 9_000; 500; 499; 1 |])
+let test_skewed_sizes machine () =
+  ignore (run machine ~seed:3 ~n:10_001 [| 1; 9_000; 500; 499; 1 |])
 
-let test_in_memory () = ignore (run ~seed:4 ~n:500 [| 100; 150; 250 |])
+let test_in_memory () = ignore (run default ~seed:4 ~n:500 [| 100; 150; 250 |])
 
-let test_huge_k () =
-  (* K = 1500 partitions on a machine that holds 4096 words: the bound
-     stream exceeds the distribution fanout and must be routed recursively. *)
+let test_huge_k machine () =
+  (* K = 1500 partitions: the bound stream exceeds the memory budget.  At
+     the default machine the 15 000 elements sort in one merge pass and are
+     cut inside it; on the small machine the parts outnumber the
+     distribution's writers, so the input is merged in passes and cut in
+     the last one. *)
   let n = 15_000 in
   let k = 1_500 in
-  ignore (run ~seed:5 ~n (Array.make k (n / k)))
+  ignore (run machine ~seed:5 ~n (Array.make k (n / k)))
 
-let test_duplicates () =
-  let ctx = Tu.ctx ~mem:4096 ~block:64 () in
-  let a = Tu.random_ints ~seed:6 ~bound:5 6_000 in
-  let v = Tu.int_vec ctx a in
-  let sizes = [| 1_000; 2_000; 3_000 |] in
-  let parts = Core.Multi_partition.partition_sizes Tu.icmp v ~sizes in
-  let contents = Array.map Em.Vec.Oracle.to_array parts in
-  Tu.check_ok "verifier" (Core.Verify.multi_partition Tu.icmp ~input:a ~sizes contents)
+(* Few distinct keys: equal keys straddle every cut, and the parts must
+   still be value-ordered (test_packed checks that ties go by position).
+   On the small machine the input is larger, so that it needs more than
+   one merge pass there. *)
+let test_duplicates machine () =
+  let n = if machine = small then 12_000 else 6_000 in
+  let input = Tu.random_ints ~seed:6 ~bound:5 n in
+  ignore (run ~input machine ~seed:6 ~n [| n / 6; n / 3; n / 2 |])
 
 let test_workload_sweep () =
   List.iter
     (fun kind ->
-      let ctx = Tu.ctx ~mem:4096 ~block:64 () in
       let n = 8_000 in
-      let a = Core.Workload.generate kind ~seed:7 ~n ~block:64 in
-      let v = Tu.int_vec ctx a in
-      let sizes = [| 2_000; 2_000; 2_000; 2_000 |] in
-      let parts = Core.Multi_partition.partition_sizes Tu.icmp v ~sizes in
-      let contents = Array.map Em.Vec.Oracle.to_array parts in
-      Tu.check_ok (Core.Workload.kind_name kind)
-        (Core.Verify.multi_partition Tu.icmp ~input:a ~sizes contents))
+      let input = Core.Workload.generate kind ~seed:7 ~n ~block:64 in
+      ignore (run ~input default ~seed:7 ~n [| 2_000; 2_000; 2_000; 2_000 |]))
     Core.Workload.all_kinds
 
 let test_bound_validation () =
@@ -68,11 +75,13 @@ let test_bound_validation () =
   | _ -> Alcotest.fail "expected size-sum failure"
   | exception Invalid_argument _ -> ())
 
-let test_boundary_bounds () =
-  (* Cuts at positions 1 and n-1, and a fully consecutive run of cuts. *)
-  ignore (run ~seed:21 ~n:5_000 (Array.append [| 1 |] [| 4_998; 1 |]));
-  let sizes = Array.append [| 4_990 |] (Array.make 10 1) in
-  ignore (run ~seed:22 ~n:5_000 sizes)
+let test_boundary_bounds machine () =
+  (* Cuts at positions 1 and n-1, and a fully consecutive run of cuts.  On
+     the small machine the input is larger, so that it needs more than one
+     merge pass there. *)
+  let n = if machine = small then 10_000 else 5_000 in
+  ignore (run machine ~seed:21 ~n [| 1; n - 2; 1 |]);
+  ignore (run machine ~seed:22 ~n (Array.append [| n - 10 |] (Array.make 10 1)))
 
 let test_io_scales_with_log_k () =
   (* I/O cost per scan should grow roughly logarithmically with K.  At
@@ -156,13 +165,17 @@ let suite =
   [
     Alcotest.test_case "two-way" `Quick test_two_way;
     Alcotest.test_case "many even parts" `Quick test_many_even;
-    Alcotest.test_case "skewed sizes" `Quick test_skewed_sizes;
+    Alcotest.test_case "skewed sizes" `Quick (test_skewed_sizes default);
     Alcotest.test_case "in-memory leaf" `Quick test_in_memory;
-    Alcotest.test_case "K = 1500 (streamed bounds)" `Quick test_huge_k;
-    Alcotest.test_case "duplicates" `Quick test_duplicates;
+    Alcotest.test_case "K = 1500 (streamed bounds)" `Quick (test_huge_k default);
+    Alcotest.test_case "duplicates" `Quick (test_duplicates default);
     Alcotest.test_case "workload sweep" `Quick test_workload_sweep;
     Alcotest.test_case "bound validation" `Quick test_bound_validation;
-    Alcotest.test_case "boundary bounds" `Quick test_boundary_bounds;
+    Alcotest.test_case "boundary bounds" `Quick (test_boundary_bounds default);
+    Alcotest.test_case "skewed sizes (M=512)" `Quick (test_skewed_sizes small);
+    Alcotest.test_case "K = 1500 (M=512)" `Quick (test_huge_k small);
+    Alcotest.test_case "duplicates (M=512)" `Quick (test_duplicates small);
+    Alcotest.test_case "boundary bounds (M=512)" `Quick (test_boundary_bounds small);
     Alcotest.test_case "I/O grows ~log K" `Quick test_io_scales_with_log_k;
     Alcotest.test_case "one merge: cost pin" `Quick test_one_merge_cost;
     Alcotest.test_case "one merge: duplicates, both modes" `Quick test_one_merge_duplicates;

@@ -1,16 +1,19 @@
 (* Tests for the packed (linked-list) output format of multi-partition and
    approximate partitioning — the paper's literal output convention. *)
 
-(* Slice a packed result back into per-partition arrays for verification. *)
-let slices (packed : int Core.Partitioning.packed) =
-  let data = Em.Vec.Oracle.to_array packed.Core.Partitioning.data in
+(* Slice packed data back into per-partition arrays for verification. *)
+let pieces data sizes =
+  let flat = Em.Vec.Oracle.to_array data in
   let offset = ref 0 in
   Array.map
     (fun size ->
-      let piece = Array.sub data !offset size in
+      let piece = Array.sub flat !offset size in
       offset := !offset + size;
       piece)
-    packed.Core.Partitioning.sizes
+    sizes
+
+let slices (packed : int Core.Partitioning.packed) =
+  pieces packed.Core.Partitioning.data packed.Core.Partitioning.sizes
 
 let check_packed ~name spec packed input =
   let pieces = slices packed in
@@ -91,20 +94,38 @@ let test_packed_multi_partition_into () =
     Em.Writer.with_writer ctx (fun w ->
         Core.Multi_partition.partition_packed_into Tu.icmp v ~bounds w)
   in
-  let flat = Em.Vec.Oracle.to_array data in
-  Tu.check_int "everything present" n (Array.length flat);
-  (* Slice at the cut positions and run the oracle. *)
+  Tu.check_int "everything present" n (Em.Vec.length data);
   let sizes = [| 1_000; 1_500; 2_499; 1 |] in
-  let offset = ref 0 in
-  let pieces =
-    Array.map
-      (fun size ->
-        let piece = Array.sub flat !offset size in
-        offset := !offset + size;
-        piece)
-      sizes
-  in
-  Tu.check_ok "oracle" (Core.Verify.multi_partition Tu.icmp ~input ~sizes pieces)
+  Tu.check_ok "oracle" (Core.Verify.multi_partition Tu.icmp ~input ~sizes (pieces data sizes))
+
+(* Above one merge pass (M = 512, B = 16), with few distinct keys: the
+   partition compares keys only, and every element carries its position
+   below its key, so the oracle on whole values checks that ties stay
+   positional across every cut.  16 parts are cut by counting; 600
+   outnumber the distribution's writers and are cut in the last merge. *)
+let test_packed_multi_partition_small () =
+  let n = 12_000 in
+  let input = Array.mapi (fun i key -> (key * n) + i) (Tu.random_ints ~seed:9 ~bound:5 n) in
+  let key_cmp x y = Int.compare (x / n) (y / n) in
+  List.iter
+    (fun k ->
+      let ctx = Tu.ctx ~mem:512 ~block:16 () in
+      Tu.check_bool "above one merge pass" false (Emalg.External_sort.one_merge ctx n);
+      let v = Tu.int_vec ctx input in
+      let sizes = Array.init k (fun i -> ((i + 1) * n / k) - (i * n / k)) in
+      let bounds = Core.Multi_partition.bounds_of_sizes (Em.Ctx.linked ctx) sizes in
+      let data =
+        Em.Writer.with_writer ctx (fun w ->
+            Core.Multi_partition.partition_packed_into key_cmp v ~bounds w)
+      in
+      Tu.check_ok
+        (Printf.sprintf "K=%d: ties positional" k)
+        (Core.Verify.multi_partition Tu.icmp ~input ~sizes (pieces data sizes));
+      Em.Vec.free data;
+      Em.Vec.free bounds;
+      Tu.check_int "ledger drained" 0 ctx.Em.Ctx.stats.Em.Stats.mem_in_use;
+      Tu.check_bool "mem_peak <= M" true (ctx.Em.Ctx.stats.Em.Stats.mem_peak <= 512))
+    [ 16; 600 ]
 
 let suite =
   [
@@ -118,4 +139,6 @@ let suite =
       test_packed_avoids_partial_blocks;
     Alcotest.test_case "packed: multi-partition into" `Quick
       test_packed_multi_partition_into;
+    Alcotest.test_case "packed: multi-partition into (M=512, ties)" `Quick
+      test_packed_multi_partition_small;
   ]
