@@ -361,7 +361,7 @@ let create ?checkpoint_every ?io_budget ?(max_retries = 3) ?state_path
     | _ ->
         let s = Os.open_session cmp ctx v in
         if checkpoint_every <> None || state_path <> None then
-          Os.enable_checkpoints ?every_splits:checkpoint_every s;
+          ignore (Os.enable_checkpoints ?every_splits:checkpoint_every s);
         s
   in
   Os.set_io_budget session io_budget;

@@ -116,7 +116,8 @@ let run_session ?(on_crash = fun _ -> ()) ?flight_dir cfg ~crash_after =
   let v = Workload.vec ctx Workload.Random_perm ~seed:cfg.seed ~n:cfg.n in
   let cmp = Em.Ctx.counted ctx Int.compare in
   let session = ref (Emalg.Online_select.open_session cmp ctx v) in
-  Emalg.Online_select.enable_checkpoints ~every_splits:cfg.every_splits !session;
+  (* A restored session keeps checkpointing on the same store. *)
+  let store = Emalg.Online_select.enable_checkpoints ~every_splits:cfg.every_splits !session in
   let stats = ctx.Em.Ctx.stats in
   let queries = gen_queries cfg in
   let answers = Array.make cfg.queries [||] in
@@ -160,11 +161,6 @@ let run_session ?(on_crash = fun _ -> ()) ?flight_dir cfg ~crash_after =
               ~reason:(Printf.sprintf "kill_after_q%d" (i + 1))
               recorder ~path;
             dumps := path :: !dumps);
-        let store =
-          match Emalg.Online_select.checkpoint_store !session with
-          | Some s -> s
-          | None -> assert false
-        in
         let loads0 = Em.Checkpoint.load_ios store in
         (* kill -9 between queries: drop the session without closing it —
            process RAM (tree skeleton, buffer-pool pages, memory ledger)
@@ -187,11 +183,6 @@ let run_session ?(on_crash = fun _ -> ()) ?flight_dir cfg ~crash_after =
         on_crash rc
       end)
     queries;
-  let store =
-    match Emalg.Online_select.checkpoint_store !session with
-    | Some s -> s
-    | None -> assert false
-  in
   let total = Em.Stats.ios stats in
   let mem_ok = stats.Em.Stats.mem_peak <= cfg.mem in
   let retries = stats.Em.Stats.retries in

@@ -1,5 +1,6 @@
 (** One-pass distribution of a vector into value buckets — the write half of
-    distribution sort, used by multi-partition and the splitter algorithms.
+    distribution sort, used by multi-selection, multi-partition and online
+    sessions.
 
     Convention (shared by the whole library): in-memory {e arguments} and
     {e results} (such as the pivot array) are charged by the caller; the
@@ -24,29 +25,6 @@ val pass : 'a Em.Ctx.t -> nwriters:int -> ((int -> 'a -> unit) -> unit) -> 'a Em
 val max_fanout : 'a Em.Ctx.t -> int
 (** Largest number of output buckets: one writer buffer per bucket plus one
     reader buffer and one word per pivot: [(M - B) / (B + 1)]. *)
-
-val by_pivots :
-  ('a -> 'a -> int) -> pivots:'a array -> 'a Em.Vec.t -> 'a Em.Vec.t array
-(** [by_pivots cmp ~pivots v] routes each element [e] to bucket [i] where [i]
-    is the least index with [e <= pivots.(i)], or to the last bucket
-    ([Array.length pivots]) if [e] is greater than every pivot.  With sorted
-    pivots this realises the paper's partitions [S ∩ (p_{i-1}, p_i]].
-    Returns [Array.length pivots + 1] buckets.  Linear I/O: one read per
-    input block, one write per non-empty bucket block.
-    @raise Invalid_argument if the pivots are not sorted or exceed
-    [max_fanout]. *)
-
-val by_pivots_deep :
-  ('a -> 'a -> int) ->
-  pivots:'a array ->
-  owned:bool ->
-  'a Em.Vec.t ->
-  'a Em.Vec.t array
-(** Like {!by_pivots} but for any number of buckets: when the pivots exceed
-    {!max_fanout}, distribution proceeds hierarchically in
-    [ceil (log_f nbuckets)] passes over the data ([f = max_fanout]).  With
-    [~owned:true] the input vector is freed.  Intermediate super-buckets are
-    always freed. *)
 
 val three_way :
   ('a -> 'a -> int) ->

@@ -2,10 +2,10 @@
 
    The tree refines lazily: a leaf is either the whole raw input (root
    before the first refining query), an owned bucket of (key, position)
-   pairs from a distribution pass, or an owned sorted run.  Positions are
-   attached on the way out of the raw input (Split_step.split_tagging) and
-   stripped when a leaf is finally sorted, so duplicate keys resolve
-   positionally exactly like the batch algorithms.
+   pairs from a sampled distribution pass, or an owned sorted run.
+   Positions are attached inline as the raw input is sampled and
+   distributed, and stripped when a leaf is finally sorted, so duplicate
+   keys resolve positionally exactly like the batch algorithms.
 
    Crash-survivability: because refinement is monotone (leaves only split,
    sorted runs are final, the input is preserved), the whole session state
@@ -126,7 +126,7 @@ let length t = t.root.len
 
 let rec find_leaf node p =
   match node.state with
-  | Leaf _ -> node
+  | Leaf leaf -> (node, leaf)
   | Split children ->
       (* Children partition [node.lo .. node.lo+len-1] in rank order, so
          [p]'s child is the last one starting at or before it.  Binary
@@ -196,7 +196,8 @@ let flush_pending t =
   t.pending_free <- [];
   List.iter (fun f -> f ()) fs
 
-let checkpoint t =
+(* Save the current snapshot, creating the store on first use; returns it. *)
+let save t =
   ensure_open t;
   let store =
     match t.store with
@@ -216,7 +217,10 @@ let checkpoint t =
      orphaned since the previous save can finally go. *)
   flush_pending t;
   t.splits_since_save <- 0;
-  t.dirty_since_save <- false
+  t.dirty_since_save <- false;
+  store
+
+let checkpoint t = ignore (save t)
 
 let enable_checkpoints ?every_splits t =
   ensure_open t;
@@ -226,7 +230,7 @@ let enable_checkpoints ?every_splits t =
   t.every_splits <- every_splits;
   (* Establish a restorable baseline immediately: restore is valid from the
      moment checkpointing is enabled. *)
-  checkpoint t
+  save t
 
 let checkpoint_store t = t.store
 
@@ -308,7 +312,7 @@ let check_budget t =
 
 (* ---- refinement ---- *)
 
-(* Replace a leaf by the children a split step produced, assigning rank
+(* Replace a leaf by the buckets a sampled pass produced, assigning rank
    offsets cumulatively.  Buckets are in ascending value order and their
    concatenation is a permutation of the leaf, so child [lo]s are exact
    global ranks.  This only ever subdivides — the refinement invariant. *)
@@ -331,57 +335,90 @@ let adopt_buckets t node buckets =
   t.splits_since_save <- t.splits_since_save + 1;
   t.dirty_since_save <- true
 
+let set_sorted t node sorted =
+  node.state <- Leaf (Sorted sorted);
+  t.sorted_leaves <- t.sorted_leaves + 1;
+  t.dirty_since_save <- true
+
 (* Sort the whole (small) raw input in one memory load.  The stable sort
    gives positional tie-breaking without materialising tags. *)
 let sort_raw t node =
-  let sorted =
-    Scan.with_loaded t.input (fun a ->
-        Mem_sort.sort t.cmp a;
-        Scan.vec_of_array_io t.ctx a)
-  in
-  node.state <- Leaf (Sorted sorted);
-  t.sorted_leaves <- t.sorted_leaves + 1;
-  t.dirty_since_save <- true
+  set_sorted t node
+    (Scan.with_loaded t.input (fun a ->
+         Mem_sort.sort t.cmp a;
+         Scan.vec_of_array_io t.ctx a))
 
-let split_raw t node =
-  let buckets =
-    Split_step.split_tagging t.cmp t.input
-      ~target_buckets:(Split_step.default_target t.ctx ~n:node.len)
-  in
-  adopt_buckets t node buckets
-
-(* Load, sort and strip a memory-sized pair leaf.  The pairs are charged by
-   [with_loaded]; the stripped keys stream out through a writer (one block
-   buffer), so the peak is [len + O(B)] words — inside the big-load
-   reservation. *)
+(* Sort a pair leaf and strip its tags: in one memory load when it fits
+   ([len + O(B)] words, inside the big-load reservation), else in one merge
+   pass.  Either way the stripped keys stream out through one writer. *)
 let sort_unsorted t node tv =
   let tcmp = Order.tagged t.cmp in
+  let write elements =
+    Em.Writer.with_writer
+      ~write_behind:(Em.Ctx.disks t.ctx - 1)
+      t.ctx
+      (fun w -> elements (fun (x, _) -> Em.Writer.push w x))
+  in
   let sorted =
-    Scan.with_loaded tv (fun pairs ->
-        Mem_sort.sort tcmp pairs;
-        Em.Writer.with_writer
-          ~write_behind:(Em.Ctx.disks t.ctx - 1)
-          t.ctx
-          (fun w -> Array.iter (fun (x, _) -> Em.Writer.push w x) pairs))
+    if node.len <= Layout.big_load t.ctx then
+      Scan.with_loaded tv (fun pairs ->
+          Mem_sort.sort tcmp pairs;
+          write (fun f -> Array.iter f pairs))
+    else External_sort.with_sorted tcmp tv write
   in
   defer_free t (fun () -> Em.Vec.free tv);
-  node.state <- Leaf (Sorted sorted);
-  t.sorted_leaves <- t.sorted_leaves + 1;
-  t.dirty_since_save <- true
+  set_sorted t node sorted
 
-let split_unsorted t node tv =
+(* Buckets of one sampled pass over [n] elements: about 2/3 of a leaf load
+   each, leaving room for the sampling fuzz, at most [M/8] so the pivot
+   array stays small, and never more writers than one pass opens beside the
+   pivots.  Where a few more buckets than [single_pass] (which reserves
+   [M/8] words for the pivots) would cover [n], take [single_pass]. *)
+let bucket_count ctx ~n =
+  let m = Em.Ctx.mem_capacity ctx and b = Em.Ctx.block_size ctx in
+  let base = Layout.big_load ctx in
+  let free = m - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in
+  let fanout ~reserved = max 2 (min (Distribute.max_fanout ctx) ((free - b - reserved) / b)) in
+  let single_pass = fanout ~reserved:(m / 8) in
+  let wanted = (((3 * n / 2) + base - 1) / base) + 1 in
+  let wanted = if wanted > single_pass && n <= single_pass * base then single_pass else wanted in
+  let k = min (Sample_splitters.max_k ctx) (min (m / 8) wanted) in
+  min k (fanout ~reserved:(k - 1))
+
+(* One sampled pass: [sample ~k] picks [k - 1] tagged pivots and every
+   (key, position) pair [iter] yields goes to its bucket, on [pctx].  The
+   pivots are distinct and the sample's largest pair is never one, so every
+   bucket holds at least one pair and is strictly smaller than the leaf. *)
+let split t node pctx sample iter =
+  let k = bucket_count t.ctx ~n:node.len in
+  let pivots = sample ~k in
   let tcmp = Order.tagged t.cmp in
-  (* Without a checkpoint store [split] consumes (frees) [tv] exactly as it
-     always did; with one, [tv] is preserved through the pass and freed at
-     the next save (a crash mid-split or before that save restores a tree
-     that still references it).  Pairs are pairwise distinct. *)
-  let consume = t.store = None in
-  let buckets =
-    Split_step.split ~consume tcmp tv
-      ~target_buckets:(Split_step.default_target t.ctx ~n:node.len)
-  in
-  if not consume then t.pending_free <- (fun () -> Em.Vec.free tv) :: t.pending_free;
-  adopt_buckets t node buckets
+  adopt_buckets t node
+    (Em.Ctx.with_words t.ctx (k - 1) (fun () ->
+         Distribute.pass pctx ~nwriters:k (fun push ->
+             iter (fun pair -> push (Distribute.bucket_index tcmp pivots pair) pair))))
+
+(* The raw root is tagged inline, during sampling and the pass, so its
+   tagged copy is never written; the input is preserved. *)
+let split_raw t node =
+  split t node (Em.Ctx.linked t.ctx)
+    (fun ~k -> Sample_splitters.find_tagging t.cmp t.input ~k)
+    (fun f ->
+      let pos = ref (-1) in
+      Scan.iter
+        (fun e ->
+          incr pos;
+          f (e, !pos))
+        t.input)
+
+(* A pair leaf's buckets stay on its device.  It is freed after the pass
+   without a checkpoint store, and at the next save with one (a crash
+   before that save restores a tree that still references it). *)
+let split_unsorted t node tv =
+  split t node (Em.Vec.ctx tv)
+    (fun ~k -> Sample_splitters.find (Order.tagged t.cmp) tv ~k)
+    (fun f -> Scan.iter f tv);
+  defer_free t (fun () -> Em.Vec.free tv)
 
 (* Automatic checkpointing: with an every-k-splits policy armed, save as
    soon as k splits accumulate (bounding the in-flight loss of one long
@@ -392,25 +429,27 @@ let maybe_policy_save t =
   | _ -> ()
 
 (* Refine until the leaf containing rank position [p] (0-based) is a sorted
-   run, and return that leaf.  Each iteration strictly shrinks the interval
-   containing [p] (Split_step guarantees progress), so this terminates. *)
+   run, and return that leaf.  Each step sorts that leaf or strictly shrinks
+   it, so this terminates.  A leaf is sorted in memory when it fits a load;
+   a pair leaf that sorts in one merge pass is sorted so; anything else takes
+   one sampled pass.  The raw root never takes the merge sort: it stays lazy,
+   so a query pays only for the bucket it lands in. *)
 let rec refine_to t p =
-  let node = find_leaf t.root p in
-  match node.state with
-  | Leaf (Sorted _) -> node
-  | Leaf Raw ->
-      check_budget t;
-      if node.len <= Layout.big_load t.ctx then sort_raw t node
-      else split_raw t node;
-      maybe_policy_save t;
-      refine_to t p
-  | Leaf (Unsorted tv) ->
-      check_budget t;
-      if Em.Vec.length tv <= Layout.big_load t.ctx then sort_unsorted t node tv
-      else split_unsorted t node tv;
-      maybe_policy_save t;
-      refine_to t p
-  | Split _ -> refine_to t p (* unreachable: find_leaf returns leaves *)
+  let node, leaf = find_leaf t.root p in
+  let step refine =
+    check_budget t;
+    refine ();
+    maybe_policy_save t;
+    refine_to t p
+  in
+  let big = Layout.big_load t.ctx in
+  match leaf with
+  | Sorted _ -> node
+  | Raw when node.len <= big -> step (fun () -> sort_raw t node)
+  | Raw -> step (fun () -> split_raw t node)
+  | Unsorted tv when node.len <= big || External_sort.one_merge t.ctx node.len ->
+      step (fun () -> sort_unsorted t node tv)
+  | Unsorted tv -> step (fun () -> split_unsorted t node tv)
 
 let rec refine_span t p p1 =
   if p <= p1 then begin
@@ -421,9 +460,8 @@ let rec refine_span t p p1 =
 (* ---- answering (post-refinement: every leaf a query reaches is sorted) ---- *)
 
 let sorted_run t p =
-  let node = find_leaf t.root p in
-  match node.state with
-  | Leaf (Sorted sv) -> (node, sv)
+  match find_leaf t.root p with
+  | node, Sorted sv -> (node, sv)
   | _ -> invalid_arg "Online_select: internal error (leaf not refined)"
 
 let answer_select t p =

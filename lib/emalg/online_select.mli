@@ -3,10 +3,15 @@
     A session wraps an on-device vector in a {e pivot-interval tree} whose
     leaves are contiguous rank intervals of the (conceptually) sorted input.
     Nothing is sorted up front.  Each [select]/[quantile]/[range] query
-    refines {e only} the intervals it touches — an unsorted leaf is split
-    with {!Split_step} (one distribution pass) until the interval containing
-    the queried rank fits a memory load, at which point it is sorted once and
-    written back as a sorted run.  Repeated or nearby queries then cost a
+    refines {e only} the intervals it touches.  Each step on a leaf is one
+    of three moves: a leaf that fits a memory load is sorted in memory; a
+    bucket that sorts in one merge pass is sorted so
+    ({!External_sort.with_sorted}); anything else takes one sampled pass,
+    (key, position) pivots from {!Sample_splitters} at no more buckets than
+    one pass's writers, and one {!Distribute.pass}.  A bucket still too
+    large is refined again only when a query reaches it, and the raw root
+    never takes the merge sort.  A sorted leaf is written back as a sorted
+    run.  Repeated or nearby queries then cost a
     single block I/O, so the amortized I/Os per query converge toward free
     while an adversarial stream never pays more than one full
     distribution sort in total (Barbay–Gupta, "Near-Optimal Online
@@ -148,9 +153,10 @@ val snapshot_words : 'a snapshot -> int
 (** Serialized size charged by a save: [O(leaves + referenced blocks)]
     words, independent of [n]. *)
 
-val enable_checkpoints : ?every_splits:int -> 'a t -> unit
-(** Attach a checkpoint store (creating it on first use) and save a
-    baseline immediately, so {!restore} is valid from this point on.  With
+val enable_checkpoints : ?every_splits:int -> 'a t -> 'a snapshot Em.Checkpoint.t
+(** Attach a checkpoint store (creating it on first use), save a baseline
+    immediately, so {!restore} is valid from this point on, and return the
+    store.  With
     [every_splits = k], additionally saves automatically: mid-refinement
     once [k] splits accumulate, and at the end of every query that refined
     the tree — so once a reply is emitted, the refinement it paid for is

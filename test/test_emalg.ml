@@ -148,11 +148,15 @@ let test_external_sort_empty_and_tiny () =
   let one = Emalg.External_sort.sort Tu.icmp (Tu.int_vec ctx [| 42 |]) in
   Tu.check_int_array "singleton" [| 42 |] (Em.Vec.Oracle.to_array one)
 
-let test_distribute_by_pivots () =
+let test_distribute_pass () =
   let ctx = Tu.ctx ~mem:256 ~block:16 () in
   let a = Tu.random_perm ~seed:51 100 in
   let v = Tu.int_vec ctx a in
-  let buckets = Emalg.Distribute.by_pivots Tu.icmp ~pivots:[| 24; 49; 74 |] v in
+  let pivots = [| 24; 49; 74 |] in
+  let buckets =
+    Emalg.Distribute.pass ctx ~nwriters:4 (fun push ->
+        Emalg.Scan.iter (fun e -> push (Emalg.Distribute.bucket_index Tu.icmp pivots e) e) v)
+  in
   Tu.check_int "4 buckets" 4 (Array.length buckets);
   Array.iteri
     (fun i b ->
@@ -161,40 +165,16 @@ let test_distribute_by_pivots () =
         (fun e ->
           Tu.check_bool "element in range" true (e >= i * 25 && e < (i + 1) * 25))
         (Em.Vec.Oracle.to_array b))
-    buckets
+    buckets;
+  Array.iter Em.Vec.free buckets;
+  Tu.check_int "ledger drained" 0 ctx.Em.Ctx.stats.Em.Stats.mem_in_use
 
 let test_distribute_pivot_boundary_semantics () =
-  let ctx = Tu.ctx () in
-  let v = Tu.int_vec ctx [| 1; 2; 3; 4; 5 |] in
   (* bucket 0 = (-inf, 3], bucket 1 = (3, +inf) *)
-  let buckets = Emalg.Distribute.by_pivots Tu.icmp ~pivots:[| 3 |] v in
-  Tu.check_int_array "left closed at pivot" [| 1; 2; 3 |] (Em.Vec.Oracle.to_array buckets.(0));
-  Tu.check_int_array "right open" [| 4; 5 |] (Em.Vec.Oracle.to_array buckets.(1))
-
-let test_distribute_unsorted_pivots_rejected () =
-  let ctx = Tu.ctx () in
-  let v = Tu.int_vec ctx [| 1 |] in
-  Alcotest.check_raises "unsorted pivots"
-    (Invalid_argument "Distribute.by_pivots: pivots are not sorted")
-    (fun () -> ignore (Emalg.Distribute.by_pivots Tu.icmp ~pivots:[| 5; 2 |] v))
-
-let test_distribute_deep () =
-  let ctx = Tu.ctx ~mem:64 ~block:8 () in
-  (* max_fanout = (64-8)/9 = 6; ask for 20 buckets to force hierarchy. *)
-  let n = 400 in
-  let a = Tu.random_perm ~seed:61 n in
-  let v = Tu.int_vec ctx a in
-  let pivots = Array.init 19 (fun i -> ((i + 1) * 20) - 1) in
-  let buckets = Emalg.Distribute.by_pivots_deep Tu.icmp ~pivots ~owned:true v in
-  Tu.check_int "20 buckets" 20 (Array.length buckets);
-  Array.iteri
-    (fun i b ->
-      let contents = sorted (Em.Vec.Oracle.to_array b) in
-      Tu.check_int_array (Printf.sprintf "bucket %d exact" i)
-        (Array.init 20 (fun j -> (i * 20) + j))
-        contents)
-    buckets;
-  Tu.check_int "ledger drained" 0 ctx.Em.Ctx.stats.Em.Stats.mem_in_use
+  Tu.check_int_array "left closed at pivot, right open" [| 0; 0; 0; 1; 1 |]
+    (Array.map (Emalg.Distribute.bucket_index Tu.icmp [| 3 |]) [| 1; 2; 3; 4; 5 |]);
+  Tu.check_int_array "least pivot at or above" [| 0; 1; 1; 2; 3 |]
+    (Array.map (Emalg.Distribute.bucket_index Tu.icmp [| 2; 4; 6 |]) [| 2; 3; 4; 5; 7 |])
 
 let test_three_way () =
   let ctx = Tu.ctx () in
@@ -358,12 +338,9 @@ let suite =
     Alcotest.test_case "external_sort: correct" `Quick test_external_sort_correct;
     Alcotest.test_case "external_sort: I/O bound" `Quick test_external_sort_io_bound;
     Alcotest.test_case "external_sort: empty/tiny" `Quick test_external_sort_empty_and_tiny;
-    Alcotest.test_case "distribute: by_pivots" `Quick test_distribute_by_pivots;
+    Alcotest.test_case "distribute: pass by bucket_index" `Quick test_distribute_pass;
     Alcotest.test_case "distribute: boundary semantics" `Quick
       test_distribute_pivot_boundary_semantics;
-    Alcotest.test_case "distribute: unsorted pivots" `Quick
-      test_distribute_unsorted_pivots_rejected;
-    Alcotest.test_case "distribute: hierarchical" `Quick test_distribute_deep;
     Alcotest.test_case "distribute: three_way" `Quick test_three_way;
     Alcotest.test_case "em_select: matches oracle" `Quick test_em_select_matches_oracle;
     Alcotest.test_case "em_select: linear I/O" `Quick test_em_select_linear_io;

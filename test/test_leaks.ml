@@ -127,11 +127,66 @@ let faulted_partition ~k ~packed =
         ignore (run (Some (Em.Fault.crash_at [ 1 + (i * (total - 1) / 41) ])))
       done)
 
+(* A session's first query under a fault that aborts it, with and without
+   a checkpoint store: at M=512 the query samples the raw root, distributes
+   it once and sorts the queried bucket in one merge pass, and crashes are
+   probed through all three, the sort's last scans included.  After the
+   crash and [close] the ledger must be drained and only the input's blocks
+   live. *)
+let faulted_session ~checkpointed =
+  Alcotest.test_case
+    (Printf.sprintf "online session, %s (first query aborted by a fault)"
+       (if checkpointed then "checkpointed" else "no store"))
+    `Quick
+    (fun () ->
+      let n = 1 lsl 14 in
+      let data = Tu.random_perm ~seed:37 n in
+      let module Os = Emalg.Online_select in
+      let run plan =
+        let ctx = Tu.ctx ~mem:512 ~block:16 () in
+        let v = Tu.int_vec ctx data in
+        let live () = ctx.Em.Ctx.stats.Em.Stats.allocated_blocks - ctx.Em.Ctx.stats.Em.Stats.freed_blocks in
+        let baseline = live () in
+        let s = Os.open_session Tu.icmp ctx v in
+        if checkpointed then ignore (Os.enable_checkpoints s);
+        Option.iter (Em.Ctx.inject ctx) plan;
+        let outcome =
+          match Em.Ctx.measured ctx (fun () -> Os.select s (n / 2)) with
+          | _, d ->
+              (* The queried bucket's length, once sorted. *)
+              let sorted_len =
+                List.fold_left
+                  (fun acc (_, len, sorted) -> if sorted then acc + len else acc)
+                  0 (Os.intervals s)
+              in
+              Some (Em.Stats.delta_ios d, sorted_len, Emalg.Layout.big_load ctx)
+          | exception Em.Em_error.Error (Em.Em_error.Crashed _) -> None
+        in
+        Os.close s;
+        Tu.check_int "memory ledger drained" 0 ctx.Em.Ctx.stats.Em.Stats.mem_in_use;
+        Tu.check_int "only the input's blocks live" baseline (live ());
+        outcome
+      in
+      match run None with
+      | None -> Alcotest.fail "the crash-free query crashed"
+      | Some (total, sorted_len, big) ->
+          (* A bucket past one memory load: its sort's four scans close the
+             query. *)
+          Tu.check_bool "a bucket sorted in one merge pass" true (sorted_len > big);
+          let tail = 4 * sorted_len / 16 in
+          let probes =
+            List.init 40 (fun i -> 1 + ((i + 1) * (total - 1) / 41))
+            @ List.init 8 (fun j -> total - ((j + 1) * tail / 9))
+          in
+          List.iter (fun at -> ignore (run (Some (Em.Fault.crash_at [ at ])))) probes)
+
 let suite =
   [
     faulted_general ~mem:1024 ~k:40;
     faulted_general ~mem:256 ~k:64;
     faulted_one_merge;
+    faulted_session ~checkpointed:false;
+    faulted_session ~checkpointed:true;
     faulted_partition ~k:4 ~packed:false;
     faulted_partition ~k:4 ~packed:true;
     faulted_partition ~k:64 ~packed:false;
@@ -148,8 +203,10 @@ let suite =
         ignore (Emalg.Sample_splitters.find Tu.icmp v ~k:8));
     audit "sample splitters (tagging)" (fun _ctx v _n ->
         ignore (Emalg.Sample_splitters.find_tagging Tu.icmp v ~k:8));
-    audit "split_step tagging" (fun _ctx v _n ->
-        Array.iter Em.Vec.free (Emalg.Split_step.split_tagging Tu.icmp v ~target_buckets:8));
+    audit "online session" (fun ctx v n ->
+        let s = Emalg.Online_select.open_session Tu.icmp ctx v in
+        List.iter (fun k -> ignore (Emalg.Online_select.select s k)) [ 1; n / 2; n ];
+        Emalg.Online_select.close s);
     audit "multi_select (base case)" (fun _ctx v n ->
         ignore (Core.Multi_select.select Tu.icmp v ~ranks:[| 1; n / 2; n |]));
     audit "multi_select (base case, K = m)" (fun ctx v n ->

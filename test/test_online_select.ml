@@ -158,6 +158,76 @@ let test_intervals_monotone () =
     ];
   Os.close s
 
+(* Every leaf holds exactly the (key, position) pairs of its rank interval:
+   the leaves partition the input in rank order, ties broken by position. *)
+let check_leaves a s =
+  let n = Array.length a in
+  let ranked = Array.init n (fun i -> (a.(i), i)) in
+  Array.stable_sort (fun (x, _) (y, _) -> Tu.icmp x y) ranked;
+  List.iter
+    (fun (lo, len, h) ->
+      let expect = Array.sub ranked lo len in
+      match h with
+      | Os.H_raw -> Tu.check_int "a raw leaf spans the input" n len
+      | Os.H_unsorted tv ->
+          let got = Em.Vec.Oracle.to_array tv in
+          Array.sort compare got;
+          Tu.check_bool "a bucket holds its interval's pairs" true (got = expect)
+      | Os.H_sorted sv ->
+          Tu.check_int_array "a sorted run holds its interval" (Array.map fst expect)
+            (Em.Vec.Oracle.to_array sv))
+    (Os.snapshot s).Os.s_leaves
+
+(* At M=256, B=16 one sampled pass opens at most 13 writers, so a
+   20 000-element root splits into 13 buckets of about 1 540 elements, too
+   many to sort in one merge pass: a query splits its bucket again.  Each
+   split leaves at least two non-empty children, so every child is
+   strictly smaller than its leaf. *)
+let check_splits a =
+  let n = Array.length a in
+  let ctx = Tu.ctx () in
+  let v = Tu.int_vec ctx a in
+  let s = Os.open_session Tu.icmp ctx v in
+  let sorted = Tu.sorted_copy a in
+  let prev = ref (Os.intervals s) in
+  List.iter
+    (fun k ->
+      let r = Os.query s (Os.Select k) in
+      Tu.check_int (Printf.sprintf "select %d" k) sorted.(k - 1) r.Os.values.(0);
+      let next = Os.intervals s in
+      check_partition n next;
+      check_refines !prev next;
+      Tu.check_bool "each split adds a leaf or more" true
+        (List.length next >= List.length !prev + r.Os.splits);
+      check_leaves a s;
+      Tu.check_int "ledger drained" 0 ctx.Em.Ctx.stats.Em.Stats.mem_in_use;
+      prev := next)
+    [ n / 2; 1; n; n / 3 ];
+  Tu.check_bool "the root split into smaller children" true
+    (List.for_all (fun (_, len, _) -> len < n) !prev);
+  Tu.check_bool "children split again" true ((Os.summary s).Os.splits > 1);
+  Tu.check_int_array "input unchanged" a (Em.Vec.Oracle.to_array v);
+  Os.close s
+
+let test_children_partition () = check_splits (Tu.random_perm ~seed:25 20_000)
+
+(* All-equal keys: only the positional tags let a sampled pass make
+   progress. *)
+let test_equal_keys_progress () = check_splits (Array.make 20_000 7)
+
+(* The first select on a raw session samples the input, distributes it
+   once and sorts the queried bucket in one merge pass: at most four
+   scans. *)
+let test_first_select_cost () =
+  let n = 1 lsl 14 in
+  let ctx = Tu.ctx ~mem:512 ~block:16 () in
+  let s = session ctx (Tu.random_perm ~seed:26 n) in
+  let r = Os.query s (Os.Select (n / 2)) in
+  Tu.check_int "answer" ((n / 2) - 1) r.Os.values.(0);
+  let ios = Em.Stats.delta_ios r.Os.cost in
+  if ios > 4 * n / 16 then Alcotest.failf "first select costs %d I/Os, over four scans" ios;
+  Os.close s
+
 (* ---- equivalence with the batch engine under a full rank stream ---- *)
 
 (* Theorem 4's general case as the paper states it, costed as the batch
@@ -209,11 +279,13 @@ let multi_partition_route cmp v ranks =
    the position-tagged distribution pass a lazy tree pays and an up-front
    sort does not).  The batch engine's counting route is cheaper than the
    session on a full rank stream, so the I/O reference is the route the
-   session's lazy tree refines like. *)
+   session's lazy tree refines like.  Above n = 1 248 the root wants more
+   buckets than one pass's writers, and its buckets sort in one merge
+   pass. *)
 let prop_full_stream_matches_batch =
   Tu.qcheck_case ~count:25
     "all-rank shuffled stream == batch multiselect, for fewer total I/Os"
-    QCheck2.Gen.(pair (int_range 120 700) (int_range 0 999))
+    QCheck2.Gen.(pair (int_range 120 2_000) (int_range 0 999))
     (fun (n, seed) ->
       let a = Tu.random_perm ~seed n in
       let order = Array.init n (fun i -> i + 1) in
@@ -248,6 +320,20 @@ let prop_full_stream_matches_batch =
       out = batch && routed = batch && drained = 0
       && sum.Os.refine_ios + sum.Os.answer_ios <= Em.Stats.delta_ios droute
       && sum.Os.refine_ios <= 4 * Em.Stats.delta_ios dsort)
+
+(* All ranks at M=32, B=4, the smallest geometry: two buckets per sampled
+   pass, and the memory ledger stays within M throughout. *)
+let test_all_ranks_tiny_memory () =
+  let n = 600 in
+  let ctx = Tu.ctx ~mem:32 ~block:4 () in
+  let s = session ctx (Tu.random_perm ~seed:27 n) in
+  let order = Array.init n (fun i -> i + 1) in
+  Tu.shuffle (Tu.rng 28) order;
+  Array.iter (fun k -> Tu.check_int (Printf.sprintf "select %d" k) (k - 1) (Os.select s k)) order;
+  Tu.check_bool "every leaf sorted" true (List.for_all (fun (_, _, sorted) -> sorted) (Os.intervals s));
+  Tu.check_bool "memory peak within M" true (ctx.Em.Ctx.stats.Em.Stats.mem_peak <= 32);
+  Os.close s;
+  Tu.check_int "ledger drained" 0 ctx.Em.Ctx.stats.Em.Stats.mem_in_use
 
 (* ---- drains: a streaming drain answers like batch multiselection ---- *)
 
@@ -331,11 +417,10 @@ let test_counters_after_restore () =
   let ctx = Tu.ctx ~mem:1024 ~block:16 () in
   let v = Tu.int_vec ctx (Tu.random_perm ~seed:22 n) in
   let s = Os.open_session Tu.icmp ctx v in
-  Os.enable_checkpoints s;
+  let store = Os.enable_checkpoints s in
   List.iter (fun k -> ignore (Os.select s k)) [ 1; n / 3; n / 2; n ];
   Os.checkpoint s;
   let before = Os.summary s in
-  let store = Option.get (Os.checkpoint_store s) in
   let r = Os.restore Tu.icmp ctx v store in
   check_counters "restored" r;
   Tu.check_int "restore keeps the leaf count" before.Os.leaves (Os.summary r).Os.leaves;
@@ -347,11 +432,12 @@ let test_counters_after_restore () =
 
 (* A restored session is one flat level of every leaf, so [find_leaf]
    searches >= 1000 children.  Built directly from a snapshot: sorted runs,
-   small position-tagged buckets, and a few buckets too big to sort in one
-   load (which must split under the flat level). *)
-let test_restored_flat_oracle () =
+   small position-tagged buckets, and a few 3 000-element buckets too big to
+   sort in one load.  At M=1024 those sort in one merge pass and become
+   sorted leaves; at M=256 they must split under the flat level. *)
+let test_restored_flat_oracle ~mem () =
   let n = 30_000 in
-  let ctx = Tu.ctx ~mem:1024 ~block:16 () in
+  let ctx = Tu.ctx ~mem ~block:16 () in
   let pctx : (int * int) Em.Ctx.t = Em.Ctx.linked ctx in
   let a = Tu.random_perm ~seed:23 n in
   let pos = Array.make n 0 in
@@ -395,8 +481,13 @@ let test_restored_flat_oracle () =
   done;
   List.iter (fun k -> Tu.check_int "edge ranks" (k - 1) (Os.select s k)) [ 1; 2; n - 1; n ];
   check_counters "restored flat, then queried" s;
-  Tu.check_bool "an oversized bucket split under the flat level" true
-    ((Os.summary s).Os.splits > 0);
+  let sum = Os.summary s in
+  if mem >= 1024 then begin
+    Tu.check_int "no bucket split" 0 sum.Os.splits;
+    Tu.check_bool "an oversized bucket became one sorted leaf" true
+      (List.exists (fun (_, len, sorted) -> len = 3_000 && sorted) (Os.intervals s))
+  end
+  else Tu.check_bool "an oversized bucket split under the flat level" true (sum.Os.splits > 0);
   Os.close s
 
 (* ---- teardown: no resident pool pages, no leaked blocks ---- *)
@@ -440,7 +531,12 @@ let suite =
     Alcotest.test_case "rank validation" `Quick test_out_of_range_ranks;
     Alcotest.test_case "intervals only split, never re-merge" `Quick
       test_intervals_monotone;
+    Alcotest.test_case "children partition their leaf in order" `Quick
+      test_children_partition;
+    Alcotest.test_case "all-equal keys make progress" `Quick test_equal_keys_progress;
+    Alcotest.test_case "first select within four scans" `Quick test_first_select_cost;
     prop_full_stream_matches_batch;
+    Alcotest.test_case "all ranks at M=32, B=4" `Quick test_all_ranks_tiny_memory;
     Alcotest.test_case "warm drain streams through the session" `Quick
       test_warm_drain_matches_batch;
     prop_counters_match_recount;
@@ -448,7 +544,9 @@ let suite =
       test_counters_after_aborts;
     Alcotest.test_case "counters after restore" `Quick test_counters_after_restore;
     Alcotest.test_case "restored flat level of 1000+ leaves vs oracle" `Quick
-      test_restored_flat_oracle;
+      (test_restored_flat_oracle ~mem:1024);
+    Alcotest.test_case "restored flat level at M=256 splits big buckets" `Quick
+      (test_restored_flat_oracle ~mem:256);
     Alcotest.test_case "zero pool pages after close" `Quick
       test_zero_pool_pages_after_close;
   ]

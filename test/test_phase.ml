@@ -40,7 +40,7 @@ let families =
     ( "checkpointed session",
       fun ctx ->
         let s = Emalg.Online_select.open_session Tu.icmp ctx (vec ctx) in
-        Emalg.Online_select.enable_checkpoints ~every_splits:2 s;
+        ignore (Emalg.Online_select.enable_checkpoints ~every_splits:2 s);
         List.iter (fun k -> ignore (Emalg.Online_select.select s k)) [ n / 2; 17; n - 3 ] );
   ]
 

@@ -36,7 +36,7 @@ let with_ctx ~backend ~disks f =
 let open_checkpointed ctx =
   let v = Em.Vec.of_array ctx (Tu.random_perm ~seed:5 n) in
   let s = Os.open_session (Em.Ctx.counted ctx Tu.icmp) ctx v in
-  Os.enable_checkpoints ~every_splits:2 s;
+  ignore (Os.enable_checkpoints ~every_splits:2 s);
   (v, s)
 
 let kill_and_restore ctx v s =
