@@ -180,40 +180,86 @@ let check_leaves a s =
 
 (* At M=256, B=16 one sampled pass opens at most 13 writers, so a
    20 000-element root splits into 13 buckets of about 1 540 elements, too
-   many to sort in one merge pass: a query splits its bucket again.  Each
-   split leaves at least two non-empty children, so every child is
-   strictly smaller than its leaf. *)
-let check_splits a =
+   many to sort in one merge pass: a query splits its bucket again.
+   [split_stream a step] opens a session on [a], runs a stream of selects
+   against the sorted oracle and hands [step] the session, the query's
+   reply and the intervals before and after it; it returns the session
+   and its input vector, still open. *)
+let split_stream a step =
   let n = Array.length a in
   let ctx = Tu.ctx () in
   let v = Tu.int_vec ctx a in
   let s = Os.open_session Tu.icmp ctx v in
   let sorted = Tu.sorted_copy a in
-  let prev = ref (Os.intervals s) in
   List.iter
     (fun k ->
+      let prev = Os.intervals s in
       let r = Os.query s (Os.Select k) in
       Tu.check_int (Printf.sprintf "select %d" k) sorted.(k - 1) r.Os.values.(0);
-      let next = Os.intervals s in
-      check_partition n next;
-      check_refines !prev next;
-      Tu.check_bool "each split adds a leaf or more" true
-        (List.length next >= List.length !prev + r.Os.splits);
-      check_leaves a s;
-      Tu.check_int "ledger drained" 0 ctx.Em.Ctx.stats.Em.Stats.mem_in_use;
-      prev := next)
+      step s r prev (Os.intervals s);
+      Tu.check_int "ledger drained" 0 ctx.Em.Ctx.stats.Em.Stats.mem_in_use)
     [ n / 2; 1; n; n / 3 ];
-  Tu.check_bool "the root split into smaller children" true
-    (List.for_all (fun (_, len, _) -> len < n) !prev);
   Tu.check_bool "children split again" true ((Os.summary s).Os.splits > 1);
-  Tu.check_int_array "input unchanged" a (Em.Vec.Oracle.to_array v);
+  (s, v)
+
+(* The leaves stay a partition of the input in rank order, each nested in
+   the leaf it came from. *)
+let partition_step a s (r : int Os.reply) prev next =
+  check_partition (Array.length a) next;
+  check_refines prev next;
+  Tu.check_bool "each split adds a leaf or more" true
+    (List.length next >= List.length prev + r.Os.splits);
+  check_leaves a s
+
+(* Each split leaves at least two non-empty children, so every child is
+   strictly smaller than the leaf it came from. *)
+let progress_step _s _r prev next =
+  List.iter
+    (fun (lo, len, _) ->
+      match
+        List.find_opt
+          (fun (plo, plen, _) -> plo <= lo && lo + len <= plo + plen)
+          prev
+      with
+      | Some (plo, plen, _) when plo = lo && plen = len -> ()
+      | Some (_, plen, _) ->
+          Tu.check_bool "a child is smaller than its leaf" true (len < plen)
+      | None -> Alcotest.fail "new interval not nested in the previous partition")
+    next
+
+let test_children_partition () =
+  let a = Tu.random_perm ~seed:25 20_000 in
+  let s, _ = split_stream a (partition_step a) in
   Os.close s
 
-let test_children_partition () = check_splits (Tu.random_perm ~seed:25 20_000)
+let test_split_progress () =
+  let n = 20_000 in
+  let s, _ = split_stream (Tu.random_perm ~seed:25 n) progress_step in
+  Tu.check_bool "the root split into smaller children" true
+    (List.for_all (fun (_, len, _) -> len < n) (Os.intervals s));
+  Os.close s
+
+let test_input_preserved () =
+  List.iter
+    (fun a ->
+      let s, v = split_stream a (fun _ _ _ _ -> ()) in
+      Tu.check_int_array "input unchanged" a (Em.Vec.Oracle.to_array v);
+      Os.close s)
+    [ Tu.random_perm ~seed:25 20_000; Array.make 20_000 7 ]
 
 (* All-equal keys: only the positional tags let a sampled pass make
    progress. *)
-let test_equal_keys_progress () = check_splits (Array.make 20_000 7)
+let test_equal_keys_progress () =
+  let n = 20_000 in
+  let a = Array.make n 7 in
+  let s, _ =
+    split_stream a (fun s r prev next ->
+        partition_step a s r prev next;
+        progress_step s r prev next)
+  in
+  Tu.check_bool "the root split into smaller children" true
+    (List.for_all (fun (_, len, _) -> len < n) (Os.intervals s));
+  Os.close s
 
 (* The first select on a raw session samples the input, distributes it
    once and sorts the queried bucket in one merge pass: at most four
@@ -533,6 +579,8 @@ let suite =
       test_intervals_monotone;
     Alcotest.test_case "children partition their leaf in order" `Quick
       test_children_partition;
+    Alcotest.test_case "split children shrink their leaf" `Quick test_split_progress;
+    Alcotest.test_case "input unchanged after splits" `Quick test_input_preserved;
     Alcotest.test_case "all-equal keys make progress" `Quick test_equal_keys_progress;
     Alcotest.test_case "first select within four scans" `Quick test_first_select_cost;
     prop_full_stream_matches_batch;
