@@ -203,8 +203,9 @@ cluster:
 # WORKLOAD (one name, or a space-separated list run one after the other),
 # SECONDS each (BENCHMARK.json's run length by default), swapping which side
 # runs first every pair, with pair i on input seed SEED + 1000 i (a run's
-# reps use seeds S, S+1, ...).  Prints each pair's throughput and how many
-# pairs the change won, per workload, then `perf.exe compare` (medians,
+# reps use seeds S, S+1, ...).  Prints each pair's throughput, setup_s and
+# first_op_ms and how many pairs the change won on throughput, per workload,
+# then `perf.exe compare` (medians,
 # quartiles, PASS/FAIL against BENCHMARK.json bounds, one section per
 # workload) over the result lines collected in
 # _build/perf-ab/{parent,change}.jsonl.  PARENT is unpacked with
@@ -227,7 +228,8 @@ perf-ab:
 	    || { echo "perf-ab: $$1 run failed ($$w, seed $$3)"; exit 1; }; \
 	  cat $$ab/out-$$1/$$w-seed$$3-trace0.json >> $$ab/$$1.jsonl; \
 	}; \
-	thr() { sed -n "$${2}s/.*\"throughput\":{\"value\":\([^,]*\),.*/\1/p" $$ab/$$1.jsonl; }; \
+	met() { sed -n "$${2}s/.*\"$$3\":{\"value\":\([^,]*\),.*/\1/p" $$ab/$$1.jsonl; }; \
+	both() { awk "BEGIN { printf \"$$2 parent %.4g change %.4g\", $$(met parent $$1 $$2), $$(met change $$1 $$2) }"; }; \
 	line=0; \
 	for w in $(WORKLOAD); do \
 	  won=0; i=1; \
@@ -235,9 +237,9 @@ perf-ab:
 	    s=$$(( $(SEED) + 1000 * i )); line=$$((line + 1)); \
 	    if [ $$(( i % 2 )) -eq 1 ]; then run parent $$ab/parent $$s; run change $(CURDIR) $$s; \
 	    else run change $(CURDIR) $$s; run parent $$ab/parent $$s; fi; \
-	    p=$$(thr parent $$line); c=$$(thr change $$line); \
+	    p=$$(met parent $$line throughput); c=$$(met change $$line throughput); \
 	    if awk "BEGIN { exit !($$c > $$p) }"; then won=$$((won + 1)); fi; \
-	    echo "pair $$i (seed $$s): throughput parent $$p change $$c"; \
+	    echo "pair $$i (seed $$s): throughput parent $$p change $$c; $$(both $$line setup_s); $$(both $$line first_op_ms)"; \
 	    i=$$((i + 1)); \
 	  done; \
 	  echo "change won $$won of $(PAIRS) pairs on $$w throughput"; \

@@ -13,9 +13,10 @@
      quit                                  close and exit
 
    Every admitted query gets a monotonically-assigned id, echoed in its
-   reply together with a compact "cost" object; the same span feeds the
-   per-session Metrics histograms, the flight recorder, the drift watchdog
-   and the optional telemetry stream.
+   reply together with a compact "cost" object.  Its span closes once, the
+   same way for every outcome, into one flight record that the per-session
+   Metrics histograms, the drift watchdog and the optional telemetry stream
+   all read.
 
    Error-reply grammar:
      {"error":"<message>"}                           parse failure (no id:
@@ -61,7 +62,7 @@ type meta = {
 
 type t = {
   ctx : int Em.Ctx.t;
-  mutable session : int Os.t;
+  session : int Os.t;
   profiler : Em.Profile.t;
   registry : Em.Metrics.t;
   input : int Em.Vec.t;
@@ -86,7 +87,7 @@ type t = {
   ios_hist : Em.Metrics.histogram;  (* simulated, in registry *)
   rounds_hist : Em.Metrics.histogram;  (* simulated, in registry *)
   reply_buf : Buffer.t;  (* every reply is rendered here, then emitted *)
-  mutable next_id : int;
+  (* admitted queries by kind; their sum is the latest query id *)
   mutable n_select : int;
   mutable n_quantile : int;
   mutable n_range : int;
@@ -99,7 +100,7 @@ let crashed t = t.crashed
 let drift t = t.drift
 let flight_recorder t = t.recorder
 let flight_dumps t = t.flight_dumps
-let queries_admitted t = t.next_id - 1
+let queries_admitted t = t.n_select + t.n_quantile + t.n_range
 
 (* ---- state file (cross-process survival) ----
 
@@ -398,7 +399,6 @@ let create ?checkpoint_every ?io_budget ?(max_retries = 3) ?state_path
         Em.Metrics.histogram registry ~help:"per-query effective parallel rounds"
           "query_rounds";
       reply_buf = Buffer.create 1024;
-      next_id = n_select + n_quantile + n_range + 1;
       n_select;
       n_quantile;
       n_range;
@@ -571,20 +571,17 @@ let wall_json srv =
       ("qps", J.Fixed (2, if up_s > 0. then float_of_int (queries_admitted srv) /. up_s else 0.));
       ("p50_ms", quant 0.5); ("p99_ms", quant 0.99) ]
 
-let telemetry_tick srv =
+(* Hand a frame to the emitter ([Em.Telemetry.tick], [alert] or [final]);
+   it builds the payloads only if it writes the frame. *)
+let telemetry srv frame =
   match srv.telemetry with
   | None -> ()
   | Some tel ->
-      Em.Telemetry.tick tel ~queries:(queries_admitted srv) ~cost:(cost_json srv)
+      frame tel ~queries:(queries_admitted srv)
+        ~cost:(fun () -> cost_json srv)
         ~wall:(fun () -> wall_json srv)
 
 (* ---- flight recorder ---- *)
-
-let rec ensure_dir path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    ensure_dir (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 (* Post-mortem dump: the retained query records joined with their trace
    events and a fresh registry snapshot.  Returns the artifact path, or
@@ -594,7 +591,6 @@ let flight_dump srv ~reason =
   | None -> None
   | Some dir ->
       ignore (metrics_json srv);  (* refresh the registry snapshot *)
-      ensure_dir dir;
       srv.flight_dumps <- srv.flight_dumps + 1;
       let path =
         Filename.concat dir (Printf.sprintf "postmortem-%03d.json" srv.flight_dumps)
@@ -645,10 +641,21 @@ let parse_command str =
   | [] -> Error "empty query"
   | w :: _ -> Error (Printf.sprintf "unknown query %S" w)
 
-let query_kind = function
-  | Os.Select _ -> "select"
-  | Os.Quantile _ -> "quantile"
-  | Os.Range _ -> "range"
+(* One span, one record: the ring keeps it, and the three histograms, the
+   drift fold and the telemetry tick read it.  [s] is the session summary
+   the span closed on. *)
+let close_span srv (s : Os.summary) (r : Em.Flight_recorder.record) =
+  Em.Flight_recorder.record srv.recorder r;
+  Em.Metrics.observe srv.ios_hist (float_of_int r.ios);
+  Em.Metrics.observe srv.rounds_hist (float_of_int r.rounds);
+  Em.Metrics.observe srv.lat_hist (float_of_int r.wall_ns);
+  (match Drift.observe srv.drift ~queries:r.id ~total_ios:(s.Os.refine_ios + s.Os.answer_ios) with
+  | Drift.Alert _ when Drift.alerts srv.drift = 1 ->
+      (* First trip only; the sticky ratio keeps showing in every
+         subsequent frame's drift_ratio field. *)
+      telemetry srv Em.Telemetry.alert
+  | _ -> ());
+  telemetry srv Em.Telemetry.tick
 
 (* One query, with Resilient-style bounded retries at the query level: a
    typed failure that escapes the per-I/O recovery re-runs the query (each
@@ -678,86 +685,64 @@ let run_command srv emit line =
       checkpoint_now srv;
       reply (checkpoint_json srv)
   | Ok (Query q) -> (
-      (* Admit the query: assign its id and open its request span. *)
-      let id = srv.next_id in
-      srv.next_id <- id + 1;
+      (* Admit the query: count it by kind (the count so far is its id) and
+         open its span. *)
       (match q with
       | Os.Select _ -> srv.n_select <- srv.n_select + 1
       | Os.Quantile _ -> srv.n_quantile <- srv.n_quantile + 1
       | Os.Range _ -> srv.n_range <- srv.n_range + 1);
+      let id = queries_admitted srv in
       let label = String.trim line in
+      let stats = srv.ctx.Em.Ctx.stats in
       let seq_lo = Em.Trace.total srv.ctx.Em.Ctx.trace in
-      let before = Em.Stats.snapshot srv.ctx.Em.Ctx.stats in
+      let before = Em.Stats.snapshot stats in
       let splits0 = (Os.summary srv.session).Os.splits in
       let t0 = srv.clock () in
-      (* Close the span: flight record + histograms + drift fold + telemetry
-         tick.  Runs on every admitted outcome, success or not. *)
-      let finish ~ios ~rounds ~splits ~outcome =
-        let wall_ns = int_of_float ((srv.clock () -. t0) *. 1e9) in
-        let seq_hi = Em.Trace.total srv.ctx.Em.Ctx.trace in
-        Em.Flight_recorder.record srv.recorder
-          { Em.Flight_recorder.id; kind = query_kind q; query = label; ios;
-            rounds; splits; wall_ns; outcome; seq_lo; seq_hi };
-        Em.Metrics.observe srv.ios_hist (float_of_int ios);
-        Em.Metrics.observe srv.rounds_hist (float_of_int rounds);
-        Em.Metrics.observe srv.lat_hist (float_of_int wall_ns);
-        let s = Os.summary srv.session in
-        let verdict =
-          Drift.observe srv.drift ~queries:(queries_admitted srv)
-            ~total_ios:
-              (s.Os.refine_ios + s.Os.answer_ios)
-        in
-        (match (verdict, srv.telemetry) with
-        | Drift.Alert _, Some tel when Drift.alerts srv.drift = 1 ->
-            (* First trip only; the sticky ratio keeps showing in every
-               subsequent frame's drift_ratio field. *)
-            Em.Telemetry.alert tel ~queries:(queries_admitted srv)
-              ~cost:(cost_json srv)
-              ~wall:(fun () -> wall_json srv)
-        | _ -> ());
-        telemetry_tick srv
-      in
-      let err_span ~outcome =
-        let d = Em.Stats.delta srv.ctx.Em.Ctx.stats before in
-        let splits =
-          (Os.summary srv.session).Os.splits - splits0
-        in
-        finish ~ios:(Em.Stats.delta_ios d) ~rounds:d.Em.Stats.d_rounds ~splits ~outcome
-      in
       let retries = ref 0 in
-      match exec_query srv ~retries q with
-      | r ->
-          finish
-            ~ios:(Em.Stats.delta_ios r.Os.cost)
-            ~rounds:r.Os.cost.Em.Stats.d_rounds
-            ~splits:r.Os.splits ~outcome:"ok";
+      let result = match exec_query srv ~retries q with r -> Ok r | exception e -> Error e in
+      let outcome =
+        match result with
+        | Ok _ -> "ok"
+        | Error (Invalid_argument _) -> "invalid"
+        | Error (Em.Em_error.Error e) -> error_code e
+        | Error _ -> "internal"
+      in
+      (* Close the span, whatever the outcome: the Stats delta and the splits
+         since admission cover every query-level retry attempt. *)
+      let d = Em.Stats.delta stats before in
+      let s = Os.summary srv.session in
+      close_span srv s
+        { Em.Flight_recorder.id; kind = Os.query_kind q; query = label;
+          ios = Em.Stats.delta_ios d; rounds = d.Em.Stats.d_rounds;
+          splits = s.Os.splits - splits0;
+          wall_ns = int_of_float ((srv.clock () -. t0) *. 1e9); outcome; seq_lo;
+          seq_hi = Em.Trace.total srv.ctx.Em.Ctx.trace };
+      (* The outcome decides the reply, the post-mortem and whether the loop
+         goes on. *)
+      match result with
+      | Ok r ->
           let ok = reply (reply_json ~id label r) in
           mirror_state srv;
           ok
-      | exception Invalid_argument msg ->
-          err_span ~outcome:"invalid";
-          reply (J.Obj [ int "id" id; str "error" msg ])
-      | exception Em.Em_error.Error (Em.Em_error.Crashed _ as e) ->
-          (* A crash halts the machine: reply, then stop serving.  The state
-             file (if any) still holds the last checkpoint for --restore;
-             deliberately nothing is saved now — a crashed process does not
-             get to write.  The flight recorder, being pure observability,
-             does get to leave its post-mortem. *)
-          err_span ~outcome:(error_code e);
-          ignore (flight_dump srv ~reason:(error_code e));
-          ignore (reply (em_error_json ~id ~retries:!retries e));
-          srv.crashed <- true;
-          false
-      | exception Em.Em_error.Error e ->
-          err_span ~outcome:(error_code e);
-          ignore (flight_dump srv ~reason:(error_code e));
-          let ok = reply (em_error_json ~id ~retries:!retries e) in
-          mirror_state srv;
-          ok
-      | exception e ->
+      | Error (Invalid_argument msg) -> reply (J.Obj [ int "id" id; str "error" msg ])
+      | Error (Em.Em_error.Error e) ->
+          ignore (flight_dump srv ~reason:outcome);
+          let replied = reply (em_error_json ~id ~retries:!retries e) in
+          (match e with
+          | Em.Em_error.Crashed _ ->
+              (* A crash halts the machine: stop serving.  The state file (if
+                 any) still holds the last checkpoint for --restore;
+                 deliberately nothing is saved now — a crashed process does
+                 not get to write.  The flight recorder, being pure
+                 observability, did get to leave its post-mortem. *)
+              srv.crashed <- true;
+              false
+          | _ ->
+              mirror_state srv;
+              replied)
+      | Error e ->
           (* Programming errors must not kill the loop either; reply and
              keep serving. *)
-          err_span ~outcome:"internal";
           reply
             (J.Obj [ int "id" id; str "error" "internal"; str "detail" (Printexc.to_string e) ]))
 
@@ -813,12 +798,8 @@ let final_json ?shutdown srv =
    the closing summary line.  Kept apart from {!close} so the caller can
    still emit the summary before tearing the session down. *)
 let finalize ?shutdown srv =
-  (match srv.telemetry with
-  | None -> ()
-  | Some tel ->
-      Em.Telemetry.final tel ~queries:(queries_admitted srv) ~cost:(cost_json srv)
-        ~wall:(fun () -> wall_json srv);
-      Em.Telemetry.close tel);
+  telemetry srv Em.Telemetry.final;
+  Option.iter Em.Telemetry.close srv.telemetry;
   let reason =
     match shutdown with
     | Some r -> "shutdown:" ^ r

@@ -13,11 +13,17 @@
     [intervals], [profile], [checkpoint], [quit].
 
     {b Request spans.}  Every admitted query gets a monotonically-assigned
-    id, echoed as ["id"] in its reply next to a compact ["cost"] object.
-    The same span feeds the per-session {!Em.Metrics} histograms
-    ([query_ios], [query_rounds], and a wall-clock latency histogram kept
-    in a separate registry), the {!Em.Flight_recorder} journal, the
-    {!Drift} watchdog and the optional {!Em.Telemetry} stream.
+    id, echoed as ["id"] in its reply next to a compact ["cost"] object
+    (the last query-level attempt's cost).  Whatever the outcome — answer,
+    validation failure, typed fault, budget abort, crash or internal error
+    — the span closes once, into one {!Em.Flight_recorder.record} whose
+    I/Os, rounds and splits cover every query-level retry attempt since
+    admission.  The flight-recorder journal keeps that record, and the
+    per-session {!Em.Metrics} histograms ([query_ios], [query_rounds], and
+    a wall-clock latency histogram kept in a separate registry), the
+    {!Drift} watchdog and the optional {!Em.Telemetry} stream read it.  The
+    outcome then decides only the reply, whether a post-mortem is written,
+    and whether the loop stops.
 
     {b Error-reply grammar:}
     - [{"error":"<message>"}] — parse failure (no id: the query was never

@@ -19,6 +19,8 @@
    re-sort allowance beyond "one memory load" (ranges are exercised by the
    serve tests instead). *)
 
+module Os = Emalg.Online_select
+
 type config = {
   n : int;
   mem : int;
@@ -80,26 +82,13 @@ let gen_queries cfg =
   let rng = Workload.Rng.create ((cfg.seed * 7919) + 17) in
   Array.init cfg.queries (fun _ ->
       let pick = Workload.Rng.int rng 4 in
-      if pick = 0 then
-        Emalg.Online_select.Quantile
-          (float_of_int (1 + Workload.Rng.int rng 1000) /. 1000.)
-      else Emalg.Online_select.Select (1 + Workload.Rng.int rng cfg.n))
+      if pick = 0 then Os.Quantile (float_of_int (1 + Workload.Rng.int rng 1000) /. 1000.)
+      else Os.Select (1 + Workload.Rng.int rng cfg.n))
 
 let query_label = function
-  | Emalg.Online_select.Select k -> Printf.sprintf "select %d" k
-  | Emalg.Online_select.Quantile phi -> Printf.sprintf "quantile %g" phi
-  | Emalg.Online_select.Range (a, b) -> Printf.sprintf "range %d %d" a b
-
-let query_kind = function
-  | Emalg.Online_select.Select _ -> "select"
-  | Emalg.Online_select.Quantile _ -> "quantile"
-  | Emalg.Online_select.Range _ -> "range"
-
-let rec ensure_dir path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    ensure_dir (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+  | Os.Select k -> Printf.sprintf "select %d" k
+  | Os.Quantile phi -> Printf.sprintf "quantile %g" phi
+  | Os.Range (a, b) -> Printf.sprintf "range %d %d" a b
 
 let run_session ?(on_crash = fun _ -> ()) ?flight_dir cfg ~crash_after =
   let ctx =
@@ -115,9 +104,9 @@ let run_session ?(on_crash = fun _ -> ()) ?flight_dir cfg ~crash_after =
   end;
   let v = Workload.vec ctx Workload.Random_perm ~seed:cfg.seed ~n:cfg.n in
   let cmp = Em.Ctx.counted ctx Int.compare in
-  let session = ref (Emalg.Online_select.open_session cmp ctx v) in
+  let session = ref (Os.open_session cmp ctx v) in
   (* A restored session keeps checkpointing on the same store. *)
-  let store = Emalg.Online_select.enable_checkpoints ~every_splits:cfg.every_splits !session in
+  let store = Os.enable_checkpoints ~every_splits:cfg.every_splits !session in
   let stats = ctx.Em.Ctx.stats in
   let queries = gen_queries cfg in
   let answers = Array.make cfg.queries [||] in
@@ -126,21 +115,25 @@ let run_session ?(on_crash = fun _ -> ()) ?flight_dir cfg ~crash_after =
   let dumps = ref [] in
   Array.iteri
     (fun i q ->
+      (* The span's record covers every query-level attempt, as in serve. *)
       let seq_lo = Em.Trace.total ctx.Em.Ctx.trace in
+      let before = Em.Stats.snapshot stats in
+      let splits0 = (Os.summary !session).Os.splits in
       let t0 = Unix.gettimeofday () in
       let r =
         Em.Resilient.with_retries ~max_retries:cfg.max_retries ctx.Em.Ctx.dev (fun () ->
-            Emalg.Online_select.query !session q)
+            Os.query !session q)
       in
-      answers.(i) <- r.Emalg.Online_select.values;
+      answers.(i) <- r.Os.values;
+      let d = Em.Stats.delta stats before in
       Em.Flight_recorder.record recorder
         {
           Em.Flight_recorder.id = i + 1;
-          kind = query_kind q;
+          kind = Os.query_kind q;
           query = query_label q;
-          ios = Em.Stats.delta_ios r.Emalg.Online_select.cost;
-          rounds = r.Emalg.Online_select.cost.Em.Stats.d_rounds;
-          splits = r.Emalg.Online_select.splits;
+          ios = Em.Stats.delta_ios d;
+          rounds = d.Em.Stats.d_rounds;
+          splits = (Os.summary !session).Os.splits - splits0;
           wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
           outcome = "ok";
           seq_lo;
@@ -153,7 +146,6 @@ let run_session ?(on_crash = fun _ -> ()) ?flight_dir cfg ~crash_after =
         (match flight_dir with
         | None -> ()
         | Some dir ->
-            ensure_dir dir;
             let path =
               Filename.concat dir (Printf.sprintf "postmortem-kill-after-q%03d.json" (i + 1))
             in
@@ -169,14 +161,12 @@ let run_session ?(on_crash = fun _ -> ()) ?flight_dir cfg ~crash_after =
         | Some pool -> Em.Backend.Pool.drop_all pool
         | None -> ());
         Em.Stats.wipe_memory stats;
-        session :=
-          Emalg.Online_select.restore ~every_splits:cfg.every_splits cmp ctx v store;
+        session := Os.restore ~every_splits:cfg.every_splits cmp ctx v store;
         let rc =
           {
             after_query = i + 1;
             resume_load_ios = Em.Checkpoint.load_ios store - loads0;
-            leaves_restored =
-              (Emalg.Online_select.summary !session).Emalg.Online_select.leaves;
+            leaves_restored = (Os.summary !session).Os.leaves;
           }
         in
         crash_log := rc :: !crash_log;

@@ -84,7 +84,14 @@ let dump ?trace ?metrics ?(now = Unix.gettimeofday) ~reason t =
   in
   Json.to_string (Json.Obj [ ("postmortem", Json.Obj postmortem) ])
 
+let rec ensure_dir dir =
+  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
+    ensure_dir (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 let dump_to_file ?trace ?metrics ?now ~reason t ~path =
+  ensure_dir (Filename.dirname path);
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)

@@ -2,8 +2,8 @@
     can be joined with the {!Trace} ring and a {!Metrics} registry into a
     self-contained post-mortem JSON document.
 
-    A serving session records one entry per completed query (successful
-    or not).  When something goes wrong — a typed {!Em_error} reply, a
+    A serving session records one entry per admitted query, whatever its
+    outcome; the entry's costs cover every query-level retry attempt.  When something goes wrong — a typed {!Em_error} reply, a
     budget abort, a chaos kill, or shutdown — {!dump} produces a single
     JSON object holding the retained query records, the trace events that
     were emitted while those queries ran, and a registry snapshot.  The
@@ -58,4 +58,5 @@ val dump :
 val dump_to_file :
   ?trace:Trace.t -> ?metrics:Metrics.t -> ?now:(unit -> float) ->
   reason:string -> t -> path:string -> unit
-(** {!dump} plus a trailing newline, written to [path] (truncated). *)
+(** {!dump} plus a trailing newline, written to [path] (truncated).
+    Missing parent directories of [path] are created first. *)

@@ -102,11 +102,6 @@ let kind_name = function
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
-let same_kind a b =
-  match (a, b) with
-  | Counter _, Counter _ | Gauge _, Gauge _ | Histogram _, Histogram _ -> true
-  | _ -> false
-
 let check_name name =
   if name = "" then invalid_arg "Metrics: empty metric name";
   String.iter
@@ -116,44 +111,45 @@ let check_name name =
       | _ -> invalid_arg (Printf.sprintf "Metrics: invalid metric name %S" name))
     name
 
-(* Find-or-register: one instance per (name, labels); re-registering with a
-   different kind is a programming error. *)
-let register t ~name ~labels ~help fresh =
+(* Find-or-register: one instance per (name, labels), [fresh] if new.
+   [project] picks the kind the caller asked for out of the stored value;
+   re-registering with a different kind is a programming error. *)
+let register t ~name ~labels ~help project fresh =
   check_name name;
   let labels = canonical_labels labels in
-  match
-    List.find_opt (fun m -> m.name = name && m.labels = labels) t.metrics
-  with
-  | Some m ->
-      let v = fresh () in
-      if not (same_kind m.value v) then
-        invalid_arg
-          (Printf.sprintf "Metrics: %s is a %s, not a %s" name (kind_name m.value)
-             (kind_name v));
-      m.value
+  let value =
+    match List.find_opt (fun m -> m.name = name && m.labels = labels) t.metrics with
+    | Some m -> m.value
+    | None ->
+        let m = { name; labels; help; value = fresh } in
+        t.metrics <- m :: t.metrics;
+        m.value
+  in
+  match project value with
+  | Some x -> x
   | None ->
-      let m = { name; labels; help; value = fresh () } in
-      t.metrics <- m :: t.metrics;
-      m.value
+      invalid_arg
+        (Printf.sprintf "Metrics: %s is a %s, not a %s" name (kind_name value)
+           (kind_name fresh))
 
 type counter = int ref
 type gauge = float ref
 type histogram = hist
 
 let counter t ?(help = "") ?(labels = []) name =
-  match register t ~name ~labels ~help (fun () -> Counter (ref 0)) with
-  | Counter r -> r
-  | _ -> assert false
+  register t ~name ~labels ~help
+    (function Counter r -> Some r | _ -> None)
+    (Counter (ref 0))
 
 let gauge t ?(help = "") ?(labels = []) name =
-  match register t ~name ~labels ~help (fun () -> Gauge (ref 0.)) with
-  | Gauge r -> r
-  | _ -> assert false
+  register t ~name ~labels ~help
+    (function Gauge r -> Some r | _ -> None)
+    (Gauge (ref 0.))
 
 let histogram t ?(help = "") ?(base = 2.) ?(labels = []) name =
-  match register t ~name ~labels ~help (fun () -> Histogram (make_hist base)) with
-  | Histogram h -> h
-  | _ -> assert false
+  register t ~name ~labels ~help
+    (function Histogram h -> Some h | _ -> None)
+    (Histogram (make_hist base))
 
 let incr ?(by = 1) c =
   if by < 0 then invalid_arg "Metrics.incr: counters only go up";

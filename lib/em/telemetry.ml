@@ -15,8 +15,8 @@
      {"frame":"final",    "seq":S,"queries":Q,"cost":{...},"wall":{...}}
 
    The cost/wall payloads are provided by the caller (Core.Serve) as
-   {!Json.t} objects; the wall side is a thunk so frames that are not due
-   never touch the clock.  `em_repro top` reads frames back with
+   {!Json.t} thunks, so a frame that is not due neither builds its cost
+   object nor touches the clock.  `em_repro top` reads frames back with
    {!Json.parse}. *)
 
 (* Em.Telemetry.Json is kept as an alias of the codec for bench/perf,
@@ -94,7 +94,7 @@ let emit_frame t ~kind ~queries ~cost ~wall =
       (Json.to_string
          (Json.Obj
             [ ("frame", Json.Str kind); ("seq", Json.Int t.seq); ("queries", Json.Int queries);
-              ("cost", cost); ("wall", wall ()) ]))
+              ("cost", cost ()); ("wall", wall ()) ]))
   end
 
 let due t ~queries =

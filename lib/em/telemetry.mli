@@ -21,8 +21,8 @@
     simulated costs and therefore belong to the ["cost"] compartment;
     emitters include them gated — absent when zero — so single-machine
     frame streams stay byte-identical.  Both payloads are supplied by the
-    caller as {!Json.t} objects; the wall payload is a thunk, evaluated
-    only for frames that are actually emitted. *)
+    caller as {!Json.t} thunks, each forced once per frame actually
+    emitted and never for a {!tick} that is not due. *)
 
 type t
 type sink
@@ -53,15 +53,15 @@ val create :
     @raise Invalid_argument on a non-positive cadence. *)
 
 val tick :
-  t -> queries:int -> cost:Json.t -> wall:(unit -> Json.t) -> unit
+  t -> queries:int -> cost:(unit -> Json.t) -> wall:(unit -> Json.t) -> unit
 (** Emit a ["telemetry"] frame if one is due; otherwise do nothing. *)
 
 val alert :
-  t -> queries:int -> cost:Json.t -> wall:(unit -> Json.t) -> unit
+  t -> queries:int -> cost:(unit -> Json.t) -> wall:(unit -> Json.t) -> unit
 (** Emit an ["alert"] frame unconditionally (cadence-exempt). *)
 
 val final :
-  t -> queries:int -> cost:Json.t -> wall:(unit -> Json.t) -> unit
+  t -> queries:int -> cost:(unit -> Json.t) -> wall:(unit -> Json.t) -> unit
 (** Emit a ["final"] frame unconditionally. *)
 
 val frames : t -> int

@@ -37,18 +37,13 @@ type summary = {
   sorted_leaves : int;
 }
 
-type 'a leaf =
-  | Raw  (* backed by the preserved input; root only *)
-  | Unsorted of ('a * int) Em.Vec.t  (* owned, position-tagged *)
-  | Sorted of 'a Em.Vec.t  (* owned, tags stripped *)
+type 'a handle =
+  | H_raw  (* backed by the preserved input; root only *)
+  | H_unsorted of ('a * int) Em.Vec.t  (* owned, position-tagged *)
+  | H_sorted of 'a Em.Vec.t  (* owned, tags stripped *)
 
 type 'a node = { lo : int; len : int; mutable state : 'a state }
-and 'a state = Leaf of 'a leaf | Split of 'a node array
-
-type 'a handle =
-  | H_raw
-  | H_unsorted of ('a * int) Em.Vec.t
-  | H_sorted of 'a Em.Vec.t
+and 'a state = Leaf of 'a handle | Split of 'a node array
 
 type 'a snapshot = {
   s_leaves : (int * int * 'a handle) list;
@@ -63,7 +58,6 @@ type 'a t = {
   ctx : 'a Em.Ctx.t;
   input : 'a Em.Vec.t;
   root : 'a node;
-  prefetch : int option;
   mutable queries : int;
   mutable refine_ios : int;
   mutable answer_ios : int;
@@ -82,7 +76,7 @@ type 'a t = {
   mutable budget_base : Em.Stats.delta option;
 }
 
-let make_session ?prefetch ?store ?every_splits cmp ctx v root ~queries ~refine_ios
+let make_session ?store ?every_splits cmp ctx v root ~queries ~refine_ios
     ~answer_ios ~splits ~leaves ~sorted_leaves =
   (match every_splits with
   | Some k when k < 1 -> invalid_arg "Online_select: every_splits must be >= 1"
@@ -92,7 +86,6 @@ let make_session ?prefetch ?store ?every_splits cmp ctx v root ~queries ~refine_
     ctx;
     input = v;
     root;
-    prefetch;
     queries;
     refine_ios;
     answer_ios;
@@ -109,12 +102,12 @@ let make_session ?prefetch ?store ?every_splits cmp ctx v root ~queries ~refine_
     budget_base = None;
   }
 
-let open_session ?prefetch cmp ctx v =
+let open_session cmp ctx v =
   if not (Em.Vec.ctx v == ctx) then
     invalid_arg "Online_select.open_session: vector does not live on ctx";
   Layout.require_min_geometry ctx;
-  make_session ?prefetch cmp ctx v
-    { lo = 0; len = Em.Vec.length v; state = Leaf Raw }
+  make_session cmp ctx v
+    { lo = 0; len = Em.Vec.length v; state = Leaf H_raw }
     ~queries:0 ~refine_ios:0 ~answer_ios:0 ~splits:0 ~leaves:1 ~sorted_leaves:0
 
 let ensure_open t =
@@ -152,19 +145,7 @@ let fold_leaves t f init =
 
 let snapshot t =
   ensure_open t;
-  let leaves =
-    List.rev
-      (fold_leaves t
-         (fun acc node st ->
-           let h =
-             match st with
-             | Raw -> H_raw
-             | Unsorted tv -> H_unsorted tv
-             | Sorted sv -> H_sorted sv
-           in
-           (node.lo, node.len, h) :: acc)
-         [])
-  in
+  let leaves = List.rev (fold_leaves t (fun acc node h -> (node.lo, node.len, h) :: acc) []) in
   {
     s_leaves = leaves;
     s_queries = t.queries;
@@ -234,7 +215,7 @@ let enable_checkpoints ?every_splits t =
 
 let checkpoint_store t = t.store
 
-let restore ?prefetch ?every_splits cmp ctx v store =
+let restore ?every_splits cmp ctx v store =
   if not (Em.Vec.ctx v == ctx) then
     invalid_arg "Online_select.restore: vector does not live on ctx";
   Layout.require_min_geometry ctx;
@@ -263,21 +244,16 @@ let restore ?prefetch ?every_splits cmp ctx v store =
         snap.s_leaves;
       if !expect <> n then
         invalid_arg "Online_select.restore: leaves do not partition the input";
-      let leaf_of_handle = function
-        | H_raw -> Raw
-        | H_unsorted tv -> Unsorted tv
-        | H_sorted sv -> Sorted sv
-      in
       let root =
         match snap.s_leaves with
-        | [ (_, _, h) ] -> { lo = 0; len = n; state = Leaf (leaf_of_handle h) }
+        | [ (_, _, h) ] -> { lo = 0; len = n; state = Leaf h }
         | leaves ->
             (* One flat level is enough: [find_leaf] only needs a partition
                in rank order, not the historical split hierarchy. *)
             let children =
               Array.of_list
                 (List.map
-                   (fun (lo, len, h) -> { lo; len; state = Leaf (leaf_of_handle h) })
+                   (fun (lo, len, h) -> { lo; len; state = Leaf h })
                    leaves)
             in
             { lo = 0; len = n; state = Split children }
@@ -285,7 +261,7 @@ let restore ?prefetch ?every_splits cmp ctx v store =
       let sorted_leaves =
         List.length (List.filter (function _, _, H_sorted _ -> true | _ -> false) snap.s_leaves)
       in
-      make_session ?prefetch ~store ?every_splits cmp ctx v root
+      make_session ~store ?every_splits cmp ctx v root
         ~queries:snap.s_queries ~refine_ios:snap.s_refine_ios
         ~answer_ios:snap.s_answer_ios ~splits:snap.s_splits
         ~leaves:(List.length snap.s_leaves) ~sorted_leaves
@@ -322,7 +298,7 @@ let adopt_buckets t node buckets =
     Array.map
       (fun b ->
         let len = Em.Vec.length b in
-        let child = { lo = !offs; len; state = Leaf (Unsorted b) } in
+        let child = { lo = !offs; len; state = Leaf (H_unsorted b) } in
         offs := !offs + len;
         child)
       buckets
@@ -336,7 +312,7 @@ let adopt_buckets t node buckets =
   t.dirty_since_save <- true
 
 let set_sorted t node sorted =
-  node.state <- Leaf (Sorted sorted);
+  node.state <- Leaf (H_sorted sorted);
   t.sorted_leaves <- t.sorted_leaves + 1;
   t.dirty_since_save <- true
 
@@ -444,12 +420,12 @@ let rec refine_to t p =
   in
   let big = Layout.big_load t.ctx in
   match leaf with
-  | Sorted _ -> node
-  | Raw when node.len <= big -> step (fun () -> sort_raw t node)
-  | Raw -> step (fun () -> split_raw t node)
-  | Unsorted tv when node.len <= big || External_sort.one_merge t.ctx node.len ->
+  | H_sorted _ -> node
+  | H_raw when node.len <= big -> step (fun () -> sort_raw t node)
+  | H_raw -> step (fun () -> split_raw t node)
+  | H_unsorted tv when node.len <= big || External_sort.one_merge t.ctx node.len ->
       step (fun () -> sort_unsorted t node tv)
-  | Unsorted tv -> step (fun () -> split_unsorted t node tv)
+  | H_unsorted tv -> step (fun () -> split_unsorted t node tv)
 
 let rec refine_span t p p1 =
   if p <= p1 then begin
@@ -461,7 +437,7 @@ let rec refine_span t p p1 =
 
 let sorted_run t p =
   match find_leaf t.root p with
-  | node, Sorted sv -> (node, sv)
+  | node, H_sorted sv -> (node, sv)
   | _ -> invalid_arg "Online_select: internal error (leaf not refined)"
 
 let answer_select t p =
@@ -568,10 +544,7 @@ let query t q =
 
 let select t k = (query t (Select k)).values.(0)
 
-let drain t ~ranks =
-  ensure_open t;
-  Em.Writer.with_writer t.ctx (fun w ->
-      Scan.iter ?prefetch:t.prefetch (fun r -> Em.Writer.push w (select t r)) ranks)
+let query_kind = function Select _ -> "select" | Quantile _ -> "quantile" | Range _ -> "range"
 
 (* ---- introspection & teardown ---- *)
 
@@ -589,7 +562,7 @@ let intervals t =
   List.rev
     (fold_leaves t
        (fun acc node st ->
-         let sorted = match st with Sorted _ -> true | _ -> false in
+         let sorted = match st with H_sorted _ -> true | _ -> false in
          (node.lo, node.len, sorted) :: acc)
        [])
 
@@ -601,9 +574,9 @@ let close ?(drop_cache = false) t =
     flush_pending t;
     let rec free_node node =
       match node.state with
-      | Leaf Raw -> ()
-      | Leaf (Unsorted tv) -> Em.Vec.free tv
-      | Leaf (Sorted sv) -> Em.Vec.free sv
+      | Leaf H_raw -> ()
+      | Leaf (H_unsorted tv) -> Em.Vec.free tv
+      | Leaf (H_sorted sv) -> Em.Vec.free sv
       | Split children -> Array.iter free_node children
     in
     free_node t.root;

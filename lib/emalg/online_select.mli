@@ -49,12 +49,8 @@
     save.  With no store attached, nothing changes: free timing, costs and
     traces are bit-identical to the historical behaviour.
 
-    Optional arguments follow the library-wide canonical order: [?prefetch]
-    before the comparator (see DESIGN.md).
-
     Batch multiselection ({!Core.Multi_select}, Theorem 4) is a separate
-    algorithm and does not run through a session; {!drain} is the online
-    engine answering a whole rank stream. *)
+    algorithm and does not run through a session. *)
 
 type 'a t
 (** A live query session. *)
@@ -92,18 +88,10 @@ type summary = {
     metered cost of all queries, the quantity the amortized analysis (and
     [BENCH_online.json]) divides by [queries]. *)
 
-val open_session :
-  ?prefetch:int ->
-  ('a -> 'a -> int) ->
-  'a Em.Ctx.t ->
-  'a Em.Vec.t ->
-  'a t
+val open_session : ('a -> 'a -> int) -> 'a Em.Ctx.t -> 'a Em.Vec.t -> 'a t
 (** [open_session cmp ctx v] wraps [v] (which must live on [ctx]) in a fresh
     session.  Costs zero I/Os — the tree starts as one raw leaf backed by
     the preserved input.
-
-    [prefetch] sets the reader look-ahead of the streaming scans, such as
-    {!drain}'s rank stream (default [D - 1]).
     @raise Invalid_argument if [v] does not live on [ctx] or the geometry
     is below the library minimum. *)
 
@@ -116,11 +104,9 @@ val query : 'a t -> query -> 'a reply
 val select : 'a t -> int -> 'a
 (** [select t k] = the single value of [query t (Select k)]. *)
 
-val drain : 'a t -> ranks:int Em.Vec.t -> 'a Em.Vec.t
-(** Answer every rank of a strictly-increasing rank stream and return the
-    selected elements in rank order (the batch multiselection contract).
-    Streams the ranks through {!query}, reusing whatever refinement earlier
-    queries already paid for. *)
+val query_kind : query -> string
+(** ["select"], ["quantile"] or ["range"]: the query's kind, as serve
+    counts it and flight records name it. *)
 
 (** {2 Checkpointing}
 
@@ -176,7 +162,6 @@ val checkpoint_store : 'a t -> 'a snapshot Em.Checkpoint.t option
     ([Em.Checkpoint.saves]/[save_ios]/[loads]/[load_ios]). *)
 
 val restore :
-  ?prefetch:int ->
   ?every_splits:int ->
   ('a -> 'a -> int) ->
   'a Em.Ctx.t ->

@@ -105,6 +105,27 @@ let test_dump_to_file () =
         (String.length contents > 0 && contents.[String.length contents - 1] = '\n');
       ignore (parse_dump (String.trim contents)))
 
+let test_dump_to_file_makes_dirs () =
+  let root = Filename.temp_file "flight_root" "" in
+  Sys.remove root;
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists root then rm root)
+    (fun () ->
+      let r = Fr.create () in
+      Fr.record r (mk_record ());
+      let path = Filename.concat dir "postmortem.json" in
+      Fr.dump_to_file ~now:(fun () -> 0.) ~reason:"kill" r ~path;
+      Tu.check_bool "missing nested directory created" true (Sys.is_directory dir);
+      ignore (parse_dump (String.trim (In_channel.with_open_text path In_channel.input_all))))
+
 (* ---- serve-level acceptance: a budget abort leaves a post-mortem with
    that query's trace events ---- *)
 
@@ -183,6 +204,8 @@ let suite =
     Alcotest.test_case "dump shape + trace join" `Quick test_dump_shape_and_trace_join;
     Alcotest.test_case "dump metrics snapshot" `Quick test_dump_metrics_snapshot;
     Alcotest.test_case "dump_to_file" `Quick test_dump_to_file;
+    Alcotest.test_case "dump_to_file creates missing dirs" `Quick
+      test_dump_to_file_makes_dirs;
     Alcotest.test_case "serve budget abort leaves a post-mortem" `Quick
       test_serve_budget_dump;
   ]

@@ -381,23 +381,22 @@ let test_all_ranks_tiny_memory () =
   Os.close s;
   Tu.check_int "ledger drained" 0 ctx.Em.Ctx.stats.Em.Stats.mem_in_use
 
-(* ---- drains: a streaming drain answers like batch multiselection ---- *)
+(* ---- a warm session's selects answer like batch multiselection ---- *)
 
-let test_warm_drain_matches_batch () =
+let test_warm_selects_match_batch () =
   let ctx = Tu.ctx ~mem:1024 ~block:16 () in
   let n = 4_000 in
   let a = Tu.random_ints ~seed:18 ~bound:50 n in
   let ranks = [| 3; 700; 1_999; 2_000; 3_999 |] in
-  (* warm session: a query first, then a streaming drain *)
+  (* warm session: a query first, then every rank in turn *)
   let s = session ctx a in
   ignore (Os.select s (n / 3));
-  let rv = Tu.int_vec ctx ranks in
-  let out = Em.Vec.Oracle.to_array (Os.drain s ~ranks:rv) in
+  let out = Array.map (Os.select s) ranks in
   Os.close s;
   (* batch reference on a fresh machine *)
   let ctx2 = Tu.ctx ~mem:1024 ~block:16 () in
   let batch = Core.Multi_select.select Tu.icmp (Tu.int_vec ctx2 a) ~ranks in
-  Tu.check_int_array "warm streaming drain = batch answers" batch out
+  Tu.check_int_array "warm selects = batch answers" batch out
 
 (* ---- O(1) summary: the session's leaf counters against a recount ---- *)
 
@@ -585,8 +584,7 @@ let suite =
     Alcotest.test_case "first select within four scans" `Quick test_first_select_cost;
     prop_full_stream_matches_batch;
     Alcotest.test_case "all ranks at M=32, B=4" `Quick test_all_ranks_tiny_memory;
-    Alcotest.test_case "warm drain streams through the session" `Quick
-      test_warm_drain_matches_batch;
+    Alcotest.test_case "warm select loop matches batch" `Quick test_warm_selects_match_batch;
     prop_counters_match_recount;
     Alcotest.test_case "counters after budget and fault aborts" `Quick
       test_counters_after_aborts;

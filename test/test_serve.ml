@@ -507,6 +507,106 @@ let test_warm_select_words_flat () =
         Alcotest.failf "a warm select at %d leaves allocates %.0f words (gate: 1500)" leaves w)
     [ 10; 1_000 ]
 
+(* ---- request spans: one record per admitted query ---- *)
+
+let last_record srv =
+  match List.rev (Em.Flight_recorder.records (Core.Serve.flight_recorder srv)) with
+  | r :: _ -> r
+  | [] -> Alcotest.fail "no flight record"
+
+(* The sample count of a simulated-cost histogram in the [metrics] reply. *)
+let hist_count srv name =
+  let emit, emitted = collector () in
+  ignore (Core.Serve.run_command srv emit "metrics");
+  let doc =
+    match Em.Json.parse (List.hd (emitted ())) with
+    | Ok v -> v
+    | Error msg -> Alcotest.failf "metrics reply does not parse: %s" msg
+  in
+  let metrics =
+    match Em.Json.member "metrics" doc with
+    | Some (Em.Json.List l) -> l
+    | _ -> Alcotest.fail "metrics reply has no metric list"
+  in
+  match
+    List.find_opt
+      (fun m -> Option.bind (Em.Json.member "name" m) Em.Json.str = Some ("em_" ^ name))
+      metrics
+  with
+  | Some m -> Option.value ~default:(-1.) (Option.bind (Em.Json.member "count" m) Em.Json.num)
+  | None -> Alcotest.failf "no %s histogram" name
+
+(* Every admitted outcome closes its span once: one flight record carrying
+   that outcome and one sample in each simulated-cost histogram. *)
+let test_one_record_per_outcome () =
+  let ctx, srv = make_server () in
+  let session = Core.Serve.session srv in
+  let emit, _ = collector () in
+  let expect i outcome ~stops line =
+    let go_on = Core.Serve.run_command srv emit line in
+    Tu.check_bool (outcome ^ ": loop continues?") (not stops) go_on;
+    let r = last_record srv in
+    Tu.check_int (outcome ^ ": one record per admitted query") i
+      (Em.Flight_recorder.recorded (Core.Serve.flight_recorder srv));
+    Tu.check_int (outcome ^ ": record id") i r.Em.Flight_recorder.id;
+    Alcotest.(check string) (outcome ^ ": record outcome") outcome r.Em.Flight_recorder.outcome;
+    List.iter
+      (fun h ->
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "%s: one %s sample per query" outcome h)
+          (float_of_int i) (hist_count srv h))
+      [ "query_ios"; "query_rounds" ]
+  in
+  (* A budget abort needs two refinement steps: the root pass, then the
+     bucket sort the budget check stops. *)
+  Os.set_io_budget session (Some 3);
+  expect 1 "budget_exceeded" ~stops:false "select 3000";
+  Os.set_io_budget session None;
+  expect 2 "ok" ~stops:false "select 1";
+  expect 3 "invalid" ~stops:false "select 0";
+  (* A memory ledger left too full makes the refinement overrun M: an
+     untyped exception, answered as an internal error. *)
+  Em.Ctx.with_words ctx (mem - block) (fun () ->
+      expect 4 "internal" ~stops:false "select 5000");
+  Em.Ctx.arm ~policy:{ Em.Device.default_policy with Em.Device.max_retries = 0 } ctx;
+  Em.Ctx.inject ctx (Em.Fault.seeded ~seed:9 ~p:1.0 [ Em.Fault.Permanent_read ]);
+  expect 5 "read_failed" ~stops:false "select 17";
+  Em.Ctx.inject ctx (Em.Fault.every_nth ~n:1 Em.Fault.Crash);
+  expect 6 "crashed" ~stops:true "select 4000";
+  Em.Ctx.clear_injector ctx;
+  teardown ctx srv
+
+(* A query that faults once and succeeds on a query-level retry: its record
+   counts the I/Os of both attempts, while the reply's cost object is the
+   successful attempt's alone. *)
+let test_retry_record_covers_every_attempt () =
+  let ctx, srv = make_server ~max_retries:3 () in
+  let stats = ctx.Em.Ctx.stats in
+  (* No per-I/O retries, so the one transient read escapes to the query. *)
+  Em.Ctx.arm ~policy:{ Em.Device.default_policy with Em.Device.max_retries = 0 } ctx;
+  Em.Ctx.inject ctx (Em.Fault.limit 1 (Em.Fault.every_nth ~n:50 Em.Fault.Transient_read));
+  let emit, emitted = collector () in
+  let ios0 = Em.Stats.ios stats in
+  ignore (Core.Serve.run_batch srv emit "select 3000");
+  let spent = Em.Stats.ios stats - ios0 in
+  let reply_ios =
+    match emitted () with
+    | [ line ] -> (
+        Tu.check_bool "answered after the retry" true (contains ~sub:"\"values\":[2999]" line);
+        match Result.map (Em.Json.path [ "cost"; "ios" ]) (Em.Json.parse line) with
+        | Ok (Some (Em.Json.Int n)) -> n
+        | _ -> Alcotest.fail "reply has no cost.ios")
+    | lines -> Alcotest.failf "expected 1 reply, got %d" (List.length lines)
+  in
+  Tu.check_int "one query-level retry" 1 stats.Em.Stats.retries;
+  let r = last_record srv in
+  Alcotest.(check string) "record outcome" "ok" r.Em.Flight_recorder.outcome;
+  Tu.check_int "record counts every attempt" spent r.Em.Flight_recorder.ios;
+  Tu.check_bool "the failed attempt paid I/Os the reply does not show" true
+    (r.Em.Flight_recorder.ios > reply_ios);
+  Em.Ctx.clear_injector ctx;
+  teardown ctx srv
+
 (* serve_channels: quit stops with [false], should_stop preempts reads. *)
 let test_serve_channels_stop () =
   let ctx, srv = make_server () in
@@ -549,4 +649,7 @@ let suite =
     Alcotest.test_case "serve_channels stop" `Quick test_serve_channels_stop;
     Alcotest.test_case "warm select allocation flat in session size" `Quick
       test_warm_select_words_flat;
+    Alcotest.test_case "one record per admitted outcome" `Quick test_one_record_per_outcome;
+    Alcotest.test_case "retried query records every attempt" `Quick
+      test_retry_record_covers_every_attempt;
   ]

@@ -23,8 +23,8 @@ let fake_emitter ?every_queries ?every_seconds () =
   in
   (t, clock, fun () -> List.rev !lines)
 
-let empty = J.Obj []
-let wall () = empty
+let empty () = J.Obj []
+let wall = empty
 
 let test_cadence_every_queries () =
   let t, _, lines = fake_emitter ~every_queries:3 () in
@@ -83,7 +83,7 @@ let test_frame_shape () =
     incr wall_calls;
     J.Obj [ ("ts_ms", J.Int 1500) ]
   in
-  let ios42 = J.Obj [ ("ios", J.Int 42) ] in
+  let ios42 () = J.Obj [ ("ios", J.Int 42) ] in
   T.tick t ~queries:1 ~cost:ios42 ~wall;
   T.alert t ~queries:1 ~cost:ios42 ~wall;
   T.final t ~queries:1 ~cost:ios42 ~wall;
@@ -111,6 +111,32 @@ let test_wall_thunk_lazy () =
   let wall () = Alcotest.fail "wall thunk must not run for a frame not due" in
   T.tick t ~queries:1 ~cost:empty ~wall;
   T.tick t ~queries:4 ~cost:empty ~wall
+
+(* The cost payload is as lazy as the wall one: forced once for each frame
+   written, never for a tick that is not due, and not after [close]. *)
+let test_cost_thunk_lazy () =
+  let t, _, lines = fake_emitter ~every_queries:3 () in
+  let cost_calls = ref 0 in
+  let cost () =
+    incr cost_calls;
+    J.Obj [ ("ios", J.Int !cost_calls) ]
+  in
+  for q = 1 to 10 do
+    T.tick t ~queries:q ~cost ~wall
+  done;
+  Tu.check_int "ticks due at 3, 6 and 9 only" 3 (List.length (lines ()));
+  Tu.check_int "cost forced once per tick frame" 3 !cost_calls;
+  T.alert t ~queries:10 ~cost ~wall;
+  T.final t ~queries:10 ~cost ~wall;
+  Tu.check_int "alert and final each force it once" 5 !cost_calls;
+  Tu.check_bool "each frame carries its own forcing" true
+    (List.for_all2
+       (fun line k -> Tu.contains ~sub:(Printf.sprintf "\"cost\":{\"ios\":%d}" k) line)
+       (lines ()) [ 1; 2; 3; 4; 5 ]);
+  T.close t;
+  T.tick t ~queries:12 ~cost ~wall;
+  T.final t ~queries:12 ~cost ~wall;
+  Tu.check_int "closed emitter forces nothing" 5 !cost_calls
 
 (* ---- summarize (the `em_repro top` renderer) ---- *)
 
@@ -169,8 +195,9 @@ let test_file_sink_round_trip () =
       let t =
         T.create ~every_queries:1 ~now:(fun () -> 0.) (T.file_sink path)
       in
-      T.tick t ~queries:1 ~cost:(J.Obj [ ("ios", J.Int 1) ]) ~wall;
-      T.final t ~queries:1 ~cost:(J.Obj [ ("ios", J.Int 1) ]) ~wall;
+      let cost () = J.Obj [ ("ios", J.Int 1) ] in
+      T.tick t ~queries:1 ~cost ~wall;
+      T.final t ~queries:1 ~cost ~wall;
       T.close t;
       let lines =
         In_channel.with_open_text path In_channel.input_all
@@ -189,6 +216,7 @@ let suite =
       test_cadence_default_and_validation;
     Alcotest.test_case "frame grammar + close" `Quick test_frame_shape;
     Alcotest.test_case "wall thunk is lazy" `Quick test_wall_thunk_lazy;
+    Alcotest.test_case "cost thunk forced once per frame" `Quick test_cost_thunk_lazy;
     Alcotest.test_case "summarize" `Quick test_summarize;
     Alcotest.test_case "file sink round trip" `Quick test_file_sink_round_trip;
   ]
