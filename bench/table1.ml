@@ -429,9 +429,56 @@ let multipartition_vs_sort ~kind =
   Printf.printf "  => worst multi-partition / sort ratio above one merge, K <= 16: %.3f\n" worst;
   (List.rev !artifacts, ("multipartition_vs_sort", worst))
 
-(* Runs all six rows, the two Theorem-4 sweeps, the multi-partition sweep
-   and the D-disk sweep; returns (row_name, worst ratio) pairs for the
-   ceiling gate in main.ml. *)
+(* The k-way merge's comparison count under a gate: an external sort of N
+   elements at the default machine forms k runs and merges them in one pass,
+   and a tournament of losers spends at most ceil(lg k) comparisons per
+   element plus k to seed the tree.  N is 2^16 and 2^17 in both modes (the
+   sizes are cheap, and --small's would form too few runs to tell).  The
+   gate row is the worst measured merge comparisons / (N ceil(lg k) + k). *)
+let merge_cmp_bound ~machine ~kind =
+  Exp.section
+    (Printf.sprintf "K-way merge comparisons vs N ceil(lg k) + k   [%s, %s]"
+       (Exp.machine_name machine) (Core.Workload.kind_name kind));
+  let rec ceil_log2 k = if k <= 1 then 0 else 1 + ceil_log2 ((k + 1) / 2) in
+  let ratios = ref [] in
+  let rows =
+    List.map
+      (fun n ->
+        let profiler = Em.Profile.create () in
+        let (_ : Exp.measurement) =
+          Exp.measure ~machine ~kind ~seed ~n (fun ctx v ->
+              Em.Profile.attach profiler ctx.Em.Ctx.stats;
+              Em.Vec.free (Emalg.External_sort.sort (Em.Ctx.counted ctx icmp) v);
+              Em.Profile.detach ctx.Em.Ctx.stats)
+        in
+        let span name =
+          List.find (fun s -> s.Em.Profile.path = [ name ]) (Em.Profile.spans profiler)
+        in
+        let merge = span "merge" and k = (span "run-formation").Em.Profile.calls in
+        let comps = merge.Em.Profile.cost.Em.Stats.d_comparisons in
+        let bound = (n * ceil_log2 k) + k in
+        (* One merge pass is what the bound describes; more would not match. *)
+        let ratio =
+          if merge.Em.Profile.calls = 1 then float_of_int comps /. float_of_int bound else nan
+        in
+        ratios := ratio :: !ratios;
+        [
+          string_of_int n;
+          string_of_int k;
+          string_of_int comps;
+          string_of_int bound;
+          Exp.fmt_ratio ratio;
+        ])
+      [ 1 lsl 16; 1 lsl 17 ]
+  in
+  Exp.table ~header:[ "N"; "runs k"; "merge cmp"; "N ceil(lg k) + k"; "ratio" ] rows;
+  let worst = List.fold_left Float.max neg_infinity !ratios in
+  Printf.printf "  => worst merge comparisons / (N ceil(lg k) + k): %.3f\n" worst;
+  ([], ("merge_cmp_bound", worst))
+
+(* Runs all six rows, the two Theorem-4 sweeps, the multi-partition sweep,
+   the merge comparison gate and the D-disk sweep; returns (row_name, worst
+   ratio) pairs for the ceiling gate in main.ml. *)
 let all ?(machine = Exp.default_machine) ?(kind = Core.Workload.Pi_hard) () =
   (* Explicit lets: list elements would otherwise evaluate right-to-left,
      printing the rows in reverse. *)
@@ -444,7 +491,8 @@ let all ?(machine = Exp.default_machine) ?(kind = Core.Workload.Pi_hard) () =
   let r7 = multiselect_vs_sort ~machine ~kind in
   let r8 = multiselect_vs_route ~machine ~kind in
   let r9 = multipartition_vs_sort ~kind in
-  let results = [ r1; r2; r3; r4; r5; r6; r7; r8; r9 ] in
+  let r10 = merge_cmp_bound ~machine ~kind in
+  let results = [ r1; r2; r3; r4; r5; r6; r7; r8; r9; r10 ] in
   let sweep_artifacts, sweep_ratios = disks_sweep ~machine ~kind in
   Exp.write_artifact ~bench:"table1"
     (List.concat_map fst results @ sweep_artifacts);

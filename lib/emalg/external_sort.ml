@@ -107,9 +107,10 @@ let state_words state =
   | Merging { pending; merged } -> runs_words (pending @ merged)
 
 (* Whether [n] elements sort in one merge pass with the words free now:
-   runs of [big_load] elements, a reader buffer and two heap words per run,
-   beside one more block buffer the caller opens for the merge (an output
-   writer the caller holds is already open, so already counted). *)
+   runs of [big_load] elements, a reader buffer and two merge words (a key
+   and a tree slot) per run, beside one more block buffer the caller opens
+   for the merge (an output writer the caller holds is already open, so
+   already counted). *)
 let one_merge ctx n =
   let b = Em.Ctx.block_size ctx and big = Layout.big_load ctx in
   let free = Em.Ctx.mem_capacity ctx - ctx.Em.Ctx.stats.Em.Stats.mem_in_use in

@@ -13,25 +13,3 @@ let quantile_splitters cmp a ~k =
   Array.init (k - 1) (fun i ->
       let rank = (((i + 1) * n) + k - 1) / k in
       a.(rank - 1))
-
-let merge_into cmp xs ys =
-  let nx = Array.length xs and ny = Array.length ys in
-  if nx = 0 then Array.copy ys
-  else if ny = 0 then Array.copy xs
-  else begin
-    let out = Array.make (nx + ny) xs.(0) in
-    let rec go i j k =
-      if i = nx then Array.blit ys j out k (ny - j)
-      else if j = ny then Array.blit xs i out k (nx - i)
-      else if cmp xs.(i) ys.(j) <= 0 then begin
-        out.(k) <- xs.(i);
-        go (i + 1) j (k + 1)
-      end
-      else begin
-        out.(k) <- ys.(j);
-        go i (j + 1) (k + 1)
-      end
-    in
-    go 0 0 0;
-    out
-  end

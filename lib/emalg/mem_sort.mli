@@ -9,11 +9,6 @@ val sort : ('a -> 'a -> int) -> 'a array -> unit
 
 val is_sorted : ('a -> 'a -> int) -> 'a array -> bool
 
-val merge_into :
-  ('a -> 'a -> int) -> 'a array -> 'a array -> 'a array
-(** Merge two sorted arrays into a fresh sorted array (used by tests and by
-    small in-memory combine steps). *)
-
 val quantile_splitters : ('a -> 'a -> int) -> 'a array -> k:int -> 'a array
 (** [quantile_splitters cmp a ~k] sorts [a] in place and returns the [k - 1]
     exact (1/k)-quantile elements: splitter [i] (1-based) is the element of

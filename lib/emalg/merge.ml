@@ -22,12 +22,16 @@ let merge_with cmp vecs ~output =
          has no spare budget and degrades to single-block refills.  The
          output writer symmetrically queues up to D - 1 filled blocks per
          drain window. *)
-      let readers = Array.of_list (List.map Em.Reader.open_vec vecs) in
+      let runs = Array.of_list vecs in
+      let readers = Array.map Em.Reader.open_vec runs in
+      (* Scheduler scratch, allocated once per merge: the disks a refill
+         window has taken, and the runs in need-order. *)
+      let taken = Array.make d false and order = Array.make nruns 0 in
       let forecast_refill i =
         Em.Ctx.io_window ctx (fun () ->
             (* The faulting run's block is mandatory (it rides the reader's
                base charge, so it always succeeds). *)
-            let taken = Array.make d false in
+            Array.fill taken 0 d false;
             (match Em.Reader.next_disk readers.(i) with
             | Some disk -> taken.(disk) <- true
             | None -> ());
@@ -40,18 +44,19 @@ let merge_with cmp vecs ~output =
                only rounds compress.  Re-sweeping deepens each run's
                read-ahead — consecutive blocks stripe onto consecutive
                disks — so a low-fanout merge still fills its window from
-               few runs. *)
-            let order =
-              Array.to_list readers
-              |> List.mapi (fun j r -> (Em.Reader.buffered_blocks r, j))
-              |> List.sort compare
-            in
+               few runs.  [order] holds depth * nruns + run, so sorting it
+               orders the runs by (depth, run index). *)
+            Array.iteri
+              (fun j r -> order.(j) <- (Em.Reader.buffered_blocks r * nruns) + j)
+              readers;
+            Array.sort Int.compare order;
             let budget = ref (d - 1) in
             let progress = ref true in
             while !budget > 0 && !progress do
               progress := false;
-              List.iter
-                (fun (_, j) ->
+              Array.iter
+                (fun key ->
+                  let j = key mod nruns in
                   if !budget > 0 then
                     match Em.Reader.next_disk readers.(j) with
                     | Some disk when not taken.(disk) ->
@@ -64,40 +69,88 @@ let merge_with cmp vecs ~output =
                 order
             done)
       in
-      (* Ties break by run index, which makes the merge stable with respect
-         to the run order (runs are formed and merged in input order). *)
-      let heap_cmp (x, i) (y, j) =
-        let c = cmp x y in
-        if c <> 0 then c else Int.compare i j
-      in
+      (* A tournament tree of losers over the runs.  Runs are the leaves
+         nruns .. 2 nruns - 1 of an implicit complete binary tree, so a leaf
+         is at most ceil(lg nruns) matches below the root.  [tree.(n)] for an
+         internal node n in 1 .. nruns - 1 holds the run that lost the match
+         there, and [tree.(0)] the overall winner; -1 stands for an
+         exhausted run, which loses every match without a comparison.  Ties
+         break by run index, which makes the merge stable with respect to
+         the run order (runs are formed and merged in input order). *)
+      let tree = Array.make nruns (-1) in
       let run () =
         Em.Ctx.with_words ctx (2 * nruns) (fun () ->
-            let heap = Heap.create ~cmp:heap_cmp ~capacity:nruns in
-            (* The output opens before the heap pulls the first element, so
+            (* The output opens before the tree pulls the first element, so
                every mandatory charge lands before the readers' opportunistic
                read-ahead starts nibbling at the spare budget. *)
             output (fun push ->
                 (* Initial fill: every run faults on its first block, so
                    group those mandatory reads D to a window (each rides its
-                   reader's base charge — no ledger pressure). *)
+                   reader's base charge — no ledger pressure).  The heads
+                   array is made from the first head read. *)
+                let heads = ref [||] in
                 let i = ref 0 in
                 while !i < nruns do
                   let hi = min nruns (!i + d) in
                   Em.Ctx.io_window ctx (fun () ->
                       for j = !i to hi - 1 do
-                        if Em.Reader.has_next readers.(j) then
-                          Heap.push heap (Em.Reader.next readers.(j), j)
+                        if Em.Reader.has_next readers.(j) then begin
+                          let x = Em.Reader.next readers.(j) in
+                          if Array.length !heads = 0 then heads := Array.make nruns x;
+                          !heads.(j) <- x
+                        end
                       done);
                   i := hi
                 done;
-                while not (Heap.is_empty heap) do
-                  let e, i = Heap.pop heap in
-                  push e;
+                let keys = !heads in
+                let beats i j =
+                  j < 0
+                  || i >= 0
+                     &&
+                     let c = cmp keys.(i) keys.(j) in
+                     c < 0 || (c = 0 && i < j)
+                in
+                let rec build node =
+                  if node >= nruns then
+                    let i = node - nruns in
+                    if Em.Vec.length runs.(i) > 0 then i else -1
+                  else
+                    let l = build (2 * node) and r = build ((2 * node) + 1) in
+                    if beats l r then begin
+                      tree.(node) <- r;
+                      l
+                    end
+                    else begin
+                      tree.(node) <- l;
+                      r
+                    end
+                in
+                tree.(0) <- build 1;
+                while tree.(0) >= 0 do
+                  let i = tree.(0) in
+                  push keys.(i);
                   let r = readers.(i) in
-                  if Em.Reader.has_next r then begin
-                    if d > 1 && Em.Reader.pending_io r then forecast_refill i;
-                    Heap.push heap (Em.Reader.next r, i)
-                  end
+                  (* Replay run [i]'s leaf up to the root with its next head,
+                     or as exhausted. *)
+                  let w =
+                    ref
+                      (if Em.Reader.has_next r then begin
+                         if d > 1 && Em.Reader.pending_io r then forecast_refill i;
+                         keys.(i) <- Em.Reader.next r;
+                         i
+                       end
+                       else -1)
+                  in
+                  let node = ref ((nruns + i) / 2) in
+                  while !node > 0 do
+                    let t = tree.(!node) in
+                    if beats t !w then begin
+                      tree.(!node) <- !w;
+                      w := t
+                    end;
+                    node := !node / 2
+                  done;
+                  tree.(0) <- !w
                 done))
       in
       (* [close] is idempotent, so closing on both paths is safe; without the

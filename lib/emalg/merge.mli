@@ -1,9 +1,15 @@
-(** Multiway merge of sorted external vectors. *)
+(** Multiway merge of sorted external vectors.
+
+    The merge is a tournament tree of losers over the runs: each internal
+    node keeps the run that lost the match there, and the winner's run
+    replays its leaf-to-root path with its next element.  A merge of [k]
+    runs therefore makes at most [ceil (lg k)] comparisons per element, plus
+    [k - 1] to seed the tree, and allocates nothing per element. *)
 
 val max_fanout : 'a Em.Ctx.t -> int
 (** The largest number of runs that can be merged at once: each run needs one
-    reader buffer ([B] words), plus one writer buffer and two words per heap
-    entry: [(M - B) / (B + 2)]. *)
+    reader buffer ([B] words) and two words (its head key and its tree
+    slot), plus one writer buffer: [(M - B) / (B + 2)]. *)
 
 val merge : ('a -> 'a -> int) -> 'a Em.Vec.t list -> 'a Em.Vec.t
 (** Merge sorted vectors into one sorted vector on the same context.  Equal

@@ -52,13 +52,6 @@ let test_mem_sort () =
   Tu.check_bool "sorted" true (Emalg.Mem_sort.is_sorted Tu.icmp b);
   Tu.check_int_array "same multiset" (sorted a) b
 
-let test_mem_sort_merge_into () =
-  let xs = [| 1; 3; 5 |] and ys = [| 2; 3; 4; 9 |] in
-  Tu.check_int_array "merge" [| 1; 2; 3; 3; 4; 5; 9 |]
-    (Emalg.Mem_sort.merge_into Tu.icmp xs ys);
-  Tu.check_int_array "merge empty left" ys (Emalg.Mem_sort.merge_into Tu.icmp [||] ys);
-  Tu.check_int_array "merge empty right" xs (Emalg.Mem_sort.merge_into Tu.icmp xs [||])
-
 let test_quantile_splitters_exact () =
   let a = Tu.random_perm ~seed:11 100 in
   let s = Emalg.Mem_sort.quantile_splitters Tu.icmp a ~k:4 in
@@ -92,15 +85,6 @@ let test_select_mem_median () =
   Alcotest.check_raises "median empty" (Invalid_argument "Select_mem.median: empty array")
     (fun () -> ignore (Emalg.Select_mem.median Tu.icmp [||]))
 
-let test_heap_sorts () =
-  let h = Emalg.Heap.create ~cmp:Tu.icmp ~capacity:4 in
-  let input = Tu.random_ints ~seed:21 ~bound:100 50 in
-  Array.iter (Emalg.Heap.push h) input;
-  Tu.check_int "size" 50 (Emalg.Heap.size h);
-  let out = Array.init 50 (fun _ -> Emalg.Heap.pop h) in
-  Tu.check_int_array "heap drains sorted" (sorted input) out;
-  Tu.check_bool "empty" true (Emalg.Heap.is_empty h)
-
 let test_merge_two_runs () =
   let ctx = Tu.ctx ~mem:256 ~block:16 () in
   let r1 = Tu.int_vec ctx (Array.init 40 (fun i -> 2 * i)) in
@@ -117,6 +101,92 @@ let test_merge_fanout_guard () =
   Alcotest.check_raises "too many runs"
     (Invalid_argument "Merge.merge: too many runs for the memory budget")
     (fun () -> ignore (Emalg.Merge.merge Tu.icmp [ mk 1; mk 2; mk 3 ]))
+
+(* Sorted runs for the merge tests: [k] runs whose lengths mix empty,
+   single-element and multi-block runs of up to [max_len] elements, keys
+   drawn below [bound] (1 makes every key equal).  Each element is tagged
+   (key, run, position). *)
+let tagged_runs ?(max_len = 60) ~seed ~k ~bound () =
+  let r = Tu.rng seed in
+  List.init k (fun run ->
+      let len =
+        match Tu.next_int r 4 with 0 -> 0 | 1 -> 1 | _ -> Tu.next_int r max_len
+      in
+      let keys = Tu.random_ints ~seed:(seed + run + 1) ~bound len in
+      Array.sort Tu.icmp keys;
+      Array.mapi (fun pos key -> (key, run, pos)) keys)
+
+let key_cmp (a, _, _) (b, _, _) = Int.compare a b
+
+let prop_merge_is_stable_sort =
+  Tu.qcheck_case ~count:60
+    "merge: merge and iter equal a stable sort of the runs, at D=1 and D=4"
+    QCheck2.Gen.(triple (int_range 1 13) (int_range 0 999) (oneofl [ 1; 3; 1000 ]))
+    (fun (k, seed, bound) ->
+      let runs = tagged_runs ~seed ~k ~bound () in
+      let expected = Array.concat runs in
+      Array.stable_sort key_cmp expected;
+      List.for_all
+        (fun disks ->
+          let ctx : (int * int * int) Em.Ctx.t = Em.Ctx.create ~disks (Tu.params ()) in
+          k <= Emalg.Merge.max_fanout ctx
+          &&
+          let vecs = List.map (Em.Vec.of_array ctx) runs in
+          let merged = Emalg.Merge.merge key_cmp vecs in
+          let iterated = ref [] in
+          Emalg.Merge.iter key_cmp vecs (fun e -> iterated := e :: !iterated);
+          let ok =
+            Em.Vec.Oracle.to_array merged = expected
+            && Array.of_list (List.rev !iterated) = expected
+            && ctx.Em.Ctx.stats.Em.Stats.mem_in_use = 0
+          in
+          Em.Ctx.close ctx;
+          ok)
+        [ 1; 4 ])
+
+let rec ceil_log2 k = if k <= 1 then 0 else 1 + ceil_log2 ((k + 1) / 2)
+
+let test_merge_comparison_bound () =
+  (* A tournament of k runs replays one leaf-to-root path per element:
+     at most ceil(lg k) comparisons each, plus k - 1 to seed the tree. *)
+  List.iter
+    (fun (k, bound) ->
+      let ctx = Tu.ctx ~mem:4096 ~block:64 () in
+      let runs =
+        List.map (Array.map (fun (key, _, _) -> key)) (tagged_runs ~max_len:400 ~seed:k ~k ~bound ())
+      in
+      let n = List.fold_left (fun acc r -> acc + Array.length r) 0 runs in
+      let vecs = List.map (Tu.int_vec ctx) runs in
+      let merged, d =
+        Em.Ctx.measured ctx (fun () -> Emalg.Merge.merge (Em.Ctx.counted ctx Tu.icmp) vecs)
+      in
+      Tu.check_int_array "merged" (sorted (Array.concat runs)) (Em.Vec.Oracle.to_array merged);
+      let comps = d.Em.Stats.d_comparisons and limit = (n * ceil_log2 k) + k in
+      Tu.check_bool
+        (Printf.sprintf "k=%d n=%d: %d comparisons <= n ceil(lg k) + k = %d" k n comps limit)
+        true (comps <= limit))
+    [ (1, 1000); (2, 1000); (3, 3); (5, 1000); (8, 1); (13, 1000); (34, 1000); (61, 5) ]
+
+let test_merge_io_exact () =
+  (* One read per input block and one write per output block, on one disk
+     and on four; [iter] reads the same blocks and writes none. *)
+  List.iter
+    (fun disks ->
+      let ctx : int Em.Ctx.t = Em.Ctx.create ~disks (Tu.params ()) in
+      let runs =
+        List.map (Array.map (fun (key, _, _) -> key)) (tagged_runs ~seed:disks ~k:13 ~bound:1000 ())
+      in
+      let vecs = List.map (Tu.int_vec ctx) runs in
+      let in_blocks = List.fold_left (fun acc v -> acc + Em.Vec.num_blocks v) 0 vecs in
+      let merged, d = Em.Ctx.measured ctx (fun () -> Emalg.Merge.merge Tu.icmp vecs) in
+      Tu.check_int "reads = input blocks" in_blocks d.Em.Stats.d_reads;
+      Tu.check_int "writes = output blocks" (Em.Vec.num_blocks merged) d.Em.Stats.d_writes;
+      let (), d = Em.Ctx.measured ctx (fun () -> Emalg.Merge.iter Tu.icmp vecs ignore) in
+      Tu.check_int "iter reads = input blocks" in_blocks d.Em.Stats.d_reads;
+      Tu.check_int "iter writes nothing" 0 d.Em.Stats.d_writes;
+      Tu.check_no_leaks ~live:(in_blocks + Em.Vec.num_blocks merged) ctx;
+      Em.Ctx.close ctx)
+    [ 1; 4 ]
 
 let test_external_sort_correct () =
   let ctx = Tu.ctx ~mem:256 ~block:16 () in
@@ -327,14 +397,15 @@ let suite =
     Alcotest.test_case "scan: rank_of" `Quick test_scan_rank_of;
     Alcotest.test_case "scan: chunks" `Quick test_scan_chunks;
     Alcotest.test_case "mem_sort: sorts" `Quick test_mem_sort;
-    Alcotest.test_case "mem_sort: merge_into" `Quick test_mem_sort_merge_into;
     Alcotest.test_case "mem_sort: quantile splitters" `Quick test_quantile_splitters_exact;
     Alcotest.test_case "select_mem: exhaustive ranks" `Quick test_select_mem_exhaustive;
     Alcotest.test_case "select_mem: duplicates" `Quick test_select_mem_duplicates;
     Alcotest.test_case "select_mem: median" `Quick test_select_mem_median;
-    Alcotest.test_case "heap: drains sorted" `Quick test_heap_sorts;
     Alcotest.test_case "merge: two runs" `Quick test_merge_two_runs;
     Alcotest.test_case "merge: fanout guard" `Quick test_merge_fanout_guard;
+    prop_merge_is_stable_sort;
+    Alcotest.test_case "merge: comparison bound" `Quick test_merge_comparison_bound;
+    Alcotest.test_case "merge: reads and writes exact" `Quick test_merge_io_exact;
     Alcotest.test_case "external_sort: correct" `Quick test_external_sort_correct;
     Alcotest.test_case "external_sort: I/O bound" `Quick test_external_sort_io_bound;
     Alcotest.test_case "external_sort: empty/tiny" `Quick test_external_sort_empty_and_tiny;
