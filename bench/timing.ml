@@ -1,9 +1,12 @@
-(* Wall-clock timing: the one number async execution is allowed to
-   change.  [async_file_speedup] is the ratio of async to sync wall time
-   for an external sort on a D=4 file backend with a modeled per-I/O device
-   latency (the same latency armed on both sides).  The ratio is gated in
-   test/golden/ratios.expected — if overlapping I/O across the worker
-   domains ever stops paying, the bench fails.
+(* Wall-clock timing gates, both ratios of two runs on the same host.
+   [async_file_speedup] is the ratio of async to sync wall time for an
+   external sort on a D=4 file backend with a modeled per-I/O device
+   latency (the same latency armed on both sides).  [int_kernel_speedup] is
+   the wall time of an external sort on sim with the machine's counted
+   [Int.compare] over the same sort with an equal comparator the sort does
+   not recognise, so it runs the int kernels against the generic path.
+   Both are gated in test/golden/ratios.expected: if overlapping I/O stops
+   paying, or the int kernels are ever silently unwired, the bench fails.
 
    Per-layer wall-clock costs (kernels, metering, each backend, the buffer
    pool, the async hand-off) live in the bench/perf ladder, which reports
@@ -58,9 +61,54 @@ let async_speedup ~n =
   let asyn = sort_wall ~n ~async:true in
   (sync, asyn, asyn /. sync)
 
+(* ---- the int kernel gate ----
+
+   The same Pi_hard sort on sim, once with [Ctx.counted ctx Int.compare]
+   (the int kernels) and once with an equal comparator [Ctx.counted] does
+   not recognise (the generic path).  The two alternate, after one untimed
+   pair that warms the heap, and each side keeps its best of [kernel_runs],
+   so a burst of load on a shared host hits both sides alike.  Both sides
+   must return the same output and count the same comparisons; if they do
+   not, the ratio is infinite and the gate fails. *)
+
+let kernel_runs = 15
+
+let kernel_sort ~n ~recognised =
+  let ctx : int Em.Ctx.t = Em.Ctx.create ~backend:Em.Backend.Sim (Exp.params machine) in
+  let cmp =
+    if recognised then Em.Ctx.counted ctx Int.compare
+    else Em.Ctx.counted ctx (fun x y -> Int.compare x y)
+  in
+  let v = Core.Workload.vec ctx Core.Workload.Pi_hard ~seed ~n in
+  Gc.full_major ();
+  let t0 = Unix.gettimeofday () in
+  let sorted = Emalg.External_sort.sort cmp v in
+  let t = Unix.gettimeofday () -. t0 in
+  let result = (Em.Vec.Oracle.to_array sorted, ctx.Em.Ctx.stats.Em.Stats.comparisons) in
+  Em.Ctx.close ctx;
+  (t, result)
+
+let int_kernel_speedup ~n =
+  let generic = ref infinity and kernel = ref infinity and agree = ref true in
+  let comparisons = ref 0 in
+  for run = 0 to kernel_runs do
+    let tg, generic_result = kernel_sort ~n ~recognised:false in
+    let tk, kernel_result = kernel_sort ~n ~recognised:true in
+    agree := !agree && kernel_result = generic_result;
+    comparisons := snd kernel_result;
+    if run > 0 then begin
+      generic := Float.min !generic tg;
+      kernel := Float.min !kernel tk
+    end
+  done;
+  let ratio = if !agree then !kernel /. !generic else infinity in
+  (!generic, !kernel, !comparisons, ratio)
+
 let all () =
   let n = Exp.scaled (1 lsl 14) in
   let wall_sync, wall_async, ratio = async_speedup ~n in
+  let kernel_n = Exp.scaled (1 lsl 20) in
+  let wall_generic, wall_kernel, comparisons, kernel_ratio = int_kernel_speedup ~n:kernel_n in
   Exp.section
     (Printf.sprintf
        "Async speedup gate — external-sort on file, N=%d, %s, D=%d, %.0fus/I-O modeled \
@@ -76,7 +124,22 @@ let all () =
         Printf.sprintf "%.3f" ratio;
       ];
     ];
-  (* The row records the speedup measurement that ratios.expected bounds;
+  Exp.section
+    (Printf.sprintf
+       "Int kernel gate — external-sort on sim, N=%d Pi_hard, %s, best of %d" kernel_n
+       (Exp.machine_name machine) kernel_runs);
+  Exp.table
+    ~header:[ "metric"; "generic (ms)"; "int kernels (ms)"; "kernels/generic"; "comparisons" ]
+    [
+      [
+        "external-sort wall";
+        Printf.sprintf "%.1f" (wall_generic *. 1e3);
+        Printf.sprintf "%.1f" (wall_kernel *. 1e3);
+        Printf.sprintf "%.3f" kernel_ratio;
+        string_of_int comparisons;
+      ];
+    ];
+  (* The rows record the speedup measurements that ratios.expected bounds;
      no simulated I/O is measured here, so no table1 cost field appears. *)
   Exp.write_artifact ~bench:"timing"
     [
@@ -97,5 +160,21 @@ let all () =
           ("wall_ns_file_async", J.Int (int_of_float (wall_async *. 1e9)));
           ("ratio", J.Float ratio);
         ];
+      J.Obj
+        [
+          ("row", J.Str "timing");
+          ("label", J.Str "int-kernel-speedup (external-sort)");
+          ( "geometry",
+            J.Obj
+              [
+                ("n", J.Int kernel_n);
+                ("mem", J.Int machine.Exp.mem);
+                ("block", J.Int machine.Exp.block);
+              ] );
+          ("wall_ns_generic", J.Int (int_of_float (wall_generic *. 1e9)));
+          ("wall_ns_int_kernels", J.Int (int_of_float (wall_kernel *. 1e9)));
+          ("comparisons", J.Int comparisons);
+          ("ratio", J.Float kernel_ratio);
+        ];
     ];
-  [ ("async_file_speedup", ratio) ]
+  [ ("async_file_speedup", ratio); ("int_kernel_speedup", kernel_ratio) ]

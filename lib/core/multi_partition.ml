@@ -212,7 +212,7 @@ let run cmp st v ~bounds =
             let local_bounds = Emalg.Scan.array_of_vec_io bounds in
             Emalg.Scan.with_loaded v (fun a ->
                 (* Stable sort = positional tie-breaking, no tags needed. *)
-                Emalg.Mem_sort.sort cmp a;
+                Emalg.Mem_sort.sort_on ctx cmp a;
                 let i = ref (-1) in
                 cut_at st (fun () ->
                     incr i;

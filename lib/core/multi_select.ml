@@ -49,7 +49,7 @@ let base_case cmp v ranks =
   else if n <= Emalg.Layout.big_load ctx then
     Emalg.Scan.with_loaded v (fun a ->
         (* Stable sort = positional tie-breaking. *)
-        Emalg.Mem_sort.sort cmp a;
+        Emalg.Mem_sort.sort_on ctx cmp a;
         Array.map (fun r -> a.(r - 1)) ranks)
   else begin
     let splitters =
@@ -267,7 +267,7 @@ let rec general :
   let n = Em.Vec.length v and big = Emalg.Layout.big_load ctx in
   if n <= big then
     Emalg.Scan.with_loaded v (fun a ->
-        Emalg.Mem_sort.sort vcmp a;
+        Emalg.Mem_sort.sort_on ctx vcmp a;
         Emalg.Scan.iter (fun r -> emit (key a.(r - 1))) ranks)
   else if Emalg.External_sort.one_merge ctx n then sort_select vcmp key v ranks emit
   else begin

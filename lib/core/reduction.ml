@@ -56,7 +56,7 @@ let sort_by_partitioning cmp v =
       Array.iter
         (fun part ->
           Emalg.Scan.with_loaded part (fun a ->
-              Emalg.Mem_sort.sort cmp a;
+              Emalg.Mem_sort.sort_on ctx cmp a;
               Array.iter (Em.Writer.push w) a);
           Em.Vec.free part)
         parts)

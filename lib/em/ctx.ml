@@ -1,3 +1,8 @@
+(* The machine's counted [Int.compare], built on the first [counted ctx
+   Int.compare] and returned by every later one, with the proof that the
+   elements are ints. *)
+type 'a int_cmp = { cmp : 'a -> 'a -> int; eq : ('a, int) Type.eq }
+
 type 'a t = {
   params : Params.t;
   stats : Stats.t;
@@ -5,6 +10,7 @@ type 'a t = {
   backend : Backend.instance;
   dev : 'a Device.t;
   shard : int option;
+  mutable int_cmp : 'a int_cmp option;
 }
 
 let create ?trace ?backend ?backend_dir ?pool_pages ?async ?io_pool ?file_delay
@@ -19,7 +25,7 @@ let create ?trace ?backend ?backend_dir ?pool_pages ?async ?io_pool ?file_delay
   in
   { params; stats; trace; backend;
     dev = Device.create ~trace ~backend:(Backend.make backend) ?shard params stats;
-    shard }
+    shard; int_cmp = None }
 
 let linked ctx =
   (* The linked device inherits the family's backend instance: same spec,
@@ -34,7 +40,7 @@ let linked ctx =
   (match Device.injector ctx.dev with None -> () | Some plan -> Device.inject dev plan);
   (match Device.recovery ctx.dev with None -> () | Some r -> Device.arm ~share:r dev);
   { params = ctx.params; stats = ctx.stats; trace = ctx.trace; backend = ctx.backend; dev;
-    shard = ctx.shard }
+    shard = ctx.shard; int_cmp = None }
 
 let backend_name ctx = Backend.name ctx.backend
 let backend_pool ctx = Backend.pool ctx.backend
@@ -47,9 +53,38 @@ let clear_injector ctx = Device.clear_injector ctx.dev
 let arm ?policy ctx = Device.arm ?policy ctx.dev
 let fault_report ctx = Device.recovery ctx.dev
 
-let counted ctx cmp x y =
-  ctx.stats.Stats.comparisons <- ctx.stats.Stats.comparisons + 1;
-  cmp x y
+(* The library's one unchecked cast.  [Int.compare] is a value of type
+   [int -> int -> int], and no safe program can give it any other type, so
+   a comparator of type ['a -> 'a -> int] that is physically [Int.compare]
+   proves ['a = int].  The false equation the cast brings into scope is used
+   for nothing but that physical comparison; the witness leaves only when
+   the comparison holds. *)
+let int_witness (type a) (cmp : a -> a -> int) : (a, int) Type.eq option =
+  match (Obj.magic Type.Equal : (a, int) Type.eq) with
+  | Type.Equal -> if cmp == Int.compare then Some Type.Equal else None
+
+(* Both closures take their two arguments at once, so calls skip the
+   currying trampoline of a partial application. *)
+let counted (type a) (ctx : a t) (cmp : a -> a -> int) : a -> a -> int =
+  let stats = ctx.stats in
+  match int_witness cmp with
+  | None ->
+      fun x y ->
+        stats.Stats.comparisons <- stats.Stats.comparisons + 1;
+        cmp x y
+  | Some Type.Equal -> (
+      match ctx.int_cmp with
+      | Some k -> k.cmp
+      | None ->
+          let cmp (x : int) (y : int) =
+            stats.Stats.comparisons <- stats.Stats.comparisons + 1;
+            Int.compare x y
+          in
+          ctx.int_cmp <- Some { cmp; eq = Type.Equal };
+          cmp)
+
+let int_keys ctx cmp =
+  match ctx.int_cmp with Some k when k.cmp == cmp -> Some k.eq | _ -> None
 
 let measured ctx f =
   let snap = Stats.snapshot ctx.stats in

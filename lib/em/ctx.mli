@@ -5,6 +5,10 @@
     are of an arbitrary type ['a] (one element = one word); algorithms are
     comparison-based and receive an explicit comparator. *)
 
+type 'a int_cmp
+(** The machine's counted [Int.compare] and its proof that ['a = int]; see
+    {!counted} and {!int_keys}. *)
+
 type 'a t = {
   params : Params.t;
   stats : Stats.t;
@@ -12,6 +16,9 @@ type 'a t = {
   backend : Backend.instance;
   dev : 'a Device.t;
   shard : int option;  (** cluster shard identity; [None] on single machines *)
+  mutable int_cmp : 'a int_cmp option;
+      (** set by the first [counted ctx Int.compare]; [None] on a fresh or
+          {!linked} machine *)
 }
 
 val create :
@@ -89,7 +96,21 @@ val fault_report : 'a t -> Device.recovery option
 
 val counted : 'a t -> ('a -> 'a -> int) -> 'a -> 'a -> int
 (** [counted ctx cmp] behaves as [cmp] but increments the comparison
-    counter on every call. *)
+    counter on every call.  The result takes both arguments at once.
+
+    When [cmp] is physically [Int.compare], the result is the machine's own
+    counted int comparator: built on the first such call, then returned by
+    every later one, so [counted ctx Int.compare == counted ctx Int.compare].
+    Sorts and merges that receive it recognise it through {!int_keys} and
+    compare ints inline, counting exactly the comparisons the generic path
+    counts.  Any other comparator, an equal one such as
+    [fun x y -> Int.compare x y] included, takes the generic path. *)
+
+val int_keys : 'a t -> ('a -> 'a -> int) -> ('a, int) Type.eq option
+(** [int_keys ctx cmp] is [Some Type.Equal] exactly when [cmp] is the
+    machine's counted [Int.compare] (see {!counted}): the elements are ints
+    and every comparison the caller makes in its place must add one to
+    [stats.comparisons]. *)
 
 val measured : 'a t -> (unit -> 'b) -> 'b * Stats.delta
 (** [measured ctx f] runs [f] and reports exactly the I/Os and comparisons

@@ -142,15 +142,16 @@ let submit t ~key job =
 
 let await tk =
   Mutex.lock tk.tm;
-  while (match tk.state with Pending -> true | Resolved _ -> false) do
-    Condition.wait tk.tc tk.tm
-  done;
-  let state = tk.state in
+  let rec resolved () =
+    match tk.state with
+    | Resolved outcome -> outcome
+    | Pending ->
+        Condition.wait tk.tc tk.tm;
+        resolved ()
+  in
+  let outcome = resolved () in
   Mutex.unlock tk.tm;
-  match state with
-  | Resolved None -> ()
-  | Resolved (Some e) -> raise e
-  | Pending -> assert false
+  Option.iter raise outcome
 
 (* Typed convenience over the untyped job/ticket pair: the closure's result
    lands in a cell that [wait] reads back after the ticket resolves (the

@@ -29,7 +29,7 @@ and select_distinct cmp v ~rank ~owned =
   if n <= half_load ctx then begin
     let result =
       Scan.with_loaded v (fun a ->
-          Mem_sort.sort cmp a;
+          Mem_sort.sort_on ctx cmp a;
           a.(rank - 1))
     in
     dispose ();

@@ -28,7 +28,7 @@ let form_run cmp v consumed =
   let run =
     Em.Phase.with_label ctx "run-formation" (fun () ->
         Scan.with_loaded window (fun chunk ->
-            Mem_sort.sort cmp chunk;
+            Mem_sort.sort_on ctx cmp chunk;
             Scan.vec_of_array_io ctx chunk))
   in
   (run, consumed + len)
@@ -142,7 +142,7 @@ let with_sorted cmp v f =
       Em.Phase.with_label ctx "run-formation" (fun () ->
           Scan.chunks ~size:(Layout.big_load ctx)
             (fun load ->
-              Mem_sort.sort cmp load;
+              Mem_sort.sort_on ctx cmp load;
               live := (Scan.vec_of_array_io ctx load :: fst !live, []))
             v);
       live := (List.rev (fst !live), []);

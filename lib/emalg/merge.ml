@@ -4,7 +4,7 @@ let max_fanout ctx =
 
 (* The merge proper, with its output abstracted: [output body] runs [body]
    with the function that receives the merged elements in order. *)
-let merge_with cmp vecs ~output =
+let merge_with (type e) (cmp : e -> e -> int) (vecs : e Em.Vec.t list) ~output =
   match vecs with
   | [] -> invalid_arg "Merge.merge: no input runs"
   | first :: _ ->
@@ -126,32 +126,62 @@ let merge_with cmp vecs ~output =
                     end
                 in
                 tree.(0) <- build 1;
-                while tree.(0) >= 0 do
-                  let i = tree.(0) in
-                  push keys.(i);
+                (* Run [i]'s next head, or -1 once the run is exhausted. *)
+                let next_head i =
                   let r = readers.(i) in
-                  (* Replay run [i]'s leaf up to the root with its next head,
-                     or as exhausted. *)
-                  let w =
-                    ref
-                      (if Em.Reader.has_next r then begin
-                         if d > 1 && Em.Reader.pending_io r then forecast_refill i;
-                         keys.(i) <- Em.Reader.next r;
-                         i
-                       end
-                       else -1)
-                  in
-                  let node = ref ((nruns + i) / 2) in
-                  while !node > 0 do
-                    let t = tree.(!node) in
-                    if beats t !w then begin
-                      tree.(!node) <- !w;
-                      w := t
-                    end;
-                    node := !node / 2
-                  done;
-                  tree.(0) <- !w
-                done))
+                  if Em.Reader.has_next r then begin
+                    if d > 1 && Em.Reader.pending_io r then forecast_refill i;
+                    keys.(i) <- Em.Reader.next r;
+                    i
+                  end
+                  else -1
+                in
+                (* Emit the winner, then replay its leaf up to the root with
+                   its next head, or as exhausted. *)
+                match Em.Ctx.int_keys ctx cmp with
+                | None ->
+                    while tree.(0) >= 0 do
+                      let i = tree.(0) in
+                      push keys.(i);
+                      let w = ref (next_head i) in
+                      let node = ref ((nruns + i) / 2) in
+                      while !node > 0 do
+                        let t = tree.(!node) in
+                        if beats t !w then begin
+                          tree.(!node) <- !w;
+                          w := t
+                        end;
+                        node := !node / 2
+                      done;
+                      tree.(0) <- !w
+                    done
+                | Some Type.Equal ->
+                    (* [beats] on ints, inline, counting each comparison as
+                       the machine's counted [Int.compare] would. *)
+                    let keys : int array = keys and stats = ctx.Em.Ctx.stats in
+                    while tree.(0) >= 0 do
+                      let i = tree.(0) in
+                      push keys.(i);
+                      let w = ref (next_head i) in
+                      let node = ref ((nruns + i) / 2) in
+                      while !node > 0 do
+                        let t = tree.(!node) in
+                        if
+                          !w < 0
+                          || t >= 0
+                             && begin
+                                  stats.comparisons <- stats.comparisons + 1;
+                                  let kt = keys.(t) and kw = keys.(!w) in
+                                  kt < kw || (kt = kw && t < !w)
+                                end
+                        then begin
+                          tree.(!node) <- !w;
+                          w := t
+                        end;
+                        node := !node / 2
+                      done;
+                      tree.(0) <- !w
+                    done))
       in
       (* [close] is idempotent, so closing on both paths is safe; without the
          exception arm a failed I/O would leak every reader's buffer words. *)

@@ -321,7 +321,7 @@ let set_sorted t node sorted =
 let sort_raw t node =
   set_sorted t node
     (Scan.with_loaded t.input (fun a ->
-         Mem_sort.sort t.cmp a;
+         Mem_sort.sort_on t.ctx t.cmp a;
          Scan.vec_of_array_io t.ctx a))
 
 (* Sort a pair leaf and strip its tags: in one memory load when it fits

@@ -28,14 +28,14 @@ let rec find_rec ~rate cmp v ~k =
   if n <= base_size ctx then begin
     if k > n then
       invalid_arg "Sample_splitters.find: k exceeds the number of elements";
-    Scan.with_loaded v (fun a -> Mem_sort.quantile_splitters cmp a ~k)
+    Scan.with_loaded v (fun a -> Mem_sort.quantile_splitters ~ctx cmp a ~k)
   end
   else begin
     let sample =
       Em.Writer.with_writer ctx (fun w ->
           Scan.chunks ~size:(chunk_size ctx)
             (fun chunk ->
-              Mem_sort.sort cmp chunk;
+              Mem_sort.sort_on ctx cmp chunk;
               let nsamples = Array.length chunk / rate in
               for i = 1 to nsamples do
                 Em.Writer.push w chunk.((i * rate) - 1)
@@ -134,7 +134,7 @@ let find_random ~rng ?(oversample = 8) cmp v ~k =
   else begin
     let ln_k = int_of_float (Float.ceil (Float.log (float_of_int (k + 1)))) in
     let s = min (Layout.half_load ctx) (max (4 * k) (oversample * k * max 1 ln_k)) in
-    if n <= s then Scan.with_loaded v (fun a -> Mem_sort.quantile_splitters cmp a ~k)
+    if n <= s then Scan.with_loaded v (fun a -> Mem_sort.quantile_splitters ~ctx cmp a ~k)
     else
       Em.Phase.with_label ctx "pivot-sampling" (fun () ->
           Em.Ctx.with_words ctx s (fun () ->
@@ -151,7 +151,7 @@ let find_random ~rng ?(oversample = 8) cmp v ~k =
                     let j = rng !seen in
                     if j < s then reservoir.(j) <- e
                   done;
-                  Mem_sort.quantile_splitters cmp reservoir ~k)))
+                  Mem_sort.quantile_splitters ~ctx cmp reservoir ~k)))
   end
 
 let params_sizes p =

@@ -188,6 +188,150 @@ let test_merge_io_exact () =
       Em.Ctx.close ctx)
     [ 1; 4 ]
 
+(* The int kernels against the generic path.  [counted ctx Int.compare] is
+   the machine's recognised comparator; [fun x y -> Int.compare x y] is an
+   equal comparator that is not, so it takes the generic path.  Each side
+   runs on its own fresh machine and must give the same output and count
+   the same comparisons. *)
+let int_kernel_ctx ?(disks = 1) ?(mem = 4096) ?(block = 64) () : int Em.Ctx.t =
+  Em.Ctx.create ~disks (Tu.params ~mem ~block ())
+
+let fast ctx = Em.Ctx.counted ctx Int.compare
+let slow ctx = Em.Ctx.counted ctx (fun x y -> Int.compare x y)
+
+(* [f]'s result and the comparisons it counted, on the kernel path and on
+   the generic path. *)
+let both_paths ?disks ?mem ?block f =
+  let on pick =
+    let ctx = int_kernel_ctx ?disks ?mem ?block () in
+    let out = f ctx (pick ctx) in
+    let comps = ctx.Em.Ctx.stats.Em.Stats.comparisons in
+    Em.Ctx.close ctx;
+    (out, comps)
+  in
+  (on fast, on slow)
+
+let same_on_both_paths ?disks f =
+  let kernel, generic = both_paths ?disks f in
+  kernel = generic
+
+let test_int_keys_recognition () =
+  let ctx = int_kernel_ctx () in
+  let recognised cmp = Option.is_some (Em.Ctx.int_keys ctx cmp) in
+  Tu.check_bool "counted Int.compare is memoised" true (fast ctx == fast ctx);
+  Tu.check_bool "counted Int.compare is recognised" true (recognised (fast ctx));
+  Tu.check_bool "plain Int.compare is not" false (recognised Int.compare);
+  Tu.check_bool "an equal closure is not" false (recognised (slow ctx));
+  let reversed = Em.Ctx.counted ctx (fun x y -> Int.compare y x) in
+  Tu.check_bool "a reversed comparator is not" false (recognised reversed);
+  let other = int_kernel_ctx () in
+  Tu.check_bool "another machine's is not" false
+    (Option.is_some (Em.Ctx.int_keys other (fast ctx)));
+  let linked : int Em.Ctx.t = Em.Ctx.linked ctx in
+  Tu.check_bool "a linked machine starts without one" false
+    (Option.is_some (Em.Ctx.int_keys linked (fast ctx)));
+  let pairs : (int * int) Em.Ctx.t = Em.Ctx.linked ctx in
+  let tagged = Em.Ctx.counted pairs (Emalg.Order.tagged Int.compare) in
+  Tu.check_bool "a tagged comparator is not" false
+    (Option.is_some (Em.Ctx.int_keys pairs tagged));
+  (* Unrecognised comparators sort by their own order, counted. *)
+  let a = Tu.random_ints ~seed:5 ~bound:20 500 in
+  let before = ctx.Em.Ctx.stats.Em.Stats.comparisons in
+  Emalg.Mem_sort.sort_on ctx reversed a;
+  Tu.check_int_array "reversed order" (Array.of_list (List.rev (Array.to_list (sorted a)))) a;
+  Tu.check_bool "reversed sort counted" true (ctx.Em.Ctx.stats.Em.Stats.comparisons > before);
+  let p = Array.init 300 (fun i -> (i mod 7, i)) in
+  let expected = Array.copy p in
+  Array.stable_sort (Emalg.Order.tagged Int.compare) expected;
+  Emalg.Mem_sort.sort_on pairs tagged p;
+  Tu.check_bool "tagged order" true (p = expected);
+  Em.Ctx.close ctx;
+  Em.Ctx.close other
+
+let gen_keys ~max_len =
+  QCheck2.Gen.(
+    let* len = oneof [ int_range 0 12; int_range 0 max_len ] in
+    let* bound = oneofl [ 1; 2; 7; 1000; max_int ] in
+    let* seed = int_range 0 9999 in
+    return (Tu.random_ints ~seed ~bound len))
+
+let prop_mem_sort_int_kernel =
+  let big = Emalg.Layout.big_load (int_kernel_ctx ()) in
+  Tu.qcheck_case ~count:80
+    "int kernel: Mem_sort output and comparisons equal the generic path"
+    (gen_keys ~max_len:(3 * big))
+    (fun a ->
+      same_on_both_paths (fun ctx cmp ->
+          let b = Array.copy a in
+          Emalg.Mem_sort.sort_on ctx cmp b;
+          b)
+      && same_on_both_paths (fun ctx cmp ->
+             let b = Array.copy a in
+             let k = max 1 (min 9 (Array.length b)) in
+             if Array.length b = 0 then [||]
+             else Emalg.Mem_sort.quantile_splitters ~ctx cmp b ~k))
+
+let prop_merge_int_kernel =
+  let fanout = Emalg.Merge.max_fanout (int_kernel_ctx ()) in
+  Tu.qcheck_case ~count:60
+    "int kernel: Merge.merge and Merge.iter equal the generic path, at D=1 and D=4"
+    QCheck2.Gen.(
+      triple (int_range 1 fanout) (int_range 0 9999) (oneofl [ 1; 3; 1000; max_int ]))
+    (fun (k, seed, bound) ->
+      let runs =
+        List.map (Array.map (fun (key, _, _) -> key)) (tagged_runs ~max_len:300 ~seed ~k ~bound ())
+      in
+      List.for_all
+        (fun disks ->
+          same_on_both_paths ~disks (fun ctx cmp ->
+              let vecs = List.map (Tu.int_vec ctx) runs in
+              let merged = Em.Vec.Oracle.to_array (Emalg.Merge.merge cmp vecs) in
+              let iterated = ref [] in
+              Emalg.Merge.iter cmp vecs (fun e -> iterated := e :: !iterated);
+              (merged, !iterated)))
+        [ 1; 4 ])
+
+let test_int_kernel_merge_fault () =
+  (* A read fault halfway through the merge's reads unwinds both paths after
+     the same comparisons. *)
+  let runs =
+    List.map (Array.map (fun (key, _, _) -> key)) (tagged_runs ~max_len:400 ~seed:7 ~k:20 ~bound:50 ())
+  in
+  let outcomes =
+    both_paths (fun ctx cmp ->
+        let vecs = List.map (Tu.int_vec ctx) runs in
+        let blocks = List.fold_left (fun acc v -> acc + Em.Vec.num_blocks v) 0 vecs in
+        Em.Ctx.inject ctx (Em.Fault.every_nth ~n:(blocks / 2) Em.Fault.Transient_read);
+        let seen = ref 0 in
+        match Emalg.Merge.iter cmp vecs (fun _ -> incr seen) with
+        | () -> None
+        | exception Em.Em_error.Error _ -> Some !seen)
+  in
+  match outcomes with
+  | (Some seen_fast, c_fast), (Some seen_slow, c_slow) ->
+      Tu.check_bool "faulted mid-merge" true (seen_fast > 0);
+      Tu.check_int "same elements before the fault" seen_slow seen_fast;
+      Tu.check_int "same comparisons before the fault" c_slow c_fast
+  | _ -> Alcotest.fail "the read fault must stop the merge on both paths"
+
+let test_int_kernel_restartable () =
+  (* Two merge passes with crashes in run formation and in the merges: the
+     restarted steps recount their comparisons alike on both paths. *)
+  let data = Tu.random_ints ~seed:17 ~bound:5_000 6_000 in
+  let (kernel_out, c_kernel), (generic_out, c_generic) =
+    both_paths ~mem:256 ~block:16 (fun ctx cmp ->
+        Em.Ctx.arm ctx;
+        Em.Ctx.inject ctx (Em.Fault.crash_at [ 100; 500; 900; 1300 ]);
+        let out = Emalg.External_sort.restartable cmp (Tu.int_vec ctx data) in
+        match out.Emalg.Restart.result with
+        | Ok sv -> (out.Emalg.Restart.restarts, Em.Vec.Oracle.to_array sv)
+        | Error e -> Alcotest.failf "restartable sort: %s" (Em.Em_error.to_string e))
+  in
+  Tu.check_int "four restarts" 4 (fst kernel_out);
+  Tu.check_int_array "sorted" (sorted data) (snd kernel_out);
+  Tu.check_bool "same restarts and output" true (kernel_out = generic_out);
+  Tu.check_int "same comparisons through the crashes" c_generic c_kernel
+
 let test_external_sort_correct () =
   let ctx = Tu.ctx ~mem:256 ~block:16 () in
   let a = Tu.random_ints ~seed:31 ~bound:10_000 5_000 in
@@ -406,6 +550,12 @@ let suite =
     prop_merge_is_stable_sort;
     Alcotest.test_case "merge: comparison bound" `Quick test_merge_comparison_bound;
     Alcotest.test_case "merge: reads and writes exact" `Quick test_merge_io_exact;
+    Alcotest.test_case "int kernel: comparator recognition" `Quick test_int_keys_recognition;
+    prop_mem_sort_int_kernel;
+    prop_merge_int_kernel;
+    Alcotest.test_case "int kernel: read fault mid-merge" `Quick test_int_kernel_merge_fault;
+    Alcotest.test_case "int kernel: restartable sort with crashes" `Quick
+      test_int_kernel_restartable;
     Alcotest.test_case "external_sort: correct" `Quick test_external_sort_correct;
     Alcotest.test_case "external_sort: I/O bound" `Quick test_external_sort_io_bound;
     Alcotest.test_case "external_sort: empty/tiny" `Quick test_external_sort_empty_and_tiny;
