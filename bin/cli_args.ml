@@ -95,9 +95,9 @@ let backend_t =
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
           "Storage backend: $(b,sim) (in-memory simulation, the default), $(b,file) (real \
-           disk blocks, fsynced on flush), $(b,cached) or $(b,cached:file) (buffer-pool LRU \
-           over sim/file).  Counted I/Os are identical on all of them.  When omitted, \
-           honours the EM_BACKEND environment variable.")
+           disk blocks in memory-mapped, unlinked scratch files), $(b,cached) or \
+           $(b,cached:file) (buffer-pool LRU over sim/file).  Counted I/Os are identical on \
+           all of them.  When omitted, honours the EM_BACKEND environment variable.")
 
 let async_t =
   Arg.(

@@ -4,7 +4,7 @@
    injection, checksums, remapping — and delegates the actual byte shuffling
    to a backend: a record of closures over *physical* slot numbers.  Three
    implementations ship: [sim] (the historical in-memory option array),
-   [file] (fixed-size marshalled slots on a real Unix file), and [cached]
+   [file] (fixed-size slots of a memory-mapped Unix file), and [cached]
    (a buffer-pool LRU wrapper over any other backend whose resident pages
    are charged against the [Mem] ledger).
 
@@ -21,7 +21,7 @@ type 'a t = {
   free : int -> unit;  (* recycle the slot; subsequent [load] is [None] *)
   probe : int -> Trace.cache option;  (* pre-read residency check; [None] = uncached *)
   prefetch : int -> unit;  (* advisory: start fetching a slot's bytes early *)
-  flush : unit -> unit;  (* write back dirty pages / fsync to stable storage *)
+  flush : unit -> unit;  (* write back dirty pages, retire write-behind stores *)
   close : unit -> unit;  (* release OS resources; idempotent *)
 }
 
@@ -109,27 +109,112 @@ let sim ?(slots = 64) ?disks () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* File: fixed-size marshalled slots on a real Unix file.             *)
+(* File: fixed-size slots of a memory-mapped Unix file per disk.      *)
 (* ------------------------------------------------------------------ *)
 
-let really_write fd buf =
-  let len = Bytes.length buf in
-  let n = ref 0 in
-  while !n < len do
-    n := !n + Unix.write fd buf !n (len - !n)
+type mapping = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+external map_get64 : mapping -> int -> int64 = "%caml_bigstring_get64u"
+external map_set64 : mapping -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* The primitives are native-endian and unchecked; slot bytes are
+   little-endian on every host, and callers stay inside the mapping. *)
+let get_int m off =
+  Int64.to_int (if Sys.big_endian then swap64 (map_get64 m off) else map_get64 m off)
+
+let set_int m off v =
+  let x = Int64.of_int v in
+  map_set64 m off (if Sys.big_endian then swap64 x else x)
+
+(* A slot is an 8-byte little-endian header and its payload.  A payload of
+   n immediates has header [(n lsl 1) lor 1] and n int64s; any other
+   payload is a [Marshal] blob of len bytes under header [len lsl 1].  A
+   shorter payload overwriting a longer one leaves stale bytes past its
+   end, which the header keeps unread. *)
+let slot_header = 8
+
+type encoded = Ints of int array | Blob of Bytes.t
+
+(* Every element is an immediate (an int, a char, a bool, a constant
+   constructor) exactly when the array is an ordinary block, not a flat
+   float array, whose fields are all ints. *)
+let all_immediate (payload : 'a array) =
+  let r = Obj.repr payload in
+  Obj.tag r <> Obj.double_array_tag
+  &&
+  let rec from i = i < 0 || (Obj.is_int (Obj.field r i) && from (i - 1)) in
+  from (Array.length payload - 1)
+
+(* The codec's two casts, both sound for the same reason: an array of
+   immediates has the same representation as an [int array] of the same
+   words.  [encode] reads such a payload as ints; [read_slot] hands the
+   decoded ints back at the caller's element type, where [Marshal.from_bytes]
+   makes the same unchecked cast for every other payload. *)
+let encode ~slot_bytes s (payload : 'a array) =
+  let enc =
+    if all_immediate payload then Ints (Obj.magic payload : int array)
+    else Blob (Marshal.to_bytes payload [])
+  in
+  let bytes =
+    slot_header + match enc with Ints a -> 8 * Array.length a | Blob b -> Bytes.length b
+  in
+  if bytes > slot_bytes then
+    raise (Em_error.Slot_overflow { bytes; capacity = slot_bytes; slot = s });
+  enc
+
+let write_slot (m : mapping) off = function
+  | Ints a ->
+      let n = Array.length a in
+      set_int m off ((n lsl 1) lor 1);
+      for i = 0 to n - 1 do
+        set_int m (off + slot_header + (8 * i)) (Array.unsafe_get a i)
+      done
+  | Blob b ->
+      let len = Bytes.length b and base = off + slot_header in
+      set_int m off (len lsl 1);
+      let words = len / 8 in
+      for i = 0 to words - 1 do
+        map_set64 m (base + (8 * i)) (Bytes.get_int64_ne b (8 * i))
+      done;
+      for i = 8 * words to len - 1 do
+        Bigarray.Array1.unsafe_set m (base + i) (Bytes.unsafe_get b i)
+      done
+
+let read_slot (m : mapping) off : 'a array =
+  let h = get_int m off in
+  let n = h lsr 1 and base = off + slot_header in
+  if h land 1 = 1 then begin
+    let a = Array.make n 0 in
+    for i = 0 to n - 1 do
+      Array.unsafe_set a i (get_int m (base + (8 * i)))
+    done;
+    (Obj.magic a : 'a array)
+  end
+  else begin
+    let b = Bytes.create n in
+    let words = n / 8 in
+    for i = 0 to words - 1 do
+      Bytes.set_int64_ne b (8 * i) (map_get64 m (base + (8 * i)))
+    done;
+    for i = 8 * words to n - 1 do
+      Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get m (base + i))
+    done;
+    Marshal.from_bytes b 0
+  end
+
+let zeros = Bytes.make 65536 '\000'
+
+(* Extend [fd]'s file from [from] to [size] bytes with written zeros, so the
+   blocks are allocated now: a full disk raises [Unix_error] here, not
+   SIGBUS at a later store into a hole of the mapping. *)
+let extend fd ~from size =
+  ignore (Unix.lseek fd from Unix.SEEK_SET);
+  let n = ref from in
+  while !n < size do
+    n := !n + Unix.write fd zeros 0 (min (Bytes.length zeros) (size - !n))
   done
 
-let really_read fd len =
-  let buf = Bytes.create len in
-  let n = ref 0 in
-  while !n < len do
-    let k = Unix.read fd buf !n (len - !n) in
-    if k = 0 then failwith "Backend.file: unexpected end of block file";
-    n := !n + k
-  done;
-  buf
-
-let slot_header = 8  (* little-endian marshalled-payload byte count *)
 let env_dir_var = "EM_BACKEND_DIR"
 
 let backing_dir dir =
@@ -155,7 +240,7 @@ let default_file_delay () =
                "Backend: %s must be a non-negative number of microseconds (got %S)"
                latency_env_var s))
 
-let file (type elt) ?dir ?delay ?io ?(disks = 1) ~slot_bytes () : elt t =
+let file (type elt) ?dir ?delay ?io ?(disks = 1) ?(slots = 64) ~slot_bytes () : elt t =
   if slot_bytes < slot_header + 8 then
     invalid_arg "Backend.file: slot_bytes is too small to hold any payload";
   if disks < 1 then invalid_arg "Backend.file: disks must be >= 1";
@@ -167,79 +252,94 @@ let file (type elt) ?dir ?delay ?io ?(disks = 1) ~slot_bytes () : elt t =
         let path = Filename.temp_file ~temp_dir "em-blocks-" ".dat" in
         let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
         (* Unlink immediately: the kernel keeps the inode alive while the fd
-           is open and reclaims the space on close, so block files can never
-           leak — not across a bench sweep, not even on a crash. *)
+           (or a mapping) is open and reclaims the space after, so block
+           files can never leak — not across a bench sweep, not even on a
+           crash.  Nothing can reopen them either, which is why [flush]
+           never syncs them: no process could read the synced bytes. *)
         (try Sys.remove path with Sys_error _ -> ());
         fd)
   in
+  (* [maps.(d)] maps all [sizes.(d)] bytes of disk [d]'s file.  Growth
+     happens on the caller's domain, into a fresh mapping of the extended
+     file; a job still holding the old mapping reaches the same file pages
+     through it, so the old one stays valid until the GC unmaps it. *)
+  let maps = Array.make disks (Bigarray.Array1.create Bigarray.char Bigarray.c_layout 0) in
+  let sizes = Array.make disks 0 in
+  let first_size = (slots + disks - 1) / disks * slot_bytes in
+  let offset s = s / disks * slot_bytes in
   let closed = ref false in
-  let close_fds () =
-    Array.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds
+  let ensure s =
+    let d = s mod disks in
+    let need = offset s + slot_bytes in
+    if need > sizes.(d) && not !closed then begin
+      let size = max need (max first_size (2 * sizes.(d))) in
+      extend fds.(d) ~from:sizes.(d) size;
+      maps.(d) <-
+        Bigarray.array1_of_genarray
+          (Unix.map_file fds.(d) Bigarray.char Bigarray.c_layout true [| size |]);
+      sizes.(d) <- size
+    end
+  in
+  (* Truncating first gives the disk space back now rather than when the GC
+     finalises the last mapping; it is only safe once no job can touch a
+     mapping again (a store past the end of the file would raise SIGBUS). *)
+  let release ~truncate =
+    if not !closed then begin
+      closed := true;
+      Array.iter
+        (fun fd ->
+          (if truncate then try Unix.ftruncate fd 0 with Unix.Unix_error _ -> ());
+          try Unix.close fd with Unix.Unix_error _ -> ())
+        fds
+    end
   in
   let check_open () = if !closed then invalid_arg "Backend.file: backend is closed" in
   let a = allocator ~disks () in
+  let alloc () =
+    let s = alloc_slot a in
+    ensure s;
+    s
+  in
   let written : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   (* [delay] models per-access device latency (bench gates, stress jitter).
      It runs on whichever domain executes the raw I/O — the caller under the
      synchronous assembly, a pool worker under the asynchronous one — which
      is exactly what lets the async path overlap it. *)
   let pause () = match delay with Some f -> f () | None -> () in
-  let seek s =
-    let fd = fds.(s mod disks) in
-    ignore (Unix.lseek fd (s / disks * slot_bytes) Unix.SEEK_SET);
-    fd
-  in
-  (* Marshalling (and the [Slot_overflow] check) always happens on the
-     caller's domain so oversized payloads raise synchronously under either
-     assembly; only the raw pread/pwrite-equivalents below are offloadable. *)
-  let encode s (payload : elt array) =
-    let data = Marshal.to_bytes payload [] in
-    let len = Bytes.length data in
-    if len + slot_header > slot_bytes then
-      raise (Em_error.Slot_overflow { bytes = len + slot_header; capacity = slot_bytes; slot = s });
-    let buf = Bytes.create (len + slot_header) in
-    Bytes.set_int64_le buf 0 (Int64.of_int len);
-    Bytes.blit data 0 buf slot_header len;
-    buf
-  in
-  let write_raw s buf =
+  (* Encoding (and the [Slot_overflow] check) always happens on the caller's
+     domain so oversized payloads raise synchronously under either assembly;
+     only the copies into and out of a mapping are offloadable. *)
+  let write_raw m off enc =
     pause ();
-    really_write (seek s) buf
+    write_slot m off enc
   in
-  let read_raw s : elt array =
+  let read_raw m off : elt array =
     pause ();
-    let fd = seek s in
-    let len = Int64.to_int (Bytes.get_int64_le (really_read fd slot_header) 0) in
-    Marshal.from_bytes (really_read fd len) 0
+    read_slot m off
   in
   match io with
   | None ->
-      (* Synchronous assembly: the exact historical code path. *)
-      let close () =
-        if not !closed then begin
-          closed := true;
-          close_fds ()
-        end
-      in
       (* Backstop for backends dropped without an explicit close (tests,
          bench iterations): release the fds once the backend is unreachable.
          The finaliser hangs off [written] — captured by the closures below,
          so it stays alive as long as *any* copy of the record does (the
          record itself may be functionally updated, e.g. renamed by
          [make]). *)
-      Gc.finalise (fun (_ : (int, unit) Hashtbl.t) -> close ()) written;
+      Gc.finalise (fun (_ : (int, unit) Hashtbl.t) -> release ~truncate:true) written;
       {
         name = "file";
-        alloc = (fun () -> alloc_slot a);
+        alloc;
         load =
           (fun s ->
             check_open ();
-            if Hashtbl.mem written s then Some (read_raw s) else None);
+            if Hashtbl.mem written s then Some (read_raw maps.(s mod disks) (offset s))
+            else None);
         store =
           (fun s payload ->
             check_open ();
-            let buf = encode s payload in
-            write_raw s buf;
+            let enc = encode ~slot_bytes s payload in
+            ensure s;
+            write_raw maps.(s mod disks) (offset s) enc;
             Hashtbl.replace written s ());
         free =
           (fun s ->
@@ -247,86 +347,92 @@ let file (type elt) ?dir ?delay ?io ?(disks = 1) ~slot_bytes () : elt t =
             free_slot a s);
         probe = (fun _ -> None);
         prefetch = (fun _ -> ());
-        flush =
-          (fun () ->
-            check_open ();
-            Array.iter Unix.fsync fds);
-        close;
+        flush = check_open;
+        close = (fun () -> release ~truncate:true);
       }
   | Some pool ->
       (* Asynchronous assembly over the same raw primitives.  All bookkeeping
          the model observes — the [written] set, the allocator, overflow
-         checks — stays on the caller's domain in the same order as the
-         synchronous path; only raw slot reads/writes cross into the pool.
-         Routing key [key_base + (s mod disks)] pins each disk's fd to one
-         worker, so shared seek offsets are never raced and two requests on
-         one slot retire in submission order (that worker's FIFO). *)
+         checks, mapping growth — stays on the caller's domain in the same
+         order as the synchronous path; only the copies cross into the pool,
+         each over the mapping current at submission.  Routing key
+         [key_base + (s mod disks)] sends each disk's requests to one worker,
+         so two requests on one slot retire in submission order (that
+         worker's FIFO). *)
       let key_base = Io_pool.fresh_key_base () in
       let key s = key_base + (s mod disks) in
+      let read_job s =
+        let m = maps.(s mod disks) and off = offset s in
+        Io_pool.submit pool ~key:(key s) (fun () ->
+            if !closed then failwith "Backend.file: backend is closed" else read_raw m off)
+      in
       (* Reads staged by [prefetch], consumed (or discarded) exactly once. *)
-      let staged : (int, elt array Io_pool.task) Hashtbl.t = Hashtbl.create 64 in
+      let staged : (int, elt array Io_pool.ticket) Hashtbl.t = Hashtbl.create 64 in
       (* Latest write-behind ticket per slot: an older ticket replaced here
          targets the same worker FIFO, so awaiting only the newest one at
          flush time still covers it. *)
-      let pending_stores : (int, Io_pool.ticket) Hashtbl.t = Hashtbl.create 64 in
+      let pending_stores : (int, unit Io_pool.ticket) Hashtbl.t = Hashtbl.create 64 in
       let discard_staged s =
         match Hashtbl.find_opt staged s with
         | None -> ()
-        | Some task ->
+        | Some tk ->
             Hashtbl.remove staged s;
-            (try ignore (Io_pool.wait task) with _ -> ())
+            (try ignore (Io_pool.await tk) with _ -> ())
       in
+      (* Only an explicit close awaits every job, so only it may truncate.
+         The GC backstop must not [await]: finalisers can run on a worker
+         domain mid-allocation, where waiting on that worker's own queue
+         would deadlock.  Jobs re-check [closed] so a backstopped close (the
+         backend is unreachable — nobody will read the data) mostly drops
+         its remaining copies; one already running copies into a mapping of
+         an untruncated file, which stays valid. *)
       let close_async ~await_pending () =
         if not !closed then begin
           if await_pending then begin
             Hashtbl.iter (fun _ tk -> try Io_pool.await tk with _ -> ()) pending_stores;
-            Hashtbl.iter (fun _ task -> try ignore (Io_pool.wait task) with _ -> ()) staged
+            Hashtbl.iter (fun _ tk -> try ignore (Io_pool.await tk) with _ -> ()) staged
           end;
-          closed := true;
           Hashtbl.reset pending_stores;
           Hashtbl.reset staged;
-          close_fds ()
+          release ~truncate:await_pending
         end
       in
-      (* The GC backstop must not [await]: finalisers can run on a worker
-         domain mid-allocation, where waiting on that worker's own queue
-         would deadlock.  Jobs re-check [closed] so a backstopped close (the
-         backend is unreachable — nobody will read the data) degrades to
-         dropped byte shuffling, never I/O on a recycled fd number. *)
       Gc.finalise
         (fun (_ : (int, unit) Hashtbl.t) -> close_async ~await_pending:false ())
         written;
       {
         name = "file";
-        alloc = (fun () -> alloc_slot a);
+        alloc;
         load =
           (fun s ->
             check_open ();
             if not (Hashtbl.mem written s) then None
             else
               match Hashtbl.find_opt staged s with
-              | Some task ->
+              | Some tk ->
                   Hashtbl.remove staged s;
-                  Some (Io_pool.wait task)
+                  Some (Io_pool.await tk)
               | None ->
-                  (* Demand reads also route through the owning worker: fd
-                     offsets are only ever used on one domain. *)
-                  Some
-                    (Io_pool.wait
-                       (Io_pool.run pool ~key:(key s) (fun () ->
-                            if !closed then failwith "Backend.file: backend is closed"
-                            else read_raw s))));
+                  (* Demand reads also route through the owning worker, so
+                     they retire after every write submitted before them. *)
+                  Some (Io_pool.await (read_job s)));
         store =
           (fun s payload ->
             check_open ();
-            let buf = encode s payload in
+            (* The job runs after [store] returns: it copies the caller's
+               ints now, as [Marshal] already does for a blob. *)
+            let enc =
+              match encode ~slot_bytes s payload with Ints a -> Ints (Array.copy a) | b -> b
+            in
+            ensure s;
             Hashtbl.replace written s ();
             (* A read staged before this write holds the slot's *old* bytes;
                retire it now so no later load can observe them. *)
             discard_staged s;
+            let m = maps.(s mod disks) and off = offset s in
             let tk =
               Io_pool.submit pool ~key:(key s) (fun () ->
-                  if not !closed then write_raw s buf)
+                  if not !closed then write_raw m off enc)
             in
             Hashtbl.replace pending_stores s tk);
         free =
@@ -338,18 +444,13 @@ let file (type elt) ?dir ?delay ?io ?(disks = 1) ~slot_bytes () : elt t =
         prefetch =
           (fun s ->
             if (not !closed) && Hashtbl.mem written s && not (Hashtbl.mem staged s)
-            then
-              Hashtbl.replace staged s
-                (Io_pool.run pool ~key:(key s) (fun () ->
-                     if !closed then failwith "Backend.file: backend is closed"
-                     else read_raw s)));
+            then Hashtbl.replace staged s (read_job s));
         flush =
           (fun () ->
             check_open ();
             let tickets = Hashtbl.fold (fun _ tk acc -> tk :: acc) pending_stores [] in
             Hashtbl.reset pending_stores;
-            List.iter Io_pool.await tickets;
-            Array.iter Unix.fsync fds);
+            List.iter Io_pool.await tickets);
         close = (fun () -> close_async ~await_pending:true ());
       }
 
@@ -564,8 +665,9 @@ let rec spec_uses_file = function
   | Sim -> false
   | Cached inner -> spec_uses_file inner
 
-(* Generous per-slot budget for the file backend: B boxed words marshal to a
-   few dozen bytes each for the scalar payloads the algorithms move around. *)
+(* Generous per-slot budget for the file backend: B immediates take 8 bytes
+   each, and B boxed words marshal to a few dozen bytes each for the scalar
+   payloads the algorithms move around. *)
 let default_slot_bytes p = (32 * p.Params.block) + 512
 
 type instance = {
@@ -618,7 +720,7 @@ let make i =
     | Sim -> sim ~slots:(default_slots i.params) ~disks ()
     | File ->
         file ?dir:i.dir ?delay:i.file_delay ?io:i.io ~disks
-          ~slot_bytes:i.slot_bytes ()
+          ~slots:(default_slots i.params) ~slot_bytes:i.slot_bytes ()
     | Cached inner ->
         let pool =
           match i.pool with

@@ -6,8 +6,9 @@
 
     - {!sim}: the historical in-memory option array.  Zero-cost, default,
       and the reference for golden I/O counts.
-    - {!file}: fixed-size marshalled slots on a real Unix file (one seek +
-      read/write per block, [fsync] on flush), for honest wall-clock numbers.
+    - {!file}: fixed-size slots of a memory-mapped Unix file per disk (raw
+      int64s for payloads of immediates, [Marshal] for the rest), for
+      honest wall-clock numbers.
     - {!cached}: a buffer-pool LRU wrapper over any backend.  Resident pages
       are charged against the {!Mem} ledger (so [mem_peak <= M] still
       holds), and hits/misses/evictions are metered through {!Stats},
@@ -38,7 +39,9 @@ type 'a t = {
           {!field-load} of the same slot consumes the staged bytes instead
           of blocking on a fresh seek.  Never changes what a load returns —
           only when the wall-clock wait happens. *)
-  flush : unit -> unit;  (** write back dirty pages / [fsync] to stable storage *)
+  flush : unit -> unit;
+      (** write back dirty pages and retire write-behind stores; no backend
+          syncs to stable storage (its files are unlinked scratch space) *)
   close : unit -> unit;  (** release OS resources; idempotent *)
 }
 
@@ -60,35 +63,52 @@ val file :
   ?delay:(unit -> unit) ->
   ?io:Io_pool.t ->
   ?disks:int ->
+  ?slots:int ->
   slot_bytes:int ->
   unit ->
   'a t
-(** Marshalled blocks in fixed [slot_bytes]-sized slots of temp files — one
-    backing file per disk ([disks], default 1), with slot [s] stored on disk
+(** Blocks in fixed [slot_bytes]-sized slots of temp files — one backing
+    file per disk ([disks], default 1), with slot [s] stored on disk
     [s mod D] at offset [(s / D) * slot_bytes].
+
+    Each file is mapped once, shared ([Unix.map_file]); loads and stores
+    copy between the payload and the mapping, with no system call per
+    block.  The mapping grows geometrically at {!field-alloc}, on the
+    caller's domain, from room for [slots] slots (default 64) across the
+    disks: the file is first extended with written zeros, so a full disk
+    raises [Unix.Unix_error] there rather than SIGBUS at a later store.
+
+    A slot holds an 8-byte little-endian header and the payload.  A payload
+    whose elements are all immediates (ints, chars, bools, constant
+    constructors) is stored raw, as [n] little-endian int64s under header
+    [(n lsl 1) lor 1], and decoded straight from the mapping; any other
+    payload is a [Marshal] blob of [len] bytes under header [len lsl 1].
+    An encoding larger than the slot raises {!Em_error.Slot_overflow} —
+    synchronously, under either assembly, since encoding always happens on
+    the caller's domain; size [slot_bytes] from the block size via
+    {!default_slot_bytes}.
 
     The files are created under [dir] (default: [$EM_BACKEND_DIR], falling
     back to the system temp dir) and unlinked immediately after opening, so
     no block file can outlive its fd — not across a bench sweep, not even on
-    a crash.  The fds are released by {!field-close} (idempotent) or, as a
-    backstop, by a GC finaliser.
-
-    A payload whose marshalled form exceeds the slot raises
-    {!Em_error.Slot_overflow} — synchronously, under either assembly, since
-    marshalling always happens on the caller's domain; size [slot_bytes]
-    from the block size via {!default_slot_bytes}.
+    a crash.  For the same reason {!field-flush} syncs nothing: no process
+    can ever reopen the file to read what a sync would have made durable.
+    {!field-close} (idempotent) truncates the files, so their space comes
+    back at once, and closes the fds; a GC finaliser is the backstop for
+    backends dropped without a close.
 
     [delay] models per-access device latency: it is invoked once before
     every raw slot read or write, on whichever domain performs it (bench
     speedup gates and stress-test jitter hang off this hook).
 
-    [io] selects the {e asynchronous} assembly: raw slot I/O executes on
-    the pool's worker domains — stores become write-behind (awaited by
-    {!field-flush} and {!field-close}), {!field-prefetch} stages reads —
-    while every observable decision ([written] set, allocator order,
-    overflow checks) stays on the caller's domain in the synchronous
-    order.  Requests are keyed by (backend, disk), so one worker owns each
-    fd (no seek races) and same-slot requests retire in submission order. *)
+    [io] selects the {e asynchronous} assembly: the copies into and out of
+    the mapping execute on the pool's worker domains — stores become
+    write-behind (awaited by {!field-flush} and {!field-close}),
+    {!field-prefetch} stages reads — while every observable decision
+    ([written] set, allocator order, overflow checks, mapping growth)
+    stays on the caller's domain in the synchronous order.  Requests are
+    keyed by (backend, disk), so same-slot requests retire in submission
+    order. *)
 
 val latency_env_var : string  (** ["EM_FILE_LATENCY_US"] *)
 
@@ -98,7 +118,8 @@ val default_file_delay : unit -> (unit -> unit) option
     @raise Invalid_argument when set but unparseable or negative. *)
 
 val default_slot_bytes : Params.t -> int
-(** [32*B + 512] bytes: a generous budget for [B] marshalled scalars. *)
+(** [32*B + 512] bytes: a generous budget for [B] marshalled scalars (a
+    raw block of [B] immediates takes [8 + 8B]). *)
 
 (** A buffer pool shared by every cached backend of a linked device family.
 

@@ -53,7 +53,8 @@ let clear_injector ctx = Device.clear_injector ctx.dev
 let arm ?policy ctx = Device.arm ?policy ctx.dev
 let fault_report ctx = Device.recovery ctx.dev
 
-(* The library's one unchecked cast.  [Int.compare] is a value of type
+(* One of the library's two unchecked casts (the other is the file
+   backend's codec, [Backend.encode]).  [Int.compare] is a value of type
    [int -> int -> int], and no safe program can give it any other type, so
    a comparator of type ['a -> 'a -> int] that is physically [Int.compare]
    proves ['a = int].  The false equation the cast brings into scope is used

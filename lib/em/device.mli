@@ -86,9 +86,12 @@ val stats : 'a t -> Stats.t
 val trace : 'a t -> Trace.t
 
 val flush : 'a t -> unit
-(** Push pending state to stable storage: write back dirty buffer-pool
-    pages, [fsync] file backends.  Costs no counted I/O (durability is
-    outside the Aggarwal–Vitter cost model). *)
+(** Push pending state down to the backing store: write back dirty
+    buffer-pool pages and await an async file backend's write-behind
+    stores.  Nothing is synced to stable storage: file backends live in
+    unlinked scratch files no process can reopen, so an [fsync] would make
+    nothing readable.  Costs no counted I/O (durability is outside the
+    Aggarwal–Vitter cost model). *)
 
 val close : 'a t -> unit
 (** Release backend OS resources (fds, buffer-pool pages).  Idempotent.

@@ -16,7 +16,7 @@ exception Negative_words of { op : string; n : int }
 exception Over_release of { releasing : int; in_use : int }
 
 exception Slot_overflow of { bytes : int; capacity : int; slot : int }
-(* A marshalled payload exceeded a file backend's fixed slot size; see
+(* An encoded payload exceeded a file backend's fixed slot size; see
    [Backend.file]. *)
 
 let op_name = function `Read -> "read" | `Write -> "write"

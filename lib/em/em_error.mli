@@ -43,7 +43,7 @@ exception Negative_words of { op : string; n : int }
 exception Over_release of { releasing : int; in_use : int }
 
 exception Slot_overflow of { bytes : int; capacity : int; slot : int }
-(** A marshalled payload did not fit a file backend's fixed slot; raise the
+(** An encoded payload did not fit a file backend's fixed slot; raise the
     backend's [slot_bytes] (see {!Backend.file}). *)
 
 val to_string : t -> string

@@ -5,29 +5,30 @@
    not-full for submitters).  Jobs are routed by an integer [key]: the same
    key always lands on the same worker, which is the load-bearing invariant
    — the file backend keys every request by (backend, disk), so all I/O on
-   one fd executes on exactly one domain (no shared lseek offsets, no torn
-   reads) and two requests touching the same slot are serialised in
-   submission order by that worker's FIFO.
+   one disk runs on one domain and two requests touching the same slot are
+   serialised in submission order by that worker's FIFO.
 
    Everything the EM cost model observes — counted I/Os, rounds, fault
    decisions, checksums, trace events — is decided on the submitting domain
    before a job is enqueued; a job is pure byte shuffling.  That is why
    async execution cannot move a single ledger number (see DESIGN.md).
 
-   A ticket resolves exactly once.  Exceptions raised by a job are captured
-   and re-raised on the domain that [await]s the ticket; the in-flight gauge
-   is decremented *before* the ticket resolves, so once [await] returns the
-   pool's accounting already reflects the completion. *)
+   A ticket resolves exactly once, to the job's result or to the exception
+   it raised, which is re-raised on the domain that [await]s the ticket; the
+   in-flight gauge is decremented *before* the ticket resolves, so once
+   [await] returns the pool's accounting already reflects the completion. *)
 
-type state = Pending | Resolved of exn option
+type 'a state = Pending | Done of 'a | Failed of exn
 
-type ticket = { tm : Mutex.t; tc : Condition.t; mutable state : state }
+type 'a ticket = { tm : Mutex.t; tc : Condition.t; mutable state : 'a state }
 
+(* A queued job runs its closure and resolves its own ticket, so a worker's
+   queue holds plain thunks whatever the results' types. *)
 type worker = {
   m : Mutex.t;
   not_empty : Condition.t;
   not_full : Condition.t;
-  jobs : ((unit -> unit) * ticket) Queue.t;
+  jobs : (unit -> unit) Queue.t;
   mutable stopping : bool;
 }
 
@@ -56,7 +57,7 @@ let default_workers () =
             (Printf.sprintf "Io_pool: %s must be a positive integer (got %S)"
                workers_env_var s))
 
-let resolve t tk exn =
+let resolve t tk outcome =
   (* Order matters: the gauge must already be decremented when a waiting
      [await] wakes up, so "await returned, in_flight still > 0" can never be
      observed for the awaited request. *)
@@ -65,11 +66,11 @@ let resolve t tk exn =
   Condition.broadcast t.idle_c;
   Mutex.unlock t.idle_m;
   Mutex.lock tk.tm;
-  tk.state <- Resolved exn;
+  tk.state <- outcome;
   Condition.broadcast tk.tc;
   Mutex.unlock tk.tm
 
-let worker_loop t w =
+let worker_loop w =
   let running = ref true in
   while !running do
     Mutex.lock w.m;
@@ -82,11 +83,10 @@ let worker_loop t w =
       Mutex.unlock w.m
     end
     else begin
-      let job, tk = Queue.pop w.jobs in
+      let job = Queue.pop w.jobs in
       Condition.signal w.not_full;
       Mutex.unlock w.m;
-      let exn = match job () with () -> None | exception e -> Some e in
-      resolve t tk exn
+      job ()
     end
   done
 
@@ -114,14 +114,14 @@ let create ?(workers = default_workers ()) ?(capacity = default_capacity) () =
       closed = false;
     }
   in
-  t.domains <- Array.map (fun w -> Domain.spawn (fun () -> worker_loop t w)) pool_workers;
+  t.domains <- Array.map (fun w -> Domain.spawn (fun () -> worker_loop w)) pool_workers;
   t
 
 let workers t = Array.length t.workers
 let in_flight t = Atomic.get t.in_flight
 let closed t = t.closed
 
-let submit t ~key job =
+let submit t ~key f =
   if t.closed then invalid_arg "Io_pool.submit: pool is shut down";
   let w = t.workers.(abs key mod Array.length t.workers) in
   let tk = { tm = Mutex.create (); tc = Condition.create (); state = Pending } in
@@ -135,36 +135,28 @@ let submit t ~key job =
     Atomic.decr t.in_flight;
     invalid_arg "Io_pool.submit: pool is shut down"
   end;
-  Queue.push (job, tk) w.jobs;
+  let job () = resolve t tk (match f () with v -> Done v | exception e -> Failed e) in
+  Queue.push job w.jobs;
   Condition.signal w.not_empty;
   Mutex.unlock w.m;
   tk
 
+(* The ticket mutex is the happens-before edge for the worker's result. *)
 let await tk =
   Mutex.lock tk.tm;
-  let rec resolved () =
+  let rec wait () =
     match tk.state with
-    | Resolved outcome -> outcome
     | Pending ->
         Condition.wait tk.tc tk.tm;
-        resolved ()
+        wait ()
+    | Done v ->
+        Mutex.unlock tk.tm;
+        v
+    | Failed e ->
+        Mutex.unlock tk.tm;
+        raise e
   in
-  let outcome = resolved () in
-  Mutex.unlock tk.tm;
-  Option.iter raise outcome
-
-(* Typed convenience over the untyped job/ticket pair: the closure's result
-   lands in a cell that [wait] reads back after the ticket resolves (the
-   ticket mutex is the happens-before edge). *)
-type 'a task = { ticket : ticket; cell : 'a option ref }
-
-let run t ~key f =
-  let cell = ref None in
-  { ticket = submit t ~key (fun () -> cell := Some (f ())); cell }
-
-let wait task =
-  await task.ticket;
-  match !(task.cell) with Some v -> v | None -> assert false
+  wait ()
 
 let quiesce t =
   Mutex.lock t.idle_m;

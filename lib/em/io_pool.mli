@@ -3,13 +3,10 @@
     Worker domains each own one bounded FIFO request queue (mutex + condvar
     hand-off).  Requests are routed by an integer [key]: the same key always
     lands on the same worker.  The async file backend keys every request by
-    (backend, disk), which yields the two invariants real async I/O needs:
-
-    - {b fd affinity} — all I/O on one file descriptor executes on exactly
-      one domain, so shared seek offsets are never raced;
-    - {b per-slot ordering} — two requests touching the same slot are
-      serialised in submission order by that worker's FIFO, so a read
-      submitted after a write observes it.
+    (backend, disk), which yields the invariant real async I/O needs:
+    {b per-slot ordering} — two requests touching the same slot are
+    serialised in submission order by that worker's FIFO, so a read
+    submitted after a write observes it.
 
     Everything the EM cost model observes (counted I/Os, rounds, fault
     decisions, checksums, trace events) is decided on the {e submitting}
@@ -46,28 +43,21 @@ val in_flight : t -> int
 
 val closed : t -> bool
 
-(** {1 Untyped submission} *)
+(** {1 Submission} *)
 
-type ticket
-(** One request's completion cell; resolves exactly once. *)
+type 'a ticket
+(** One request's completion cell; resolves exactly once, to the job's
+    result or to the exception it raised. *)
 
-val submit : t -> key:int -> (unit -> unit) -> ticket
+val submit : t -> key:int -> (unit -> 'a) -> 'a ticket
 (** Enqueue a job on worker [key mod workers].  Blocks while that worker's
     queue is full.  The job must not touch caller-domain state.
     @raise Invalid_argument if the pool is shut down. *)
 
-val await : ticket -> unit
-(** Block until the job completed; re-raises the job's exception (once per
-    awaiter) on the calling domain. *)
-
-(** {1 Typed submission} *)
-
-type 'a task
-
-val run : t -> key:int -> (unit -> 'a) -> 'a task
-val wait : 'a task -> 'a
-(** [wait (run t ~key f)] is [f ()] evaluated on worker [key mod workers];
-    the ticket mutex provides the happens-before edge for the result. *)
+val await : 'a ticket -> 'a
+(** Block until the job completed and return its result, or re-raise its
+    exception (once per awaiter) on the calling domain.  The ticket mutex
+    provides the happens-before edge for the result. *)
 
 (** {1 Lifecycle} *)
 

@@ -190,9 +190,11 @@ let save t =
   in
   let snap = snapshot t in
   Em.Checkpoint.save store ~words:(snapshot_words snap) snap;
-  (* Make the save a real durability point even on write-back backends: the
-     buffer pool's dirty pages and any file backend are flushed (no counted
-     I/O — durability is outside the Aggarwal–Vitter model). *)
+  (* Make the save a consistency point even on write-back backends: the
+     buffer pool's dirty pages reach the store under it and async
+     write-behind retires (no counted I/O — durability is outside the
+     Aggarwal–Vitter model, and the file backend's scratch files are
+     unlinked, so nothing is synced). *)
   Em.Ctx.flush t.ctx;
   (* The fresh snapshot references only the current tree, so everything
      orphaned since the previous save can finally go. *)

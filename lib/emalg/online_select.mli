@@ -145,8 +145,9 @@ val enable_checkpoints : ?every_splits:int -> 'a t -> 'a snapshot Em.Checkpoint.
     store.  With
     [every_splits = k], additionally saves automatically: mid-refinement
     once [k] splits accumulate, and at the end of every query that refined
-    the tree — so once a reply is emitted, the refinement it paid for is
-    durable, and a crash between queries redoes nothing.  Without
+    the tree — so once a reply is emitted, the refinement it paid for is in
+    the checkpoint store, and a simulated crash between queries redoes
+    nothing.  Without
     [every_splits] only explicit {!checkpoint} calls (and the baseline)
     save.
     @raise Invalid_argument if [every_splits < 1]. *)
@@ -154,8 +155,11 @@ val enable_checkpoints : ?every_splits:int -> 'a t -> 'a snapshot Em.Checkpoint.
 val checkpoint : 'a t -> unit
 (** Save the current snapshot now, creating the store if none is attached
     yet.  Charges [ceil(snapshot_words/B)] writes under a ["checkpoint"]
-    phase, flushes write-back backends (durability point), and releases the
-    vectors deferred since the previous save. *)
+    phase, flushes write-back backends (their dirty pages and write-behind
+    reach the backing store; nothing is synced to stable storage, since the
+    file backend's files are unlinked scratch space that no restarted
+    process could reopen), and releases the vectors deferred since the
+    previous save. *)
 
 val checkpoint_store : 'a t -> 'a snapshot Em.Checkpoint.t option
 (** The attached store, for crash/restore drivers and introspection

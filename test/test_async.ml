@@ -172,12 +172,12 @@ let test_pool_fifo_order () =
 
 let test_pool_exception_transport () =
   let pool = Io_pool.create ~workers:1 () in
-  let task = Io_pool.run pool ~key:0 (fun () -> failwith "boom on the worker") in
-  (match Io_pool.wait task with
+  let tk = Io_pool.submit pool ~key:0 (fun () -> failwith "boom on the worker") in
+  (match Io_pool.await tk with
   | _ -> Alcotest.fail "expected the worker's exception"
   | exception Failure msg -> Tu.check_bool "message carried" true (msg = "boom on the worker"));
   (* The pool survives a failing job. *)
-  Tu.check_int "next job still runs" 42 (Io_pool.wait (Io_pool.run pool ~key:0 (fun () -> 42)));
+  Tu.check_int "next job still runs" 42 (Io_pool.await (Io_pool.submit pool ~key:0 (fun () -> 42)));
   Io_pool.shutdown pool
 
 (* A full queue blocks the submitter (backpressure) without deadlock or
@@ -223,11 +223,11 @@ let test_pool_shutdown_drains () =
 
 let test_pool_quiesce_and_global () =
   let pool = Io_pool.create ~workers:2 () in
-  let slow = Io_pool.run pool ~key:0 (fun () -> Unix.sleepf 0.01; "done") in
+  let slow = Io_pool.submit pool ~key:0 (fun () -> Unix.sleepf 0.01; "done") in
   Io_pool.quiesce pool;
   Tu.check_int "quiesce waited everything out" 0 (Io_pool.in_flight pool);
   Tu.check_bool "result still collectable after quiesce" true
-    (Io_pool.wait slow = "done");
+    (Io_pool.await slow = "done");
   Io_pool.shutdown pool;
   Tu.check_bool "global pool is a live singleton" true
     (Io_pool.global () == Io_pool.global () && not (Io_pool.closed (Io_pool.global ())))

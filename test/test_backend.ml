@@ -81,6 +81,42 @@ let test_file_slot_overflow () =
      Tu.check_bool "oversize payload reported" true (bytes > 64));
   b.Em.Backend.close ()
 
+(* On the raw-int path a slot of [8 + 8n] bytes holds exactly [n] ints, and
+   one more raises with the exact byte count, under either assembly; the
+   store that raises leaves the slot's old contents in place. *)
+let test_file_slot_overflow_boundary () =
+  let n = 16 in
+  let slot_bytes = 8 + (8 * n) in
+  List.iter
+    (fun io ->
+      let label = if io = None then "sync" else "async" in
+      let b : int Em.Backend.t = Em.Backend.file ?io ~slot_bytes () in
+      let s = b.Em.Backend.alloc () in
+      let full = Array.init n (fun i -> max_int - i) in
+      b.Em.Backend.store s full;
+      (match Array.make (n + 1) 0 |> b.Em.Backend.store s with
+      | () -> Alcotest.failf "%s: n + 1 ints must overflow an 8 + 8n byte slot" label
+      | exception Em.Em_error.Slot_overflow { bytes; capacity; slot } ->
+          Tu.check_int (label ^ ": exact byte count") (8 + (8 * (n + 1))) bytes;
+          Tu.check_int (label ^ ": capacity") slot_bytes capacity;
+          Tu.check_int (label ^ ": slot") s slot);
+      Tu.check_bool (label ^ ": n ints fit and survive the failed store") true
+        (b.Em.Backend.load s = Some full);
+      b.Em.Backend.close ())
+    [ None; Some (Em.Io_pool.global ()) ];
+  (* The Marshal path reports its blob plus the header. *)
+  let b : string Em.Backend.t = Em.Backend.file ~slot_bytes () in
+  let s = b.Em.Backend.alloc () in
+  let payload = Array.init n (Printf.sprintf "boxed string %d") in
+  (match b.Em.Backend.store s payload with
+  | () -> Alcotest.fail "16 marshalled strings must overflow a 136-byte slot"
+  | exception Em.Em_error.Slot_overflow { bytes; capacity; _ } ->
+      Tu.check_int "marshal path: blob + header"
+        (8 + Bytes.length (Marshal.to_bytes payload []))
+        bytes;
+      Tu.check_int "marshal path: capacity" slot_bytes capacity);
+  b.Em.Backend.close ()
+
 let test_default_slots_scale () =
   (* Satellite fix: the initial slot table is sized from the machine's
      fanout instead of the historical hardcoded 64. *)
@@ -453,6 +489,124 @@ let prop_file_matches_sim =
       in
       run Em.Backend.Sim = run Em.Backend.File)
 
+(* ---- the file codec: every payload shape round-trips ----
+
+   The file backend stores a block of immediates (ints, bools, chars,
+   constant constructors, [None]s) as raw int64s and marshals every other
+   block.  One case draws a machine (sync or async, D in {1, 2, 4}) and a
+   seed; on that machine, one backend per element family replays a random
+   script of allocs, stores and frees against a model of what every live
+   slot holds.  The backends start with room for 4 slots, so the scripts
+   grow the mappings several times. *)
+
+type colour = Red | Green | Blue
+
+type family = Family : string * 'a QCheck2.Gen.t -> family
+
+let families =
+  let open QCheck2.Gen in
+  [
+    Family ("int", oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+    Family ("bool", bool);
+    Family ("char", char);
+    Family ("constant constructor", oneofl [ Red; Green; Blue ]);
+    Family ("boxed", pair small_int string_small);
+    Family ("int option", option int);
+    Family ("float", float);
+  ]
+
+type 'a op = Alloc | Store of int * 'a array | Free of int
+
+let codec_block = 16
+
+(* Empty, short (a vector's last block) and full blocks, half of them one
+   repeated element so an [int option] block is often all [None]. *)
+let gen_block elt =
+  QCheck2.Gen.(
+    frequency [ (1, pure 0); (2, int_range 1 3); (3, pure codec_block) ] >>= fun len ->
+    oneof [ array_size (pure len) elt; map (Array.make len) elt ])
+
+let gen_script elt =
+  QCheck2.Gen.(
+    list_size (int_range 20 60)
+      (frequency
+         [
+           (2, pure Alloc);
+           (5, map2 (fun i p -> Store (i, p)) nat (gen_block elt));
+           (1, map (fun i -> Free i) nat);
+         ]))
+
+let codec_slot_bytes = 4096
+
+let file_on ~io ~disks () =
+  Em.Backend.file ?io ~disks ~slots:4 ~slot_bytes:codec_slot_bytes ()
+
+(* Replays [ops] on a fresh backend; false at the first load that differs
+   from the model. *)
+let replay ~io ~disks ops =
+  let b = file_on ~io ~disks () in
+  let live = ref [] and model = Hashtbl.create 16 in
+  let agrees s = compare (b.Em.Backend.load s) (Hashtbl.find_opt model s) = 0 in
+  let nth i = List.nth !live (i mod List.length !live) in
+  let step = function
+    | Alloc ->
+        let s = b.Em.Backend.alloc () in
+        live := s :: !live;
+        b.Em.Backend.load s = None
+    | Store (_, _) | Free _ when !live = [] -> true
+    | Store (i, p) ->
+        let s = nth i in
+        b.Em.Backend.store s p;
+        Hashtbl.replace model s (Array.copy p);
+        true
+    | Free i ->
+        let s = nth i in
+        b.Em.Backend.free s;
+        live := List.filter (( <> ) s) !live;
+        Hashtbl.remove model s;
+        b.Em.Backend.load s = None
+  in
+  let ok = List.for_all (fun op -> step op && List.for_all agrees !live) ops in
+  b.Em.Backend.close ();
+  ok
+
+(* A slot rewritten with a shorter payload of the other encoding must load
+   exactly the new payload, and [None] once freed. *)
+let other_kind_overwrites ~io ~disks =
+  let b : int option Em.Backend.t = file_on ~io ~disks () in
+  let s = b.Em.Backend.alloc () in
+  let loads p =
+    b.Em.Backend.store s p;
+    b.Em.Backend.load s = Some p
+  in
+  let ok =
+    loads (Array.make codec_block None)
+    && loads [| Some min_int; None |]
+    && loads (Array.init codec_block (fun i -> Some i))
+    && loads [| None |]
+    && loads [||]
+    &&
+    (b.Em.Backend.free s;
+     b.Em.Backend.load s = None)
+  in
+  b.Em.Backend.close ();
+  ok
+
+let prop_file_codec =
+  Tu.qcheck_case ~count:25 "file codec: every payload round-trips, sync and async, D in {1,2,4}"
+    ~print:(fun (disks, async, seed) ->
+      Printf.sprintf "disks=%d async=%b seed=%d" disks async seed)
+    QCheck2.Gen.(triple (oneofl [ 1; 2; 4 ]) bool nat)
+    (fun (disks, async, seed) ->
+      let io = if async then Some (Em.Io_pool.global ()) else None in
+      let rand = Random.State.make [| seed |] in
+      other_kind_overwrites ~io ~disks
+      && List.for_all
+           (fun (Family (name, elt)) ->
+             replay ~io ~disks (QCheck2.Gen.generate1 ~rand (gen_script elt))
+             || QCheck2.Test.fail_reportf "family %s diverged from the model" name)
+           families)
+
 let suite =
   [
     Alcotest.test_case "sim roundtrip" `Quick test_sim_roundtrip;
@@ -460,6 +614,8 @@ let suite =
     Alcotest.test_case "cached roundtrip" `Quick test_cached_roundtrip;
     Alcotest.test_case "store owns the copy" `Quick test_store_owns_copy;
     Alcotest.test_case "file slot overflow is typed" `Quick test_file_slot_overflow;
+    Alcotest.test_case "file slot overflow at the exact boundary" `Quick
+      test_file_slot_overflow_boundary;
     Alcotest.test_case "initial slots scale with fanout" `Quick test_default_slots_scale;
     Alcotest.test_case "spec parsing" `Quick test_spec_parsing;
     Alcotest.test_case "algorithm matrix across backends" `Slow test_matrix;
@@ -472,4 +628,5 @@ let suite =
     prop_reads_hits_misses;
     prop_pool_is_lru;
     prop_file_matches_sim;
+    prop_file_codec;
   ]

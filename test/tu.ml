@@ -46,8 +46,8 @@ let check_no_leaks ?(live = 0) (c : int Em.Ctx.t) =
     check_bool "no leaked blocks beyond live vectors" true
       (Em.Device.live_blocks c.Em.Ctx.dev <= live)
 
-let qcheck_case ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
+let qcheck_case ?(count = 100) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count ?print gen prop)
 
 (* Substring assertions over JSON reply/frame lines. *)
 let has_prefix ~prefix s =
